@@ -21,12 +21,8 @@ from .errors import (
     UnsupportedFieldError,
 )
 from .hecke import AffineCharacter
-from .propweyl import basis_elements
-from .serial import (
-    canonical_json,
-    hecke_elt_from_json,
-    propelt_from_json,
-)
+from .propweyl import ProPElt, basis_elements
+from .serial import canonical_json, elt_from_json
 from .verify import SUITES, build_context, run_suite
 
 SEED_ENV = "PROPHECKE_SEED"
@@ -71,12 +67,12 @@ def cmd_mul(args) -> int:
     a = _load_json(args.a)
     b = _load_json(args.b)
     if args.algebra == "hecke":
-        x = hecke_elt_from_json(ctx.hecke, a)
-        y = hecke_elt_from_json(ctx.hecke, b)
+        x = elt_from_json(ctx.hecke, a)
+        y = elt_from_json(ctx.hecke, b)
         result = (x * y).to_json()
     else:
-        x = propelt_from_json(ctx.group, a)
-        y = propelt_from_json(ctx.group, b)
+        x = ProPElt.from_json(ctx.group, a)
+        y = ProPElt.from_json(ctx.group, b)
         result = ctx.group.mul(x, y).to_json()
     payload = {
         "algebra": args.algebra,
@@ -186,8 +182,8 @@ def cmd_coset(args) -> int:
     if args.action == "support":
         if args.b is None:
             raise ValueError("coset support needs two element files")
-        v = propelt_from_json(ctx.group, _load_json(args.a))
-        w = propelt_from_json(ctx.group, _load_json(args.b))
+        v = ProPElt.from_json(ctx.group, _load_json(args.a))
+        w = ProPElt.from_json(ctx.group, _load_json(args.b))
         sup = cosets.support_mul(v, w)
         payload = {
             "classes": sup.to_json(),

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import GroupMismatchError
 from .propweyl import ProPElt, ProPWeyl
 from .rootdata import AffineRoot, dot
 from .weyl import ExtAffWeylElt
@@ -62,10 +63,8 @@ def support_mul(v: ProPElt, w: ProPElt, tie: str = "min") -> CosetSupport:
     """Classes of the product of the double cosets of v and w."""
     group = v.group
     if w.group is not group:
-        raise ValueError("elements of different groups")
-    cache = getattr(group, "_support_cache", None)
-    if cache is None:
-        cache = group._support_cache = {}
+        raise GroupMismatchError("pro-p elements from different groups")
+    cache = group._support_cache
     key = (v, w, tie)
     cached = cache.get(key)
     if cached is not None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from itertools import product as _iproduct
 
-from .errors import UnsupportedFieldError
+from .errors import TheoremViolationError, UnsupportedFieldError
 
 # Tables are quadratic in the field size; this library targets desk scale.
 _MAX_ORDER = 4096
@@ -294,7 +294,7 @@ class FieldSpec:
         for x in sorted(self._elts[1:], key=lambda e: e.coeffs):
             if self.multiplicative_order(x) == target:
                 return x
-        raise AssertionError("k^x is cyclic; unreachable")
+        raise TheoremViolationError("k^x is cyclic; unreachable")
 
     def zeta_q(self) -> FieldElt:
         """Fixed embedding of a generator of F_q^x into k^x: an element of
@@ -327,24 +327,3 @@ class FieldSpec:
     def __repr__(self):
         return f"GF({self.p}^{self.m}; q={self.q})"
 
-
-def field_arith(a: FieldElt, b, op: str) -> FieldElt:
-    """Dispatch a single binary field operation by name; pow takes an
-    integer exponent for b."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "pow":
-        if not isinstance(b, int):
-            raise ValueError("pow takes an integer exponent")
-        return a**b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def zeta_q(spec: FieldSpec) -> FieldElt:
-    return spec.zeta_q()

@@ -31,80 +31,117 @@ from .rootdata import dot
 from .weyl import ExtAffWeylElt
 
 
-class HeckeElt:
-    """Finitely supported k-linear combination of basis symbols tau_g."""
+def accumulate(out: dict, terms: dict, c: FieldElt) -> None:
+    """out += c * terms, in place, dropping coefficients that cancel."""
+    for g, d in terms.items():
+        cd = c * d
+        prev = out.get(g)
+        acc = cd if prev is None else prev + cd
+        if acc.is_zero():
+            out.pop(g, None)
+        else:
+            out[g] = acc
 
-    __slots__ = ("algebra", "terms")
 
-    def __init__(self, algebra: "HeckeAlgebra", terms: dict):
-        self.algebra = algebra
+def as_scalar(field: FieldSpec, c) -> FieldElt:
+    if isinstance(c, FieldElt):
+        if c.field is not field:
+            raise GroupMismatchError("scalar from a different field")
+        return c
+    if isinstance(c, int):
+        return field.from_int(c)
+    raise TypeError(f"cannot use {c!r} as a scalar")
+
+
+class SparseComb:
+    """Finitely supported k-linear combination of basis symbols indexed by
+    pro-p Weyl group elements, living in a fixed space (H or E).
+
+    Subclasses name the basis symbol, say whether to_json carries it as a
+    "basis" tag, and give the error text for operands of different spaces.
+    """
+
+    __slots__ = ("space", "terms")
+    symbol = ""
+    tagged = False
+    mismatch = ""
+
+    def __init__(self, space, terms: dict):
+        self.space = space
         self.terms = {g: c for g, c in terms.items() if not c.is_zero()}
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def support(self):
-        return set(self.terms)
-
     def coeff(self, g: ProPElt) -> FieldElt:
-        return self.terms.get(g, self.algebra.field.zero())
+        return self.terms.get(g, self.space.field.zero())
 
-    def __add__(self, other: "HeckeElt") -> "HeckeElt":
+    def _check(self, other):
+        if type(other) is not type(self) or other.space is not self.space:
+            raise GroupMismatchError(self.mismatch)
+
+    def __add__(self, other):
         self._check(other)
         out = dict(self.terms)
-        for g, c in other.terms.items():
-            prev = out.get(g)
-            out[g] = c if prev is None else prev + c
-        return HeckeElt(self.algebra, out)
+        accumulate(out, other.terms, self.space.field.one())
+        return type(self)(self.space, out)
 
-    def __sub__(self, other: "HeckeElt") -> "HeckeElt":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __neg__(self) -> "HeckeElt":
-        return HeckeElt(self.algebra, {g: -c for g, c in self.terms.items()})
+    def __neg__(self):
+        return type(self)(self.space, {g: -c for g, c in self.terms.items()})
 
-    def scale(self, c) -> "HeckeElt":
-        c = self.algebra._scalar(c)
-        return HeckeElt(self.algebra, {g: c * d for g, d in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, HeckeElt):
-            return self.algebra.mul(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
+    def scale(self, c):
+        c = as_scalar(self.space.field, c)
+        return type(self)(self.space, {g: c * d for g, d in self.terms.items()})
 
     def __eq__(self, other):
         return (
-            isinstance(other, HeckeElt)
-            and self.algebra is other.algebra
+            type(other) is type(self)
+            and self.space is other.space
             and self.terms == other.terms
         )
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def _check(self, other):
-        if other.algebra is not self.algebra:
-            raise GroupMismatchError("elements of different Hecke algebras")
+    def _sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
 
     def to_json(self):
-        items = sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
-        return {
+        out = {
             "terms": [
-                {"coeff": list(c.coeffs), "elt": g.to_json()} for g, c in items
+                {"coeff": list(c.coeffs), "elt": g.to_json()}
+                for g, c in self._sorted_terms()
             ]
         }
+        if self.tagged:
+            out["basis"] = self.symbol
+        return out
 
     def __repr__(self):
         if not self.terms:
             return "0"
-        bits = [
-            f"{c!r}*tau[{g!r}]"
-            for g, c in sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
-        ]
-        return " + ".join(bits)
+        return " + ".join(
+            f"{c!r}*{self.symbol}[{g!r}]" for g, c in self._sorted_terms()
+        )
+
+
+class HeckeElt(SparseComb):
+    """Element of H in the tau basis."""
+
+    __slots__ = ()
+    symbol = "tau"
+    mismatch = "elements of different Hecke algebras"
+
+    def __mul__(self, other):
+        if isinstance(other, HeckeElt):
+            return self.space.mul(self, other)
+        return self.scale(other)
+
+    def __rmul__(self, other):
+        return self.scale(other)
 
 
 class HeckeAlgebra:
@@ -130,22 +167,13 @@ class HeckeAlgebra:
         for _ in range(max(group.qm1 - 1, 0)):
             self._zeta_pow.append(self._zeta_pow[-1] * zq1)
 
-    # -- scalars and element constructors ---------------------------------------
-
-    def _scalar(self, c) -> FieldElt:
-        if isinstance(c, FieldElt):
-            if c.field is not self.field:
-                raise GroupMismatchError("scalar from a different field")
-            return c
-        if isinstance(c, int):
-            return self.field.from_int(c)
-        raise TypeError(f"cannot use {c!r} as a scalar")
+    # -- element constructors ----------------------------------------------------
 
     def zero(self) -> HeckeElt:
         return HeckeElt(self, {})
 
     def elt(self, terms: dict) -> HeckeElt:
-        return HeckeElt(self, {g: self._scalar(c) for g, c in terms.items()})
+        return HeckeElt(self, {g: as_scalar(self.field, c) for g, c in terms.items()})
 
     def tau(self, x: ProPElt) -> HeckeElt:
         if x.group is not self.group:
@@ -196,38 +224,20 @@ class HeckeAlgebra:
             xp = g.mul(x, g.inv(g.lift_s(s)))
             result = {}
             for u, c in self._one_gen_mul(s, y).items():
-                for v, d in self.basis_mul(xp, u).items():
-                    cd = c * d
-                    prev = result.get(v)
-                    acc = cd if prev is None else prev + cd
-                    if acc.is_zero():
-                        result.pop(v, None)
-                    else:
-                        result[v] = acc
+                accumulate(result, self.basis_mul(xp, u), c)
         self._mul_cache[key] = result
         return result
 
     def mul(self, x: HeckeElt, y: HeckeElt) -> HeckeElt:
-        if x.algebra is not self or y.algebra is not self:
-            raise GroupMismatchError("elements of different Hecke algebras")
+        if x.space is not self or y.space is not self:
+            raise GroupMismatchError(HeckeElt.mismatch)
         out: dict = {}
         for gx, cx in x.terms.items():
             for gy, cy in y.terms.items():
-                c = cx * cy
-                for u, d in self.basis_mul(gx, gy).items():
-                    cd = c * d
-                    prev = out.get(u)
-                    acc = cd if prev is None else prev + cd
-                    if acc.is_zero():
-                        out.pop(u, None)
-                    else:
-                        out[u] = acc
+                accumulate(out, self.basis_mul(gx, gy), cx * cy)
         return HeckeElt(self, out)
 
     # -- torus characters and idempotents ----------------------------------------
-
-    def torus_char_values(self, lam) -> "TorusCharacter":
-        return TorusCharacter(self, tuple(e % max(self.group.qm1, 1) for e in lam))
 
     def torus_characters(self):
         from itertools import product as iproduct
@@ -303,25 +313,19 @@ class HeckeAlgebra:
     def iota(self, x: HeckeElt) -> HeckeElt:
         """The involutive algebra automorphism fixing all length-zero basis
         elements and sending tau_{n_s} to -tau_{n_s} - theta_s."""
-        out = self.zero()
+        out: dict = {}
         for g, c in x.terms.items():
-            out = out + self._iota_basis(g).scale(c)
-        return out
+            accumulate(out, self._iota_basis(g).terms, c)
+        return HeckeElt(self, out)
 
     def _iota_basis(self, g: ProPElt) -> HeckeElt:
         cached = self._iota_cache.get(g)
         if cached is not None:
             return cached
-        grp = self.group
-        _, word = g.w.reduced_word(self.word_tie)
-        # peel the whole word off the right to find the length-zero prefix
-        prefix = g
-        lifts = [grp.lift_s(s) for s in word]
-        for ns in reversed(lifts):
-            prefix = grp.mul(prefix, grp.inv(ns))
+        prefix, word = self.group.split_word(g, self.word_tie)
         result = self.tau(prefix)
-        for s, ns in zip(word, lifts):
-            factor = self.tau(ns).scale(-1) - self.theta(s)
+        for s in word:
+            factor = self.tau(self.group.lift_s(s)).scale(-1) - self.theta(s)
             result = self.mul(result, factor)
         self._iota_cache[g] = result
         return result
@@ -416,10 +420,6 @@ class HeckeAlgebra:
         qm1 = max(self.group.qm1, 1)
         return dot(lam, self.group.rd.coroots[root_index]) % qm1 == 0
 
-    @property
-    def rd(self):
-        return self.group.rd
-
     # -- classification of affine characters ----------------------------------------
 
     def classify_character(self, char: "AffineCharacter") -> "CharacterClass":
@@ -461,9 +461,6 @@ class TorusCharacter:
 
     def __call__(self, t) -> FieldElt:
         return self.algebra.chi_lambda(self.lam, t)
-
-    def is_trivial(self) -> bool:
-        return not any(self.lam)
 
     def __repr__(self):
         return f"chi{list(self.lam)}"

@@ -32,7 +32,7 @@ not the particular coordinates, are what the algebra relations consume.
 
 from __future__ import annotations
 
-from .errors import DataIntegrityError, GroupMismatchError
+from .errors import DataIntegrityError, GroupMismatchError, TheoremViolationError
 from .rootdata import AffineRoot, dot
 from .weyl import ExtAffWeylElt, WeylGroup, _mat_vec
 
@@ -55,6 +55,7 @@ class ProPWeyl:
         self._cocycle = self._build_cocycle()
         self._lift_cache = {}
         self._mrep_cache = {}
+        self._support_cache = {}  # (v, w, tie) -> cosets.CosetSupport
         self._aff_lifts = [
             self.lift_affine_reflection(A) for A in self.weyl.s_aff
         ]
@@ -129,7 +130,8 @@ class ProPWeyl:
                         corr = self.coroot_torus(root, e_neg)
                         t = self._t_add(t, self.torus_action(cur, corr))
                 table[u][v] = t
-                assert cur == wg.mult[u][v]
+                if cur != wg.mult[u][v]:
+                    raise TheoremViolationError("finite word does not multiply back")
         return table
 
     def _t_add(self, a, b):
@@ -219,6 +221,16 @@ class ProPWeyl:
             self._lift_cache[w] = cached
         return cached
 
+    def split_word(self, x: "ProPElt", tie: str = "min"):
+        """(prefix, word) with x = prefix . lift_s(word[0]) ... lift_s(word[-1])
+        along the canonical reduced word of x's Weyl part; the prefix has
+        length zero and carries x's torus part and the n_s corrections."""
+        _, word = x.w.reduced_word(tie)
+        prefix = x
+        for s in reversed(word):
+            prefix = self.mul(prefix, self.inv(self.lift_s(s)))
+        return prefix, word
+
     # -- group law ---------------------------------------------------------------
 
     def mul(self, x: "ProPElt", y: "ProPElt") -> "ProPElt":
@@ -240,9 +252,6 @@ class ProPWeyl:
         )
         return ProPElt(self, t, x.w.inv())
 
-    def length(self, x: "ProPElt") -> int:
-        return x.w.length()
-
     # -- construction-time verification ----------------------------------------------
 
     def section_self_check(self):
@@ -253,16 +262,16 @@ class ProPWeyl:
         for i, A in enumerate(self.weyl.s_aff):
             ns = self.lift_s(i)
             if ns.w != self.weyl.aff_gen(i):
-                raise AssertionError("affine reflection lift projects wrongly")
+                raise TheoremViolationError("affine reflection lift projects wrongly")
             sq = self.mul(ns, ns)
             expected = self.torus_elt(self.coroot_torus(A.root, self.neg_one_exp))
             if sq != expected:
-                raise AssertionError("n_s^2 != alpha-check(-1) in the model")
+                raise TheoremViolationError("n_s^2 != alpha-check(-1) in the model")
             for t in ([self.zero_t] + [self.coroot_torus(j) for j in self.rd.simple]):
                 lhs = self.mul(self.mul(ns, self.torus_elt(t)), self.inv(ns))
                 rhs = self.torus_elt(self.torus_action(ns.w.w0, t))
                 if lhs != rhs:
-                    raise AssertionError("torus conjugation relation fails")
+                    raise TheoremViolationError("torus conjugation relation fails")
 
     def __repr__(self):
         tag = self.rd.name or f"rank{self.rank}"
@@ -330,33 +339,6 @@ class ProPElt:
 
     def __repr__(self):
         return f"g[t={list(self.t)}, {self.w!r}]"
-
-
-# -- module-level wrappers matching the operation names -------------------------------
-
-
-def torus_action(w: ExtAffWeylElt, t, group: ProPWeyl) -> tuple:
-    return group.torus_action(w, t)
-
-
-def mul(x: ProPElt, y: ProPElt) -> ProPElt:
-    return x * y
-
-
-def inv(x: ProPElt) -> ProPElt:
-    return x.inv()
-
-
-def coroot_image(group: ProPWeyl, root_index: int):
-    return group.coroot_image(root_index)
-
-
-def lift_s(group: ProPWeyl, i: int) -> ProPElt:
-    return group.lift_s(i)
-
-
-def lift_w(group: ProPWeyl, w: ExtAffWeylElt) -> ProPElt:
-    return group.lift_w(w)
 
 
 def basis_elements(group: ProPWeyl, max_len: int, omega_window: int = 2):

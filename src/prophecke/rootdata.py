@@ -165,9 +165,6 @@ class RootDatum:
             for i in self.simple
         ]
 
-    def height(self, i: int) -> int:
-        return sum(self.expansions[i])
-
     def minimal_roots(self):
         """Per component, the unique root m with m <= beta for every root
         beta of that component (the negative of the highest root), found by
@@ -199,9 +196,6 @@ class RootDatum:
         if A.h != 0:
             return A.h > 0
         return self.is_positive_root(A.root)
-
-    def neg_affine(self, A: AffineRoot) -> AffineRoot:
-        return AffineRoot(self.neg_index(A.root), -A.h)
 
     def pi_aff(self):
         """Affine base: the finite base, then (m_c, 1) for the minimal root
@@ -279,11 +273,3 @@ def preset(name: str) -> RootDatum:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     rank, sr, sc = _PRESET_DATA[name]
     return _generate(rank, sr, sc, name)
-
-
-def is_positive_affine(rd: RootDatum, A: AffineRoot) -> bool:
-    return rd.is_positive_affine(A)
-
-
-def pi_aff(rd: RootDatum):
-    return rd.pi_aff()

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import json
 
-from .hecke import HeckeAlgebra, HeckeElt
+from .hecke import accumulate
 from .propweyl import ProPElt
-from .topmod import TopElt, TopModule
 
 
 def canonical_json(obj) -> str:
@@ -14,25 +13,19 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def hecke_elt_from_json(algebra: HeckeAlgebra, data) -> HeckeElt:
-    terms = {}
+def elt_from_json(space, data):
+    """Parse a {"basis"?, "terms"} object into an element of space, a
+    HeckeAlgebra (tau basis) or a TopModule (phi basis).  An absent
+    "basis" tag means the space's own basis; repeated terms add up."""
+    if not isinstance(data, dict):
+        raise ValueError("an element must be a JSON object with a \"terms\" list")
+    symbol = space.zero().symbol
+    tag = data.get("basis", symbol)
+    if tag != symbol:
+        raise ValueError(f"element has basis tag {tag!r}, but this space uses {symbol!r}")
+    terms: dict = {}
+    one = space.field.one()
     for item in data["terms"]:
-        g = ProPElt.from_json(algebra.group, item["elt"])
-        c = algebra.field.elt(item["coeff"])
-        terms[g] = terms[g] + c if g in terms else c
-    return HeckeElt(algebra, terms)
-
-
-def top_elt_from_json(module: TopModule, data) -> TopElt:
-    if data.get("basis", "phi") != "phi":
-        raise ValueError("top-module elements use the phi basis")
-    terms = {}
-    for item in data["terms"]:
-        g = ProPElt.from_json(module.group, item["elt"])
-        c = module.field.elt(item["coeff"])
-        terms[g] = terms[g] + c if g in terms else c
-    return TopElt(module, terms)
-
-
-def propelt_from_json(group, data) -> ProPElt:
-    return ProPElt.from_json(group, data)
+        g = ProPElt.from_json(space.group, item["elt"])
+        accumulate(terms, {g: space.field.elt(item["coeff"])}, one)
+    return space.elt(terms)

@@ -20,74 +20,17 @@ from .errors import (
     TheoremViolationError,
 )
 from .gf import FieldElt
-from .hecke import HeckeAlgebra, HeckeElt
+from .hecke import HeckeAlgebra, HeckeElt, SparseComb, accumulate, as_scalar
 from .propweyl import ProPElt
 
 
-class TopElt:
-    """Finitely supported k-linear combination of basis symbols phi_g."""
+class TopElt(SparseComb):
+    """Element of E in the phi basis."""
 
-    __slots__ = ("module", "terms")
-
-    def __init__(self, module: "TopModule", terms: dict):
-        self.module = module
-        self.terms = {g: c for g, c in terms.items() if not c.is_zero()}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coeff(self, g: ProPElt) -> FieldElt:
-        return self.terms.get(g, self.module.field.zero())
-
-    def __add__(self, other: "TopElt") -> "TopElt":
-        self._check(other)
-        out = dict(self.terms)
-        for g, c in other.terms.items():
-            prev = out.get(g)
-            out[g] = c if prev is None else prev + c
-        return TopElt(self.module, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TopElt(self.module, {g: -c for g, c in self.terms.items()})
-
-    def scale(self, c) -> "TopElt":
-        c = self.module.hecke._scalar(c)
-        return TopElt(self.module, {g: c * d for g, d in self.terms.items()})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TopElt)
-            and self.module is other.module
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def _check(self, other):
-        if other.module is not self.module:
-            raise GroupMismatchError("elements of different top modules")
-
-    def to_json(self):
-        items = sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
-        return {
-            "basis": "phi",
-            "terms": [
-                {"coeff": list(c.coeffs), "elt": g.to_json()} for g, c in items
-            ],
-        }
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = [
-            f"{c!r}*phi[{g!r}]"
-            for g, c in sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
-        ]
-        return " + ".join(bits)
+    __slots__ = ()
+    symbol = "phi"
+    tagged = True
+    mismatch = "elements of different top modules"
 
 
 class TopModule:
@@ -109,7 +52,7 @@ class TopModule:
         return TopElt(self, {})
 
     def elt(self, terms: dict) -> TopElt:
-        return TopElt(self, {g: self.hecke._scalar(c) for g, c in terms.items()})
+        return TopElt(self, {g: as_scalar(self.field, c) for g, c in terms.items()})
 
     # -- generator actions -------------------------------------------------------
 
@@ -127,17 +70,8 @@ class TopModule:
         ns = g.lift_s(s)
         A = g.weyl.s_aff[s]
         image, mu_size = g.coroot_image(A.root)
-        mu_c = self.field.from_int(mu_size)
+        one, mu_c = self.field.one(), self.field.from_int(mu_size)
         out: dict = {}
-
-        def add(key, val):
-            prev = out.get(key)
-            acc = val if prev is None else prev + val
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
-
         for u, c in terms.items():
             lu = u.w.length()
             if side == "left":
@@ -146,12 +80,12 @@ class TopModule:
                 moved = g.mul(u, ns)
             if moved.w.length() == lu + 1:
                 continue
-            add(moved, c)
-            cm = c * mu_c
+            # the torus translates differ from moved in their Weyl part
+            step = {moved: one}
             for t in image:
                 tt = g.torus_elt(t)
-                key = g.mul(tt, u) if side == "left" else g.mul(u, tt)
-                add(key, cm)
+                step[g.mul(tt, u) if side == "left" else g.mul(u, tt)] = mu_c
+            accumulate(out, step, c)
         return out
 
     def _act_basis(self, y: ProPElt, u: ProPElt, side: str) -> dict:
@@ -159,12 +93,7 @@ class TopModule:
         cached = self._act_cache.get(key)
         if cached is not None:
             return cached
-        g = self.group
-        _, word = y.w.reduced_word(self.hecke.word_tie)
-        lifts = [g.lift_s(s) for s in word]
-        prefix = y
-        for ns in reversed(lifts):
-            prefix = g.mul(prefix, g.inv(ns))
+        prefix, word = self.group.split_word(y, self.hecke.word_tie)
         terms = {u: self.field.one()}
         if side == "left":
             # tau_y = tau_prefix tau_{s_1} ... tau_{s_l}: innermost factor first
@@ -188,22 +117,14 @@ class TopModule:
         reduced words of each Hecke basis element."""
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
-        if tau.algebra is not self.hecke:
+        if tau.space is not self.hecke:
             raise GroupMismatchError("Hecke element from a different algebra")
-        if x.module is not self:
+        if x.space is not self:
             raise GroupMismatchError("top element from a different module")
         out: dict = {}
         for y, cy in tau.terms.items():
             for u, cu in x.terms.items():
-                c = cy * cu
-                for v, d in self._act_basis(y, u, side).items():
-                    cd = c * d
-                    prev = out.get(v)
-                    acc = cd if prev is None else prev + cd
-                    if acc.is_zero():
-                        out.pop(v, None)
-                    else:
-                        out[v] = acc
+                accumulate(out, self._act_basis(y, u, side), cy * cu)
         return TopElt(self, out)
 
     # -- dualities ----------------------------------------------------------------

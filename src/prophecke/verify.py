@@ -15,28 +15,11 @@ from dataclasses import dataclass, field as dc_field
 from . import cosets as cosets_mod
 from .errors import DecompositionUnavailableError, TheoremViolationError
 from .gf import FieldSpec
-from .hecke import HeckeAlgebra
+from .hecke import HeckeAlgebra, accumulate
 from .propweyl import ProPWeyl, basis_elements
 from .rootdata import RootDatum
 from .topmod import TopModule
 from .weyl import WeylGroup, lemma_even, length_bruteforce
-
-SUITES = (
-    "assoc",
-    "matsumoto",
-    "involutions",
-    "idempotents",
-    "bimodule",
-    "duality",
-    "trace",
-    "decompose",
-    "supersingular",
-    "cosets",
-    "gprofile",
-    "lemma_even",
-    "length_oracle",
-)
-
 
 @dataclass
 class Context:
@@ -105,15 +88,17 @@ def _scaled_combine(H, d, other, side):
     out = {}
     for u, c in d.items():
         prods = H.basis_mul(u, other) if side == "right" else H.basis_mul(other, u)
-        for v, e in prods.items():
-            ce = c * e
-            prev = out.get(v)
-            acc = ce if prev is None else prev + ce
-            if acc.is_zero():
-                out.pop(v, None)
-            else:
-                out[v] = acc
+        accumulate(out, prods, c)
     return out
+
+
+def _generators(ctx: Context) -> list:
+    """tau of every affine simple reflection lift, then of every torus
+    element: the probes of the idempotent, bimodule, trace and decompose
+    suites."""
+    G, H = ctx.group, ctx.hecke
+    gens = [H.tau(G.lift_s(s)) for s in range(len(G.weyl.s_aff))]
+    return gens + [H.tau(G.torus_elt(t)) for t in G.torus_elements()]
 
 
 # -- algebra suites ------------------------------------------------------------------
@@ -313,8 +298,7 @@ def suite_idempotents(ctx: Context):
             if tw * es[la] != es[H.conj_char(w, la)] * tw:
                 failures.append(f"conjugation rule fails at {la},{w!r}")
 
-    gens = [H.tau(G.lift_s(s)) for s in range(len(G.weyl.s_aff))]
-    gens += [H.tau(G.torus_elt(t)) for t in G.torus_elements()]
+    gens = _generators(ctx)
     seen_orbits = set()
     for la in lams:
         orbit = tuple(H.char_orbit(la))
@@ -337,8 +321,7 @@ def suite_bimodule(ctx: Context, max_len: int | None = None):
     max_len = ctx.max_len if max_len is None else max_len
     failures = []
     cases = 0
-    gens = [H.tau(G.lift_s(s)) for s in range(len(G.weyl.s_aff))]
-    gens += [H.tau(G.torus_elt(t)) for t in G.torus_elements()]
+    gens = _generators(ctx)
     phis = [E.phi(b) for b in basis_elements(G, max_len)]
 
     for x in gens:
@@ -412,8 +395,7 @@ def suite_trace(ctx: Context, max_len: int | None = None):
     max_len = ctx.max_len if max_len is None else max_len
     failures = []
     cases = 0
-    gens = [H.tau(G.lift_s(s)) for s in range(len(G.weyl.s_aff))]
-    gens += [H.tau(G.torus_elt(t)) for t in G.torus_elements()]
+    gens = _generators(ctx)
     for b in basis_elements(G, max_len):
         ph = E.phi(b)
         cases += 1
@@ -440,8 +422,7 @@ def suite_decompose(ctx: Context, max_len: int | None = None):
     line = E.triv_line()  # raises if Omega is infinite
     if E.S_d(line).is_zero():
         raise DecompositionUnavailableError("|Omega| vanishes in k")
-    gens = [H.tau(G.lift_s(s)) for s in range(len(G.weyl.s_aff))]
-    gens += [H.tau(G.torus_elt(t)) for t in G.torus_elements()]
+    gens = _generators(ctx)
     for tg in gens:
         for side in ("left", "right"):
             cases += 1
@@ -612,22 +593,25 @@ def suite_length_oracle(ctx: Context, max_len: int = 6):
     return _report(ctx, "length_oracle", cases, failures, max_len=max_len)
 
 
+_SUITE_FNS = {
+    "assoc": suite_assoc,
+    "matsumoto": suite_matsumoto,
+    "involutions": suite_involutions,
+    "idempotents": suite_idempotents,
+    "bimodule": suite_bimodule,
+    "duality": suite_duality,
+    "trace": suite_trace,
+    "decompose": suite_decompose,
+    "supersingular": suite_supersingular,
+    "cosets": suite_cosets,
+    "gprofile": suite_gprofile,
+    "lemma_even": suite_lemma_even,
+    "length_oracle": suite_length_oracle,
+}
+SUITES = tuple(_SUITE_FNS)
+
+
 def run_suite(ctx: Context, name: str, **params) -> dict:
-    fns = {
-        "assoc": suite_assoc,
-        "matsumoto": suite_matsumoto,
-        "involutions": suite_involutions,
-        "idempotents": suite_idempotents,
-        "bimodule": suite_bimodule,
-        "duality": suite_duality,
-        "trace": suite_trace,
-        "decompose": suite_decompose,
-        "supersingular": suite_supersingular,
-        "cosets": suite_cosets,
-        "gprofile": suite_gprofile,
-        "lemma_even": suite_lemma_even,
-        "length_oracle": suite_length_oracle,
-    }
-    if name not in fns:
+    if name not in _SUITE_FNS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
-    return fns[name](ctx, **params)
+    return _SUITE_FNS[name](ctx, **params)

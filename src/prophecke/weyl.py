@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import TheoremViolationError
 from .rootdata import AffineRoot, RootDatum, dot
 
 
@@ -128,7 +129,7 @@ class WeylGroup:
                     cur = self.mult[cur][si]
                     break
             else:
-                raise AssertionError("positive finite length without a descent")
+                raise TheoremViolationError("positive finite length without a descent")
         return tuple(word)
 
     def _sanity_check_length(self):
@@ -139,7 +140,7 @@ class WeylGroup:
             for mu in iproduct(box, repeat=self.rank):
                 w = self.elt(w0, mu)
                 if w.length() != length_bruteforce(w):
-                    raise AssertionError(
+                    raise TheoremViolationError(
                         f"closed-form length disagrees with scan at {w}"
                     )
 
@@ -278,11 +279,6 @@ class ExtAffWeylElt:
             A.h - dot(self.mu, g.rd.roots[A.root]),
         )
 
-    def act_coweight(self, x):
-        """Apply the transformation w0 . t_mu to a cocharacter vector."""
-        g = self.group
-        return _mat_vec(g.elements[self.w0], tuple(a + b for a, b in zip(x, self.mu)))
-
     def length(self) -> int:
         g = self.group
         key = (self.w0, self.mu)
@@ -334,7 +330,8 @@ class ExtAffWeylElt:
             i = ds[0] if tie == "min" else ds[-1]
             word.insert(0, i)
             cur = cur * g._aff_gen[i]
-        assert len(word) == self.length()
+        if len(word) != self.length():
+            raise TheoremViolationError(f"descent stripping of {self!r} is not reduced")
         result = (cur, tuple(word))
         g._word_cache[key] = result
         return result
@@ -361,17 +358,6 @@ class ExtAffWeylElt:
         return f"w[{'.'.join(map(str, self.group.words0[self.w0])) or 'e'}; {list(self.mu)}]"
 
 
-# -- module-level operation wrappers ---------------------------------------------
-
-
-def act_affine(w: ExtAffWeylElt, A: AffineRoot) -> AffineRoot:
-    return w.act_affine(A)
-
-
-def length(w: ExtAffWeylElt) -> int:
-    return w.length()
-
-
 def length_bruteforce(w: ExtAffWeylElt) -> int:
     """Independent oracle: scan all (alpha, h) with |h| <= max|<mu,alpha>| + 1
     and count positive affine roots sent negative."""
@@ -385,14 +371,6 @@ def length_bruteforce(w: ExtAffWeylElt) -> int:
             if rd.is_positive_affine(A) and not rd.is_positive_affine(w.act_affine(A)):
                 count += 1
     return count
-
-
-def descents(w: ExtAffWeylElt, side: str):
-    return w.descents(side)
-
-
-def reduced_word(w: ExtAffWeylElt):
-    return w.reduced_word()
 
 
 @dataclass
@@ -510,7 +488,7 @@ def omega_group(weyl: WeylGroup) -> OmegaGroup:
                 elements = sorted(found, key=lambda w: (w.w0, w.mu))
                 gens = [w for w in elements if not w.is_identity()]
                 return OmegaGroup(weyl, True, invariants, elements, gens)
-        raise AssertionError("could not enumerate Omega; box too small")
+        raise TheoremViolationError("could not enumerate Omega; box too small")
     # infinite case: pick length-zero elements whose Lambda/Q-check classes
     # generate the quotient (free part plus any torsion)
     found = _zero_length_box(weyl, 2)

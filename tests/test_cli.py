@@ -1,5 +1,6 @@
 """Command-line driver: arithmetic, verification, exports, exit codes."""
 
+import hashlib
 import json
 import os
 
@@ -59,11 +60,21 @@ def test_mul_propweyl(tmp_path, cfg, capsys):
     assert out["result"] == {"torus": [1], "w": {"w0_word": [], "mu": [0]}}
 
 
+def test_mul_rejects_phi_tagged_input(tmp_path, cfg, capsys):
+    phi = _write(tmp_path, "phi.json", {"basis": "phi", **TAUS})
+    taus = _write(tmp_path, "taus.json", TAUS)
+    assert main(["mul", "--config", cfg, phi, taus]) == 2
+    err = capsys.readouterr().err
+    assert "'phi'" in err
+
+
 def test_mul_bad_input_exits_2(tmp_path, cfg, capsys):
     bad = _write(tmp_path, "bad.json", {"terms": [{"coeff": [1], "elt": {"torus": [0, 0], "w": {"w0_word": [5], "mu": [0]}}}]})
     taus = _write(tmp_path, "taus.json", TAUS)
     assert main(["mul", "--config", cfg, bad, taus]) == 2
     assert main(["mul", "--config", cfg, "/does/not/exist.json", taus]) == 2
+    not_an_object = _write(tmp_path, "list.json", [TAUS])
+    assert main(["mul", "--config", cfg, not_an_object, taus]) == 2
 
 
 def test_verify_assoc_pass(cfg, capsys):
@@ -185,3 +196,35 @@ def test_coset_profile_command(tmp_path, cfg, capsys):
 def test_coset_support_needs_two_files(tmp_path, cfg):
     w = _write(tmp_path, "w.json", {"torus": [0], "w": {"w0_word": [0], "mu": [0]}})
     assert main(["coset", "support", "--config", cfg, w]) == 2
+
+
+# SHA-256 of the stdout of fixed commands.  The CLI promises byte-identical
+# output for the same config and seed, so a digest may change only with a
+# deliberate change of output format.
+STDOUT_SHA256 = {
+    "mul": "005506b845630f3b410b1b55a17c61d838660e69376f152984d30e4aa9fe53cb",
+    "hecke_table": "5ae98fc6933ed4c1ead086a7e7fcdae711cc0ad9233a3144ba4c28ae4def2e4e",
+    "topmod_table": "9b2feaf813e1cb7da47187b2fc9ae2fecb317674b73ac33b992a87804fcd9629",
+    "verify_assoc": "bd12f5f9be0adca35193753f5e69b23fa0b120fb4738cd3505eb1356d54da2bd",
+    "coset_support": "9fb1823af8a9d784d740c83a5738ae457bd8122f4d309754bc58005f099534e6",
+    "hecke_table_gf9": "0e85a2bc36a8962fca0683c6146cbfe82a407f5a3d7f901b52f8472e7175b681",
+}
+
+
+def test_stdout_bytes_are_stable(tmp_path, cfg, capsys, monkeypatch):
+    monkeypatch.delenv("PROPHECKE_SEED", raising=False)
+    cfg9 = _write(tmp_path, "sl2_gf9.json", {**SL2_CFG, "field": {"p": 3, "f": 1, "m": 2}})
+    taus = _write(tmp_path, "taus.json", TAUS)
+    ns = _write(tmp_path, "ns.json", {"torus": [0], "w": {"w0_word": [0], "mu": [0]}})
+    commands = {
+        "mul": ["mul", "--config", cfg, taus, taus],
+        "hecke_table": ["export", "hecke_table", "--config", cfg, "--max-len", "2"],
+        "topmod_table": ["export", "topmod_table", "--config", cfg, "--max-len", "2"],
+        "verify_assoc": ["verify", "assoc", "--config", cfg, "--json", "--max-len", "2"],
+        "coset_support": ["coset", "support", "--config", cfg, ns, ns],
+        "hecke_table_gf9": ["export", "hecke_table", "--config", cfg9, "--max-len", "1"],
+    }
+    for name, argv in commands.items():
+        assert main(argv) == 0, name
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[name], name

@@ -1,6 +1,9 @@
 """Double-coset support calculus and root-filtration profiles."""
 
+import pytest
+
 from prophecke import cosets
+from prophecke.errors import GroupMismatchError
 from prophecke.propweyl import basis_elements
 from prophecke.rootdata import AffineRoot
 
@@ -31,6 +34,13 @@ def test_support_word_independence(sl3_q3):
     for v in basis[::5]:
         for w in basis[::7]:
             assert cosets.support_mul(v, w) == cosets.support_mul(v, w, tie="max")
+
+
+def test_support_rejects_mixed_groups(sl2_q3, sl3_q3):
+    for v, w in ((sl2_q3.group.identity(), sl3_q3.group.identity()),
+                 (sl3_q3.group.lift_s(0), sl2_q3.group.lift_s(0))):
+        with pytest.raises(GroupMismatchError):
+            cosets.support_mul(v, w)
 
 
 def test_index(sl2_q3):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from prophecke.rootdata import AffineRoot, RootDatum, dot, is_positive_affine, pi_aff, preset
+from prophecke.rootdata import AffineRoot, RootDatum, dot, preset
 
 
 def orbit_generate(simple_roots, simple_coroots):
@@ -94,28 +94,28 @@ def test_positive_affine():
     rd = preset("SL2")
     alpha = rd.simple[0]
     neg = rd.neg_index(alpha)
-    assert is_positive_affine(rd, AffineRoot(alpha, 0))
-    assert is_positive_affine(rd, AffineRoot(neg, 1))
-    assert not is_positive_affine(rd, AffineRoot(neg, 0))
-    assert not is_positive_affine(rd, AffineRoot(alpha, -1))
+    assert rd.is_positive_affine(AffineRoot(alpha, 0))
+    assert rd.is_positive_affine(AffineRoot(neg, 1))
+    assert not rd.is_positive_affine(AffineRoot(neg, 0))
+    assert not rd.is_positive_affine(AffineRoot(alpha, -1))
 
 
 def test_pi_aff_examples():
     rd = preset("SL2")
-    pa = pi_aff(rd)
+    pa = rd.pi_aff()
     assert len(pa) == 2
     assert pa[0] == AffineRoot(rd.simple[0], 0)
     assert rd.roots[pa[1].root] == (-2,) and pa[1].h == 1
 
     rd3 = preset("SL3")
-    pa3 = pi_aff(rd3)
+    pa3 = rd3.pi_aff()
     assert len(pa3) == 3
     theta = tuple(
         a + b for a, b in zip(rd3.roots[rd3.simple[0]], rd3.roots[rd3.simple[1]])
     )
     assert rd3.roots[pa3[2].root] == tuple(-c for c in theta)
 
-    assert len(pi_aff(preset("SL2xSL2"))) == 4
+    assert len(preset("SL2xSL2").pi_aff()) == 4
 
 
 def test_explicit_datum_json():

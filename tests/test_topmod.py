@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from prophecke.errors import DecompositionUnavailableError
+from prophecke.errors import DecompositionUnavailableError, GroupMismatchError
 from prophecke.propweyl import basis_elements
 
 from conftest import get_context
@@ -189,8 +189,20 @@ def test_audit_rejects_non_simply_connected(pgl2_q3):
 
 
 def test_top_elt_json(sl2_q3):
-    from prophecke.serial import top_elt_from_json
+    from prophecke.serial import elt_from_json
 
     G, E = sl2_q3.group, sl2_q3.top
     x = E.phi(G.lift_s(0)) + E.phi(G.identity()).scale(2)
-    assert top_elt_from_json(E, x.to_json()) == x
+    assert elt_from_json(E, x.to_json()) == x
+
+
+def test_hecke_and_top_elements_do_not_mix(sl2_q3):
+    H, G, E = sl2_q3.hecke, sl2_q3.group, sl2_q3.top
+    tau, phi = H.tau(G.lift_s(0)), E.phi(G.lift_s(0))
+    assert tau.terms == phi.terms
+    assert tau != phi and phi != tau
+    for a, b in ((tau, phi), (phi, tau)):
+        with pytest.raises(GroupMismatchError):
+            a + b
+        with pytest.raises(GroupMismatchError):
+            a - b
