@@ -28,6 +28,14 @@ lowest root picks up a 2-torsion torus correction.  Construction
 self-checks that every such lift squares to alpha-check(-1) and
 conjugates the torus by the underlying reflection; those two identities,
 not the particular coordinates, are what the algebra relations consume.
+
+Elements are hash-consed per group: ProPWeyl._interned maps each normal
+form (t, w0, mu) to its one ProPElt, so equal elements of one group are
+the same object.  An element's hash is its intern index (unique in the
+group, and consistent with the value equality __eq__ keeps), and its
+products (keyed by the right operand) and inverse are memoised on it for
+the lifetime of the group.  Two ProPWeyl built over one WeylGroup share
+no element.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ class ProPWeyl:
     def __init__(self, weyl: WeylGroup, q: int):
         if q < 2:
             raise ValueError("q must be a prime power >= 2")
+        self._interned = {}  # (t, w0, mu) -> its one ProPElt
         self.weyl = weyl
         self.rd = weyl.rd
         self.rank = weyl.rank
@@ -236,21 +245,28 @@ class ProPWeyl:
     def mul(self, x: "ProPElt", y: "ProPElt") -> "ProPElt":
         if x.group is not self or y.group is not self:
             raise GroupMismatchError("pro-p elements from different groups")
-        t = self._t_add(
-            self._t_add(x.t, self.torus_action(x.w.w0, y.t)),
-            self._cocycle[x.w.w0][y.w.w0],
-        )
-        return ProPElt(self, t, x.w * y.w)
+        prod = x._prods.get(y)
+        if prod is None:
+            t = self._t_add(
+                self._t_add(x.t, self.torus_action(x.w.w0, y.t)),
+                self._cocycle[x.w.w0][y.w.w0],
+            )
+            prod = x._prods[y] = ProPElt(self, t, x.w * y.w)
+        return prod
 
     def inv(self, x: "ProPElt") -> "ProPElt":
-        w0 = x.w.w0
-        w0inv = self.weyl.inv0[w0]
-        t = self._t_neg(
-            self.torus_action(
-                w0inv, self._t_add(x.t, self._cocycle[w0][w0inv])
+        if x.group is not self:
+            raise GroupMismatchError("pro-p element from a different group")
+        if x._inv is None:
+            w0 = x.w.w0
+            w0inv = self.weyl.inv0[w0]
+            t = self._t_neg(
+                self.torus_action(
+                    w0inv, self._t_add(x.t, self._cocycle[w0][w0inv])
+                )
             )
-        )
-        return ProPElt(self, t, x.w.inv())
+            x._inv = ProPElt(self, t, x.w.inv())
+        return x._inv
 
     # -- construction-time verification ----------------------------------------------
 
@@ -279,15 +295,26 @@ class ProPWeyl:
 
 
 class ProPElt:
-    """Normal-form element t . n(w) of the pro-p Weyl group."""
+    """Normal-form element t . n(w) of the pro-p Weyl group.
 
-    __slots__ = ("group", "t", "w", "_hash")
+    Interned: constructing (group, t, w) twice returns the same object,
+    so ProPWeyl.mul and ProPWeyl.inv memoise their results on it."""
 
-    def __init__(self, group: ProPWeyl, t: tuple, w: ExtAffWeylElt):
-        self.group = group
-        self.t = t
-        self.w = w
-        self._hash = hash((t, w.w0, w.mu))
+    __slots__ = ("group", "t", "w", "_hash", "_prods", "_inv")
+
+    def __new__(cls, group: ProPWeyl, t: tuple, w: ExtAffWeylElt):
+        key = (t, w.w0, w.mu)
+        self = group._interned.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            self.group = group
+            self.t = t
+            self.w = w
+            self._hash = len(group._interned)
+            self._prods = {}  # right operand -> product
+            self._inv = None
+            group._interned[key] = self
+        return self
 
     def __eq__(self, other):
         return (

@@ -11,13 +11,20 @@ The length of (w0, mu) is computed per root alpha by counting the
 integers h for which (alpha, h) is a positive affine root sent negative;
 the closed form is validated against a brute-force scan at construction
 time and again, much harder, by the length_oracle test suite.
+
+Elements are hash-consed per group: WeylGroup._interned maps each normal
+form (w0, mu) to its one ExtAffWeylElt, so equal elements of one group
+are the same object.  An element's hash is its intern index (unique in
+the group, and consistent with the value equality __eq__ keeps), and
+its products (keyed by the right operand) and inverse are memoised on
+it for the lifetime of the group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import TheoremViolationError
+from .errors import GroupMismatchError, TheoremViolationError
 from .rootdata import AffineRoot, RootDatum, dot
 
 
@@ -47,6 +54,7 @@ class WeylGroup:
     """
 
     def __init__(self, rd: RootDatum):
+        self._interned = {}  # (w0, mu) -> its one ExtAffWeylElt
         self.rd = rd
         self.rank = rd.rank
         n = rd.rank
@@ -223,15 +231,26 @@ class WeylGroup:
 
 
 class ExtAffWeylElt:
-    """Element w0 . t_mu of the extended affine Weyl group."""
+    """Element w0 . t_mu of the extended affine Weyl group.
 
-    __slots__ = ("group", "w0", "mu", "_hash")
+    Interned: constructing (group, w0, mu) twice returns the same object,
+    so products and the inverse are memoised on the element."""
 
-    def __init__(self, group: WeylGroup, w0: int, mu: tuple):
-        self.group = group
-        self.w0 = w0
-        self.mu = mu
-        self._hash = hash((w0, mu))
+    __slots__ = ("group", "w0", "mu", "_hash", "_prods", "_inv")
+
+    def __new__(cls, group: WeylGroup, w0: int, mu: tuple):
+        key = (w0, mu)
+        self = group._interned.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            self.group = group
+            self.w0 = w0
+            self.mu = mu
+            self._hash = len(group._interned)
+            self._prods = {}  # right operand -> product
+            self._inv = None
+            group._interned[key] = self
+        return self
 
     def __eq__(self, other):
         return (
@@ -247,20 +266,24 @@ class ExtAffWeylElt:
     def __mul__(self, other: "ExtAffWeylElt") -> "ExtAffWeylElt":
         g = self.group
         if other.group is not g:
-            raise ValueError("elements of different Weyl groups")
-        B = g.elements[other.w0]
-        binv = g.inv0[other.w0]
-        mu = tuple(
-            a + b
-            for a, b in zip(_mat_vec(g.elements[binv], self.mu), other.mu)
-        )
-        return ExtAffWeylElt(g, g.mult[self.w0][other.w0], mu)
+            raise GroupMismatchError("elements of different Weyl groups")
+        prod = self._prods.get(other)
+        if prod is None:
+            binv = g.inv0[other.w0]
+            mu = tuple(
+                a + b
+                for a, b in zip(_mat_vec(g.elements[binv], self.mu), other.mu)
+            )
+            prod = self._prods[other] = ExtAffWeylElt(g, g.mult[self.w0][other.w0], mu)
+        return prod
 
     def inv(self) -> "ExtAffWeylElt":
-        g = self.group
-        winv = g.inv0[self.w0]
-        mu = tuple(-c for c in _mat_vec(g.elements[self.w0], self.mu))
-        return ExtAffWeylElt(g, winv, mu)
+        if self._inv is None:
+            g = self.group
+            winv = g.inv0[self.w0]
+            mu = tuple(-c for c in _mat_vec(g.elements[self.w0], self.mu))
+            self._inv = ExtAffWeylElt(g, winv, mu)
+        return self._inv
 
     def is_identity(self) -> bool:
         return self.w0 == 0 and not any(self.mu)

@@ -199,3 +199,149 @@ def test_propelt_json_round_trip():
     G = grp("SL3", 3)
     for x in basis_elements(G, 2):
         assert ProPElt.from_json(G, x.to_json()) == x
+
+
+def test_inv_rejects_other_group():
+    x = grp("SL3", 3).lift_s(0)
+    G5 = grp("SL3", 5)
+    with pytest.raises(GroupMismatchError):
+        G5.inv(x)
+    with pytest.raises(GroupMismatchError):
+        G5.mul(G5.identity(), x)
+
+
+# -- differential oracle for the memoised group law --------------------------------
+
+
+def _ref_mul(G, x, y):
+    """Normal form of x y from (t + u0(t') + c0(u0, v0), (u0, l)(v0, m)) in
+    plain tuple arithmetic, with (u0, l)(v0, m) = (u0 v0, v0^{-1}(l) + m)."""
+    W = G.weyl
+    u0, v0 = x.w0, y.w0
+    M = W.elements[u0]
+    ut = [sum(M[i][j] * y.t[j] for j in range(G.rank)) for i in range(G.rank)]
+    c = G._cocycle[u0][v0]
+    t = tuple((a + b + d) % G.qm1 for a, b, d in zip(x.t, ut, c))
+    B = W.elements[W.inv0[v0]]
+    mu = tuple(
+        sum(B[i][j] * x.mu[j] for j in range(G.rank)) + y.mu[i] for i in range(G.rank)
+    )
+    return t, W.mult[u0][v0], mu
+
+
+def _ref_inv(G, x):
+    """Normal form of x^{-1}: by _ref_mul's formula, x (t', w^{-1}) = (0, 1)
+    forces t' = -u0^{-1}(t + c0(u0, u0^{-1})); and (u0, l)^{-1} = (u0^{-1}, -u0(l))."""
+    W = G.weyl
+    u0 = x.w0
+    v0 = W.inv0[u0]
+    V = W.elements[v0]
+    s = [(a + b) % G.qm1 for a, b in zip(x.t, G._cocycle[u0][v0])]
+    t = tuple(-sum(V[i][j] * s[j] for j in range(G.rank)) % G.qm1 for i in range(G.rank))
+    M = W.elements[u0]
+    mu = tuple(-sum(M[i][j] * x.mu[j] for j in range(G.rank)) for i in range(G.rank))
+    return t, v0, mu
+
+
+def _nf(x):
+    return x.t, x.w0, x.mu
+
+
+def _check_against_reference(G, pairs):
+    """Each product and inverse twice: the first call fills the memo, the
+    second must return the memoised element."""
+    for x, y in pairs:
+        want = _ref_mul(G, x, y)
+        first = G.mul(x, y)
+        assert _nf(first) == want, (x, y)
+        assert G.mul(x, y) is first
+    for x in {x for pair in pairs for x in pair}:
+        want = _ref_inv(G, x)
+        first = G.inv(x)
+        assert _nf(first) == want, x
+        assert G.inv(x) is first
+
+
+def _fresh(name):
+    """A new pro-p group over the shared Weyl group, so every memo is cold."""
+    from prophecke.propweyl import ProPWeyl
+
+    return ProPWeyl(grp(name, 3).weyl, 3)
+
+
+@pytest.mark.parametrize("name", ["SL2", "PGL2", "GL2", "SL3", "GL3", "Sp4", "G2sc",
+                                  "SL2xSL2"])
+def test_mul_inv_match_reference_exhaustive(name):
+    G = _fresh(name)
+    els = basis_elements(G, 1 if name == "GL3" else 2)
+    _check_against_reference(G, [(x, y) for x in els for y in els])
+
+
+@pytest.mark.parametrize("name", ["SL3", "Sp4"])
+def test_mul_inv_match_reference_random_length_6(name):
+    G = _fresh(name)
+    rng = random.Random(3)
+    ws = G.weyl.elements_of_length(6)
+    ts = G.torus_elements()
+
+    def draw():
+        return G.elt(rng.choice(ts), rng.choice(ws))
+
+    _check_against_reference(G, [(draw(), draw()) for _ in range(500)])
+
+
+# -- the interning contract ----------------------------------------------------------
+
+
+def test_elements_are_interned():
+    from prophecke.propweyl import ProPElt
+
+    G = grp("SL3", 3)
+    w = G.weyl.aff_gen(1) * G.weyl.aff_gen(0)
+    assert ProPElt(G, (1, 0), w) is ProPElt(G, (1, 0), w)
+    assert G.elt((1, 0), w) is ProPElt(G, (1, 0), w)
+    x, y = G.lift_s(0), G.lift_s(2)
+    assert G.mul(x, y) is G.mul(x, y)
+    assert G.inv(x) is G.inv(x)
+
+
+def test_separate_groups_share_no_element():
+    G1, G2 = _fresh("SL3"), _fresh("SL3")
+    w = G1.weyl.aff_gen(0)
+    x1, x2 = G1.elt((1, 1), w), G2.elt((1, 1), w)
+    assert _nf(x1) == _nf(x2)
+    assert x1 is not x2 and x1 != x2
+    with pytest.raises(GroupMismatchError):
+        G1.mul(x1, x2)
+    with pytest.raises(GroupMismatchError):
+        G1.inv(x2)
+
+
+def test_hashes_unique_within_group():
+    G = _fresh("Sp4")
+    els = basis_elements(G, 2)
+    for x in els:
+        for y in els[:10]:
+            G.mul(x, y)
+        G.inv(x)
+    hashes = {hash(e) for e in G._interned.values()}
+    assert len(hashes) == len(G._interned) > len(els)
+
+
+def test_suite_dict_probes_never_call_eq(monkeypatch):
+    from prophecke import make_context
+    from prophecke.propweyl import ProPElt
+    from prophecke.verify import run_suite
+
+    ctx = make_context("SL3", 3)  # the construction self-checks compare with ==
+    calls = [0]
+    eq = ProPElt.__eq__
+
+    def counted(self, other):
+        calls[0] += 1
+        return eq(self, other)
+
+    monkeypatch.setattr(ProPElt, "__eq__", counted)
+    rep = run_suite(ctx, "assoc", max_len=1)
+    assert not rep["failures"] and rep["cases"] > 0
+    assert calls[0] == 0

@@ -1,8 +1,11 @@
 """Extended affine Weyl group: affine action, length, words, Omega, parity."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prophecke.errors import GroupMismatchError
 from prophecke.rootdata import AffineRoot, preset
 from prophecke.weyl import WeylGroup, lemma_even, length_bruteforce, omega_group
 
@@ -207,3 +210,86 @@ def test_element_json_round_trip():
         from prophecke.weyl import ExtAffWeylElt
 
         assert ExtAffWeylElt.from_json(g, data) == w
+
+
+def test_mul_rejects_other_group():
+    g1, g2 = WeylGroup(preset("SL2")), WeylGroup(preset("SL2"))
+    s1, s2 = g1.simple_reflection(0), g2.simple_reflection(0)
+    assert s1 is not s2 and s1 != s2
+    with pytest.raises(GroupMismatchError):
+        s1 * s2
+    with pytest.raises(ValueError):  # callers catching ValueError still do
+        s2 * s1
+
+
+# -- differential oracle for the memoised group law --------------------------------
+
+
+def _mat_mul(A, B):
+    n = len(A)
+    return tuple(
+        tuple(sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)) for i in range(n)
+    )
+
+
+def _mat_vec(A, v):
+    return tuple(sum(a * x for a, x in zip(row, v)) for row in A)
+
+
+def _mat_inverse(g, A):
+    """The inverse of A, found by search rather than read from g.inv0."""
+    ident = tuple(tuple(int(i == j) for j in range(g.rank)) for i in range(g.rank))
+    return next(C for C in g.elements if _mat_mul(A, C) == ident)
+
+
+def _ref_mul(g, v, w):
+    """(A, l)(B, m) = (A B, B^{-1}(l) + m) on matrices, for x |-> A(x + l)."""
+    A, B = g.elements[v.w0], g.elements[w.w0]
+    mu = tuple(a + b for a, b in zip(_mat_vec(_mat_inverse(g, B), v.mu), w.mu))
+    return g.index[_mat_mul(A, B)], mu
+
+
+def _ref_inv(g, w):
+    """(A, l)^{-1} = (A^{-1}, -A(l))."""
+    A = g.elements[w.w0]
+    return g.index[_mat_inverse(g, A)], tuple(-c for c in _mat_vec(A, w.mu))
+
+
+def _check_against_reference(g, pairs):
+    """Each product and inverse twice: the first call fills the memo, the
+    second must return the memoised element."""
+    for v, w in pairs:
+        first = v * w
+        assert (first.w0, first.mu) == _ref_mul(g, v, w), (v, w)
+        assert v * w is first
+    for v in {v for pair in pairs for v in pair}:
+        first = v.inv()
+        assert (first.w0, first.mu) == _ref_inv(g, v), v
+        assert v.inv() is first
+
+
+@pytest.mark.parametrize("name", ["SL2", "PGL2", "GL2", "SL3", "GL3", "Sp4", "G2sc",
+                                  "SL2xSL2"])
+def test_mul_inv_match_matrix_reference(name):
+    g = WeylGroup(preset(name))  # fresh, so every memo starts cold
+    els = g.elements_up_to_length(2)
+    _check_against_reference(g, [(v, w) for v in els for w in els])
+
+
+@pytest.mark.parametrize("name", ["SL3", "Sp4"])
+def test_mul_inv_match_matrix_reference_random_length_6(name):
+    g = WeylGroup(preset(name))
+    rng = random.Random(3)
+    ws = g.elements_of_length(6)
+    _check_against_reference(g, [(rng.choice(ws), rng.choice(ws)) for _ in range(500)])
+
+
+def test_elements_are_interned():
+    g = wg("SL3")
+    assert g.elt(2, (1, -1)) is g.elt(2, (1, -1))
+    assert g.translation((1, 0)) is g.elt(0, [1, 0])
+    v, w = g.aff_gen(0), g.aff_gen(1)
+    assert v * w is v * w
+    assert (v * w).inv() is w.inv() * v.inv()
+    hashes = {hash(e) for e in g._interned.values()}
+    assert len(hashes) == len(g._interned)
