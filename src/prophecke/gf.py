@@ -4,7 +4,11 @@ An element is stored as an integer index 0 <= i < p^m whose base-p
 digits (least significant first) are the coordinates in the power basis
 of the reduction polynomial.  All field operations are table lookups;
 the tables are built once per FieldSpec, which keeps the desk-scale
-algebra kernels cheap.
+algebra kernels cheap.  The build is O(n^2) integer operations for
+n = p^m: addition adds base-p digits, one digit at a time, and
+multiplication adds discrete logarithms over the log/antilog tables of
+a generator of k^x.  Memory stays quadratic, since the addition and
+multiplication tables hold every pair.
 
 Alongside the field itself we fix the distinguished subfield F_q
 (q = p^f with f | m) and the element zeta of exact multiplicative order
@@ -13,11 +17,14 @@ q - 1 used as the value generator for torus characters.
 
 from __future__ import annotations
 
-from itertools import product as _iproduct
+from itertools import chain as _chain, product as _iproduct
+from math import gcd
 
 from .errors import TheoremViolationError, UnsupportedFieldError
 
-# Tables are quadratic in the field size; this library targets desk scale.
+# The addition and multiplication tables hold n^2 entries each for a field
+# of order n and take O(n^2) integer operations to build; this library
+# targets desk scale.
 _MAX_ORDER = 4096
 
 
@@ -53,15 +60,6 @@ def _poly_mod(a, b, p):
     return a
 
 
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _poly_trim(out)
-
-
 def is_irreducible(poly, p: int) -> bool:
     """Exhaustive trial division by every monic polynomial of degree
     1..deg/2 over GF(p).  Only sensible for the small degrees used here."""
@@ -91,6 +89,15 @@ def default_reduction_poly(p: int, m: int):
         if is_irreducible(poly, p):
             return tuple(poly)
     raise ValueError(f"no irreducible polynomial of degree {m} over GF({p})")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_int(name: str, v) -> None:
+    if not _is_int(v):
+        raise ValueError(f"field {name} must be an integer, got {v!r}")
 
 
 class FieldElt:
@@ -174,12 +181,15 @@ class FieldSpec:
     """
 
     def __init__(self, p: int, f: int = 1, m: int | None = None, reduction_poly=None):
+        _check_int("p", p)
+        _check_int("f", f)
+        if m is None:
+            m = f
+        _check_int("m", m)
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if f < 1:
             raise ValueError("f must be >= 1")
-        if m is None:
-            m = f
         if m < 1 or m % f != 0:
             raise UnsupportedFieldError(
                 f"f = {f} must divide m = {m} so that F_q embeds in GF(p^m)"
@@ -192,6 +202,10 @@ class FieldSpec:
         if reduction_poly is None:
             poly = default_reduction_poly(p, m)
         else:
+            if not isinstance(reduction_poly, (list, tuple)) or not all(
+                _is_int(c) for c in reduction_poly
+            ):
+                raise ValueError(f"field poly must be a list of integers, got {reduction_poly!r}")
             poly = tuple(c % p for c in reduction_poly)
             if len(poly) != m + 1 or poly[-1] != 1:
                 raise ValueError("reduction polynomial must be monic of degree m")
@@ -204,46 +218,62 @@ class FieldSpec:
 
     def _build_tables(self):
         p, m, n = self.p, self.m, self.order
-
-        def idx(coeffs):
-            v = 0
-            for c in reversed(coeffs):
-                v = v * p + c
-            return v
-
-        def coeffs(i):
-            out = []
-            for _ in range(m):
-                out.append(i % p)
-                i //= p
-            return out
-
+        digits = range(p)
         self._elts = [FieldElt(self, i) for i in range(n)]
-        self._neg = [idx([(-c) % p for c in coeffs(i)]) for i in range(n)]
-        self._add = [
-            [idx([(a + b) % p for a, b in zip(coeffs(i), coeffs(j))]) for j in range(n)]
-            for i in range(n)
+
+        # Addition and negation act on each base-p digit separately: extend
+        # the tables of GF(p)^d to GF(p)^(d+1) by a new lowest digit.  Row
+        # lo + p * hi of the new table strings together, for each entry s of
+        # the old row hi, the block of the p indices p * s + (lo + d) % p;
+        # the blocks are built once, so equal entries share one int object.
+        add, neg = [[0]], [0]
+        for _ in range(m):
+            blocks = [
+                [[p * s + (lo + d) % p for d in digits] for s in range(len(neg))]
+                for lo in digits
+            ]
+            add = [
+                list(_chain.from_iterable(map(blocks[lo].__getitem__, prev)))
+                for prev in add
+                for lo in digits
+            ]
+            neg = [p * s + (-lo) % p for s in neg for lo in digits]
+        self._add, self._neg = add, neg
+
+        # x * i shifts the digits of i up one place; the carried top digit t
+        # re-enters as t * x^m = -t * (poly[0] + ... + poly[m-1] x^(m-1)).
+        top = n // p
+        carry = [sum((-t * c) % p * p**k for k, c in enumerate(self.poly[:m])) for t in digits]
+        times_x = [add[p * (i % top)][carry[i // top]] for i in range(n)]
+
+        # The generator: the first candidate, by coefficient tuple, whose
+        # powers reach all n - 1 units.  a * g is (a - 1) * g + g when the
+        # lowest digit of a is nonzero, and x * ((a / x) * g) otherwise.
+        for tail in _iproduct(digits, repeat=m):
+            g = sum(c * p**k for k, c in enumerate(tail))
+            if g == 0:
+                continue
+            times_g = [0]
+            for a in range(1, n):
+                times_g.append(add[times_g[-1]][g] if a % p else times_x[times_g[a // p]])
+            exp, cur = [1], g
+            while cur != 1:
+                exp.append(cur)
+                cur = times_g[cur]
+            if len(exp) == n - 1:
+                break
+        else:
+            raise TheoremViolationError("k^x is cyclic; unreachable")
+        log = [0] * n
+        for k, e in enumerate(exp):
+            log[e] = k
+        self._exp, self._log = exp, log
+
+        exp2, logs = exp + exp, log[1:]
+        self._mul = [[0] * n] + [
+            [0, *map(exp2[la : la + n - 1].__getitem__, logs)] for la in logs
         ]
-        poly = list(self.poly)
-        mul = []
-        for i in range(n):
-            ci = coeffs(i)
-            row = []
-            for j in range(n):
-                prod = _poly_mul(ci, coeffs(j), p)
-                rem = _poly_mod(prod, poly, p)
-                rem += [0] * (m - len(rem))
-                row.append(idx(rem))
-            mul.append(row)
-        self._mul = mul
-        inv = [0] * n
-        for i in range(1, n):
-            row = mul[i]
-            for j in range(1, n):
-                if row[j] == 1:
-                    inv[i] = j
-                    break
-        self._inv = inv
+        self._inv = [0] + [exp[-la % (n - 1)] for la in logs]
 
     # -- element constructors ------------------------------------------------
 
@@ -281,20 +311,14 @@ class FieldSpec:
     def multiplicative_order(self, x: FieldElt) -> int:
         if x.i == 0:
             raise ZeroDivisionError("0 has no multiplicative order")
-        n, acc = 1, x
-        while acc.i != 1:
-            acc = acc * x
-            n += 1
-        return n
+        units = self.order - 1
+        return units // gcd(self._log[x.i], units)
 
     def generator(self) -> FieldElt:
         """Smallest element (by coefficient tuple, lexicographically) of
-        multiplicative order p^m - 1."""
-        target = self.order - 1
-        for x in sorted(self._elts[1:], key=lambda e: e.coeffs):
-            if self.multiplicative_order(x) == target:
-                return x
-        raise TheoremViolationError("k^x is cyclic; unreachable")
+        multiplicative order p^m - 1: the base of the log tables, g^1 (in
+        GF(2), where n - 1 = 1, that is g^0 = 1)."""
+        return self._elts[self._exp[1 % (self.order - 1)]]
 
     def zeta_q(self) -> FieldElt:
         """Fixed embedding of a generator of F_q^x into k^x: an element of
@@ -311,6 +335,10 @@ class FieldSpec:
 
     @classmethod
     def from_json(cls, data) -> "FieldSpec":
+        if not isinstance(data, dict):
+            raise ValueError(f"field must be a JSON object, got {data!r}")
+        if "p" not in data:
+            raise ValueError("field p is missing")
         return cls(
             data["p"],
             data.get("f", 1),

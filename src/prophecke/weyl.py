@@ -16,8 +16,11 @@ Elements are hash-consed per group: WeylGroup._interned maps each normal
 form (w0, mu) to its one ExtAffWeylElt, so equal elements of one group
 are the same object.  An element's hash is its intern index (unique in
 the group, and consistent with the value equality __eq__ keeps), and
-its products (keyed by the right operand) and inverse are memoised on
-it for the lifetime of the group.
+its products (keyed by the right operand), inverse, length and reduced
+words (keyed by the tie rule) are memoised on it for the lifetime of the
+group.  The group-level _len_cache and _word_cache are still filled on
+every first computation, so their sizes count the distinct elements
+measured.
 """
 
 from __future__ import annotations
@@ -234,9 +237,10 @@ class ExtAffWeylElt:
     """Element w0 . t_mu of the extended affine Weyl group.
 
     Interned: constructing (group, w0, mu) twice returns the same object,
-    so products and the inverse are memoised on the element."""
+    so products, the inverse, the length and the reduced words are
+    memoised on the element."""
 
-    __slots__ = ("group", "w0", "mu", "_hash", "_prods", "_inv")
+    __slots__ = ("group", "w0", "mu", "_hash", "_prods", "_inv", "_len", "_words")
 
     def __new__(cls, group: WeylGroup, w0: int, mu: tuple):
         key = (w0, mu)
@@ -249,6 +253,8 @@ class ExtAffWeylElt:
             self._hash = len(group._interned)
             self._prods = {}  # right operand -> product
             self._inv = None
+            self._len = None
+            self._words = None  # tie rule -> reduced_word result
             group._interned[key] = self
         return self
 
@@ -303,11 +309,10 @@ class ExtAffWeylElt:
         )
 
     def length(self) -> int:
+        if self._len is not None:
+            return self._len
         g = self.group
         key = (self.w0, self.mu)
-        cached = g._len_cache.get(key)
-        if cached is not None:
-            return cached
         rd = g.rd
         perm = g.root_perm[self.w0]
         total = 0
@@ -315,7 +320,8 @@ class ExtAffWeylElt:
             delta_src = 0 if rd.is_positive_root(i) else 1
             delta_img = 0 if rd.is_positive_root(perm[i]) else 1
             total += max(0, delta_img - delta_src + dot(self.mu, rd.roots[i]))
-        g._len_cache[key] = total
+        # The group-level cache is kept filled alongside, for its size.
+        self._len = g._len_cache[key] = total
         return total
 
     def descents(self, side: str = "right"):
@@ -339,11 +345,13 @@ class ExtAffWeylElt:
         The word is built right to left by stripping, at every step, the
         smallest-index right descent (largest for tie='max'; any tie rule
         yields a reduced word, by the exchange condition)."""
-        g = self.group
-        key = (self.w0, self.mu, tie)
-        cached = g._word_cache.get(key)
+        if self._words is None:
+            self._words = {}
+        cached = self._words.get(tie)
         if cached is not None:
             return cached
+        g = self.group
+        key = (self.w0, self.mu, tie)
         word = []
         cur = self
         while True:
@@ -356,7 +364,7 @@ class ExtAffWeylElt:
         if len(word) != self.length():
             raise TheoremViolationError(f"descent stripping of {self!r} is not reduced")
         result = (cur, tuple(word))
-        g._word_cache[key] = result
+        self._words[tie] = g._word_cache[key] = result
         return result
 
     def all_reduced_words(self):

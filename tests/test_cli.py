@@ -77,6 +77,23 @@ def test_mul_bad_input_exits_2(tmp_path, cfg, capsys):
     assert main(["mul", "--config", cfg, not_an_object, taus]) == 2
 
 
+@pytest.mark.parametrize(
+    "field,name",
+    [
+        ({"p": 3, "m": 2, "poly": [1, 0.5, 1]}, "field poly"),
+        ({"p": "3"}, "field p"),
+        ({"p": 5, "f": None}, "field f"),
+        ({"f": 1}, "field p"),
+        ([3], "field must be a JSON object"),
+    ],
+)
+def test_malformed_field_exits_2_naming_it(tmp_path, capsys, field, name):
+    cfg = _write(tmp_path, "bad_field.json", {"group": "SL2", "field": field})
+    assert main(["verify", "assoc", "--config", cfg, "--max-len", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+
+
 def test_verify_assoc_pass(cfg, capsys):
     rc = main(["verify", "assoc", "--config", cfg, "--max-len", "2"])
     out = capsys.readouterr().out

@@ -6,31 +6,107 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prophecke.gf import FieldSpec, default_reduction_poly
+from prophecke.gf import FieldSpec, default_reduction_poly, is_prime
+
+
+def poly_mod(a, b, p):
+    """Remainder of a by monic b over GF(p), low degree first, trimmed."""
+    a = [x % p for x in a]
+    while a and a[-1] == 0:
+        a.pop()
+    db = len(b) - 1
+    while len(a) - 1 >= db:
+        lead, shift = a[-1], len(a) - 1 - db
+        for i in range(db + 1):
+            a[shift + i] = (a[shift + i] - lead * b[i]) % p
+        while a and a[-1] == 0:
+            a.pop()
+    return a
 
 
 def brute_force_irreducible(poly, p):
     """Independent oracle: exhaustive monic trial division over GF(p)."""
-
-    def poly_mod(a, b):
-        a = [x % p for x in a]
-        while a and a[-1] == 0:
-            a.pop()
-        db = len(b) - 1
-        while len(a) - 1 >= db:
-            lead, shift = a[-1], len(a) - 1 - db
-            for i in range(db + 1):
-                a[shift + i] = (a[shift + i] - lead * b[i]) % p
-            while a and a[-1] == 0:
-                a.pop()
-        return a
-
     deg = len(poly) - 1
     for d in range(1, deg // 2 + 1):
         for tail in itertools.product(range(p), repeat=d):
-            if not poly_mod(list(poly), list(tail) + [1]):
+            if not poly_mod(list(poly), list(tail) + [1], p):
                 return False
     return deg >= 1
+
+
+def reference_tables(p, m, poly):
+    """Independent oracle for the field tables: coordinates added mod p,
+    and one polynomial multiply-and-reduce by poly per product entry."""
+    n = p**m
+
+    def idx(cs):
+        v = 0
+        for c in reversed(cs):
+            v = v * p + c
+        return v
+
+    coeffs = [[(i // p**k) % p for k in range(m)] for i in range(n)]
+    neg = [idx([-c % p for c in cs]) for cs in coeffs]
+    add = [[idx([(a + b) % p for a, b in zip(ci, cj)]) for cj in coeffs] for ci in coeffs]
+    mul = []
+    for ci in coeffs:
+        row = []
+        for cj in coeffs:
+            prod = [0] * (2 * m - 1)
+            for i, a in enumerate(ci):
+                if a:
+                    for j, b in enumerate(cj):
+                        prod[i + j] += a * b
+            row.append(idx(poly_mod(prod, list(poly), p)))
+        mul.append(row)
+    inv = [0] + [mul[i].index(1) for i in range(1, n)]
+    return add, neg, mul, inv
+
+
+def reference_order(mul, i):
+    """Multiplicative order of index i by repeated multiplication."""
+    k, acc = 1, i
+    while acc != 1:
+        acc = mul[acc][i]
+        k += 1
+    return k
+
+
+# Every prime power p^m <= 256 with m >= 2, the primes <= 31 and 251, and
+# GF(9) and GF(16) under each of their monic irreducible reduction polys.
+ORACLE_FIELDS = (
+    [(p, m, None) for p in (2, 3, 5, 7, 11, 13) for m in range(2, 9) if p**m <= 256]
+    + [(p, 1, None) for p in range(2, 32) if is_prime(p)]
+    + [(251, 1, None)]
+    + [
+        (p, m, tuple(tail) + (1,))
+        for p, m in ((3, 2), (2, 4))
+        for tail in itertools.product(range(p), repeat=m)
+        if brute_force_irreducible(tail + (1,), p)
+    ]
+)
+
+
+@pytest.mark.parametrize("p,m,poly", ORACLE_FIELDS)
+def test_tables_match_polynomial_oracle(p, m, poly):
+    k = FieldSpec(p, 1, m, poly)
+    add, neg, mul, inv = reference_tables(p, m, k.poly)
+    assert k._add == add
+    assert k._neg == neg
+    assert k._mul == mul
+    assert k._inv == inv
+    n = p**m
+    orders = [None] + [reference_order(mul, i) for i in range(1, n)]
+    assert [k.multiplicative_order(x) for x in list(k.elements())[1:]] == orders[1:]
+    # generator(): the smallest coefficient tuple of order n - 1
+    gen = min((i for i in range(1, n) if orders[i] == n - 1), key=lambda i: k._elts[i].coeffs)
+    assert k.generator().i == gen
+    # zeta_q(): generator ** ((n - 1) / (q - 1)), for every subfield F_q
+    for f in (d for d in range(1, m + 1) if m % d == 0):
+        z = 1
+        for _ in range((n - 1) // (p**f - 1)):
+            z = mul[z][gen]
+        assert FieldSpec(p, f, m, poly).zeta_q().i == z
 
 
 def test_gf3_two_times_two():
@@ -76,6 +152,26 @@ def _gf81(cache=[]):
     return cache[0]
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 1023), st.integers(0, 1023), st.integers(0, 1023))
+def test_axioms_gf1024(i, j, l):
+    k = _gf1024()
+    a, b, c = k._elts[i], k._elts[j], k._elts[l]
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) + c == a + (b + c)
+    assert a + (-a) == k.zero()
+    if not a.is_zero():
+        assert a * a ** (-1) == k.one()
+        assert (b / a) * a == b
+
+
+def _gf1024(cache=[]):
+    if not cache:
+        cache.append(FieldSpec(2, 1, 10))
+    return cache[0]
+
+
 def test_inverses_and_division():
     k = FieldSpec(3, 1, 2)
     for a in k.elements():
@@ -108,7 +204,9 @@ def test_zeta_orders():
     assert k9.multiplicative_order(z9) == 2
 
 
-@pytest.mark.parametrize("p,f,m", [(2, 1, 1), (3, 1, 2), (3, 2, 2), (5, 1, 1), (2, 2, 4)])
+@pytest.mark.parametrize(
+    "p,f,m", [(2, 1, 1), (3, 1, 2), (3, 2, 2), (5, 1, 1), (2, 2, 4), (2, 2, 10), (2, 5, 10)]
+)
 def test_zeta_exact_order(p, f, m):
     k = FieldSpec(p, f, m)
     z = k.zeta_q()
@@ -156,6 +254,49 @@ def test_spec_validation():
         FieldSpec(3, 2, 3)  # f does not divide m
     with pytest.raises(ValueError):
         FieldSpec(3, 0)
+
+
+@pytest.mark.parametrize(
+    "args,name",
+    [
+        (("3",), "p"),
+        ((True,), "p"),
+        ((3.0,), "p"),
+        ((5, None), "f"),
+        ((5, True), "f"),
+        ((3, 1, 2.0), "m"),
+        ((3, 1, "2"), "m"),
+        ((3, 1, 2, [1, 0.5, 1]), "poly"),
+        ((3, 1, 2, [1, False, 1]), "poly"),
+        ((3, 1, 2, "101"), "poly"),
+        ((3, 1, 2, 7), "poly"),
+    ],
+)
+def test_spec_rejects_non_int_arguments(args, name):
+    with pytest.raises(ValueError, match=f"field {name} must be"):
+        FieldSpec(*args)
+
+
+@pytest.mark.parametrize(
+    "data,match",
+    [
+        ({}, "field p is missing"),
+        ({"f": 1}, "field p is missing"),
+        ([], "field must be a JSON object"),
+        ("GF(3)", "field must be a JSON object"),
+        (None, "field must be a JSON object"),
+        ({"p": 5, "f": None}, "field f must be"),
+        ({"p": "5"}, "field p must be"),
+        ({"p": 3, "m": 2, "poly": [1, 0.5, 1]}, "field poly must be"),
+    ],
+)
+def test_from_json_rejects_malformed_field(data, match):
+    with pytest.raises(ValueError, match=match):
+        FieldSpec.from_json(data)
+
+
+def test_from_json_null_m_means_m_equals_f():
+    assert FieldSpec.from_json({"p": 5, "f": 1, "m": None}) == FieldSpec(5)
 
 
 def test_json_round_trip_records_default_poly():

@@ -293,3 +293,20 @@ def test_elements_are_interned():
     assert (v * w).inv() is w.inv() * v.inv()
     hashes = {hash(e) for e in g._interned.values()}
     assert len(hashes) == len(g._interned)
+
+
+def test_length_and_reduced_word_memoised_on_element():
+    g = WeylGroup(preset("SL3"))
+    w = g.aff_gen(0) * g.aff_gen(1) * g.aff_gen(2) * g.aff_gen(0) * g.aff_gen(1)
+    first = (w.length(), w.reduced_word(), w.reduced_word("max"))
+    sizes = (len(g._len_cache), len(g._word_cache))
+    # the group-level dicts are still filled on a miss
+    assert g._len_cache[(w.w0, w.mu)] == first[0] == 5
+    assert g._word_cache[(w.w0, w.mu, "min")] is first[1]
+    assert g._word_cache[(w.w0, w.mu, "max")] is first[2]
+    # ... and the element carries the values itself
+    assert w._len == 5 and w._words == {"min": first[1], "max": first[2]}
+    again = (w.length(), w.reduced_word(), w.reduced_word("max"))
+    assert again[0] == first[0]
+    assert again[1] is first[1] and again[2] is first[2]
+    assert (len(g._len_cache), len(g._word_cache)) == sizes
