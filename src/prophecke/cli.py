@@ -51,6 +51,8 @@ def _resolve_seed(args, config) -> tuple[int, str]:
 
 def _context_from_args(args):
     config = _load_json(args.config)
+    if not isinstance(config, dict):
+        raise ValueError(f"config must be a JSON object, got {config!r}")
     seed, seed_source = _resolve_seed(args, config)
     config["seed"] = seed
     if getattr(args, "max_len", None) is not None:
@@ -186,7 +188,7 @@ def cmd_coset(args) -> int:
         w = ProPElt.from_json(ctx.group, _load_json(args.b))
         sup = cosets.support_mul(v, w)
         payload = {
-            "classes": sup.to_json(),
+            "classes": [x.to_json() for x in sorted(sup, key=ProPElt.sort_key)],
             "count": len(sup),
             "index_v": cosets.index(ctx.group, v),
             "index_w": cosets.index(ctx.group, w),

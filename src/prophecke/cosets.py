@@ -1,11 +1,14 @@
 """Symbolic double-coset calculus at the pro-p level.
 
 support_mul computes the exact union of double-coset classes of a
-product I v I . I w I: concatenation when lengths add, and the branching
+product I v I . I w I, as a frozenset of the pro-p elements naming the
+classes.  It peels the last letter s off v (ProPWeyl.peel) and applies
+the rank-one step (ProPWeyl.step), which H and E share: concatenation
+when s lengthens w, and the branching
 
     I s I . I w I = I s w I u U_t I t w I    (t over the coroot image)
 
-when the rank-one factor shortens.  Hecke products in characteristic p
+when it shortens w.  Hecke products in characteristic p
 can only lose classes from this union (coefficients divisible by q
 vanish), so containment, not equality, is what gets asserted against H.
 
@@ -26,40 +29,7 @@ from .rootdata import AffineRoot, dot
 from .weyl import ExtAffWeylElt
 
 
-@dataclass(frozen=True)
-class CosetSupport:
-    classes: frozenset
-
-    def __iter__(self):
-        return iter(self.classes)
-
-    def __len__(self):
-        return len(self.classes)
-
-    def __contains__(self, x):
-        return x in self.classes
-
-    def sorted(self):
-        return sorted(self.classes, key=ProPElt.sort_key)
-
-    def to_json(self):
-        return [x.to_json() for x in self.sorted()]
-
-
-def _step_support(group: ProPWeyl, s: int, w: ProPElt) -> set:
-    ns = group.lift_s(s)
-    moved = group.mul(ns, w)
-    if moved.w.length() == w.w.length() + 1:
-        return {moved}
-    A = group.weyl.s_aff[s]
-    image, _ = group.coroot_image(A.root)
-    out = {moved}
-    for t in image:
-        out.add(group.mul(group.torus_elt(t), w))
-    return out
-
-
-def support_mul(v: ProPElt, w: ProPElt, tie: str = "min") -> CosetSupport:
+def support_mul(v: ProPElt, w: ProPElt, tie: str = "min") -> frozenset:
     """Classes of the product of the double cosets of v and w."""
     group = v.group
     if w.group is not group:
@@ -70,15 +40,13 @@ def support_mul(v: ProPElt, w: ProPElt, tie: str = "min") -> CosetSupport:
     if cached is not None:
         return cached
     if v.w.length() == 0:
-        result = CosetSupport(frozenset({group.mul(v, w)}))
+        result = frozenset({group.mul(v, w)})
     else:
-        _, word = v.w.reduced_word(tie)
-        s = word[-1]
-        vp = group.mul(v, group.inv(group.lift_s(s)))
-        classes = set()
-        for u in _step_support(group, s, w):
-            classes.update(support_mul(vp, u, tie).classes)
-        result = CosetSupport(frozenset(classes))
+        s, vp = group.peel(v, tie)
+        moved, translates = group.step(s, w)
+        result = support_mul(vp, moved, tie)
+        if translates:
+            result = result.union(*(support_mul(vp, u, tie) for u in translates))
     cache[key] = result
     return result
 

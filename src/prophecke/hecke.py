@@ -10,7 +10,9 @@ affine simple reflection s attached to the root alpha,
 
 the characteristic-p degeneration (q = 0 in k) of the classical
 quadratic relation.  The product recursion peels rank-one factors off
-the left factor's canonical reduced word; independence of that choice is
+the left factor's canonical reduced word with ProPWeyl.peel and applies
+each through ProPWeyl.step, the rank-one rule E and the coset calculus
+share; independence of that choice is
 property-tested, not assumed.
 
 This module also carries the torus idempotents e_lambda and their
@@ -191,26 +193,15 @@ class HeckeAlgebra:
     def theta(self, s: int) -> HeckeElt:
         """The idempotent -|mu| sum of tau over the coroot image of the
         root underlying the s-th affine simple reflection."""
-        A = self.group.weyl.s_aff[s]
-        image, mu_size = self.group.coroot_image(A.root)
+        image, mu_size = self.group.aff_image(s)
         c = self.field.from_int(-mu_size)
-        return HeckeElt(self, {self.group.torus_elt(t): c for t in image})
+        return HeckeElt(self, {t: c for t in image})
 
     # -- multiplication ---------------------------------------------------------
 
-    def _one_gen_mul(self, s: int, y: ProPElt) -> dict:
-        """tau_{n_s} tau_y on basis elements: braid step on ascent,
-        quadratic expansion |mu| sum_t tau_{t y} on descent."""
-        g = self.group
-        ns = g.lift_s(s)
-        if (ns.w * y.w).length() == y.w.length() + 1:
-            return {g.mul(ns, y): self.field.one()}
-        A = g.weyl.s_aff[s]
-        image, mu_size = g.coroot_image(A.root)
-        c = self.field.from_int(mu_size)
-        return {g.mul(g.torus_elt(t), y): c for t in image}
-
     def basis_mul(self, x: ProPElt, y: ProPElt) -> dict:
+        """tau_x tau_y, peeling the last letter s off x: on ascent
+        tau_{n_s} tau_y = tau_{n_s y}, on descent |mu| sum_t tau_{t y}."""
         key = (x, y)
         cached = self._mul_cache.get(key)
         if cached is not None:
@@ -219,12 +210,15 @@ class HeckeAlgebra:
         if x.w.length() == 0:
             result = {g.mul(x, y): self.field.one()}
         else:
-            _, word = x.w.reduced_word(self.word_tie)
-            s = word[-1]
-            xp = g.mul(x, g.inv(g.lift_s(s)))
-            result = {}
-            for u, c in self._one_gen_mul(s, y).items():
-                accumulate(result, self.basis_mul(xp, u), c)
+            s, xp = g.peel(x, self.word_tie)
+            moved, translates = g.step(s, y)
+            if not translates:
+                result = self.basis_mul(xp, moved)
+            else:
+                result = {}
+                c = self.field.from_int(g.aff_image(s)[1])
+                for u in translates:
+                    accumulate(result, self.basis_mul(xp, u), c)
         self._mul_cache[key] = result
         return result
 

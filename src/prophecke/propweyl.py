@@ -29,6 +29,12 @@ self-checks that every such lift squares to alpha-check(-1) and
 conjugates the torus by the underlying reflection; those two identities,
 not the particular coordinates, are what the algebra relations consume.
 
+ProPWeyl.step is the one rank-one rule that the Hecke product, both
+actions on the top module and the coset calculus share: n_s y alone
+when s lengthens y, and n_s y plus the coroot-image translates t y when
+s shortens it (mirrored on the right).  ProPWeyl.peel splits the last
+letter off an element's canonical reduced word for the recursions.
+
 Elements are hash-consed per group: ProPWeyl._interned maps each normal
 form (t, w0, mu) to its one ProPElt, so equal elements of one group are
 the same object.  An element's hash is its intern index (unique in the
@@ -60,14 +66,18 @@ class ProPWeyl:
         # exponent of -1 in F_q^x (0 when q is even, since then -1 = 1)
         self.neg_one_exp = (q - 1) // 2 if q % 2 == 1 else 0
         self.zero_t = (0,) * self.rank
-        self._images = {}  # root index -> (tuple of torus tuples, mu_size)
         self._cocycle = self._build_cocycle()
         self._lift_cache = {}
         self._mrep_cache = {}
-        self._support_cache = {}  # (v, w, tie) -> cosets.CosetSupport
+        self._support_cache = {}  # (v, w, tie) -> frozenset of classes
         self._aff_lifts = [
             self.lift_affine_reflection(A) for A in self.weyl.s_aff
         ]
+        # per affine reflection: its coroot image as torus elements, and |mu|
+        self._aff_images = []
+        for A in self.weyl.s_aff:
+            image, mu_size = self.coroot_image(A.root)
+            self._aff_images.append((tuple(map(self.torus_elt, image)), mu_size))
         self.section_self_check()
 
     # -- torus helpers -----------------------------------------------------------
@@ -96,9 +106,6 @@ class ProPWeyl:
     def coroot_image(self, root_index: int):
         """The subgroup alpha-check(F_q^x) of T_q together with the size of
         the kernel of alpha-check on F_q^x, counted directly."""
-        cached = self._images.get(root_index)
-        if cached is not None:
-            return cached
         seen = []
         mu_size = 0
         for e in range(self.qm1):
@@ -111,9 +118,7 @@ class ProPWeyl:
             raise DataIntegrityError(
                 f"coroot kernel has size {mu_size}; a reduced datum allows only 1 or 2"
             )
-        result = (tuple(seen), mu_size)
-        self._images[root_index] = result
-        return result
+        return tuple(seen), mu_size
 
     # -- the finite cocycle ---------------------------------------------------------
 
@@ -211,6 +216,11 @@ class ProPWeyl:
         """Lift of the i-th affine simple reflection (indexed along pi_aff)."""
         return self._aff_lifts[i]
 
+    def aff_image(self, i: int):
+        """(alpha-check(F_q^x) as torus elements, |mu|) for the root of the
+        i-th affine simple reflection."""
+        return self._aff_images[i]
+
     def lift_omega(self, w: ExtAffWeylElt) -> "ProPElt":
         if w.length() != 0:
             raise ValueError("lift_omega expects a length-zero element")
@@ -239,6 +249,27 @@ class ProPWeyl:
         for s in reversed(word):
             prefix = self.mul(prefix, self.inv(self.lift_s(s)))
         return prefix, word
+
+    # -- the rank-one step shared by H, E and the coset calculus ----------------
+
+    def step(self, s: int, y: "ProPElt", side: str = "left"):
+        """(moved, translates) for n_s against y on the given side: moved is
+        n_s y (y n_s on the right); translates is () when s lengthens y on
+        that side, and otherwise the t y (y t) over the coroot image of s,
+        the classes the quadratic relation adds on descent."""
+        ns = self._aff_lifts[s]
+        left = side == "left"
+        moved = self.mul(ns, y) if left else self.mul(y, ns)
+        if moved.w.length() == y.w.length() + 1:
+            return moved, ()
+        image, _ = self._aff_images[s]
+        return moved, tuple(self.mul(t, y) if left else self.mul(y, t) for t in image)
+
+    def peel(self, x: "ProPElt", tie: str = "min"):
+        """(s, x n_s^{-1}) for the last letter s of the canonical reduced
+        word of x's Weyl part; x must have positive length."""
+        s = x.w.reduced_word(tie)[1][-1]
+        return s, self.mul(x, self.inv(self._aff_lifts[s]))
 
     # -- group law ---------------------------------------------------------------
 
@@ -368,9 +399,9 @@ class ProPElt:
         return f"g[t={list(self.t)}, {self.w!r}]"
 
 
-def basis_elements(group: ProPWeyl, max_len: int, omega_window: int = 2):
+def basis_elements(group: ProPWeyl, max_len: int):
     """All (t, w) with length(w) <= max_len, in a canonical order."""
-    ws = group.weyl.elements_up_to_length(max_len, omega_window)
+    ws = group.weyl.elements_up_to_length(max_len)
     out = [
         ProPElt(group, t, w)
         for w in ws

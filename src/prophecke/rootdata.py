@@ -218,8 +218,13 @@ class RootDatum:
     def from_json(cls, data) -> "RootDatum":
         if isinstance(data, str):
             return preset(data)
+        if not isinstance(data, dict):
+            raise ValueError(f"group must be a preset name or a JSON object, got {data!r}")
         if "preset" in data:
             return preset(data["preset"])
+        for key in ("rank", "roots", "coroots", "simple"):
+            if key not in data:
+                raise ValueError(f"group {key} is missing")
         return cls(data["rank"], data["roots"], data["coroots"], data["simple"])
 
     def __repr__(self):
@@ -269,7 +274,7 @@ _PRESET_DATA = {
 
 def preset(name: str) -> RootDatum:
     """Standard based root datum of a named split group."""
-    if name not in _PRESET_DATA:
+    if not isinstance(name, str) or name not in _PRESET_DATA:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     rank, sr, sc = _PRESET_DATA[name]
     return _generate(rank, sr, sc, name)

@@ -64,28 +64,17 @@ class TopModule:
 
     def _apply_gen(self, s: int, terms: dict, side: str) -> dict:
         """One rank-one generator acting on a phi-combination: descent
-        branches into the reflection translate plus the coroot-image
-        translates; ascent annihilates."""
+        branches into the reflection translate plus |mu| times the
+        coroot-image translates; ascent annihilates."""
         g = self.group
-        ns = g.lift_s(s)
-        A = g.weyl.s_aff[s]
-        image, mu_size = g.coroot_image(A.root)
-        one, mu_c = self.field.one(), self.field.from_int(mu_size)
+        one = self.field.one()
+        mu_c = self.field.from_int(g.aff_image(s)[1])
         out: dict = {}
         for u, c in terms.items():
-            lu = u.w.length()
-            if side == "left":
-                moved = g.mul(ns, u)
-            else:
-                moved = g.mul(u, ns)
-            if moved.w.length() == lu + 1:
-                continue
-            # the torus translates differ from moved in their Weyl part
-            step = {moved: one}
-            for t in image:
-                tt = g.torus_elt(t)
-                step[g.mul(tt, u) if side == "left" else g.mul(u, tt)] = mu_c
-            accumulate(out, step, c)
+            moved, translates = g.step(s, u, side)
+            if translates:
+                # the torus translates differ from moved in their Weyl part
+                accumulate(out, {moved: one, **dict.fromkeys(translates, mu_c)}, c)
         return out
 
     def _act_basis(self, y: ProPElt, u: ProPElt, side: str) -> dict:

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
+from itertools import product
 
 from . import cosets as cosets_mod
-from .errors import DecompositionUnavailableError, TheoremViolationError
+from .errors import DecompositionUnavailableError
 from .gf import FieldSpec
 from .hecke import HeckeAlgebra, accumulate
 from .propweyl import ProPWeyl, basis_elements
@@ -37,32 +38,28 @@ class Context:
     config: dict = dc_field(default_factory=dict)
 
 
+def _config_int(config: dict, name: str, default: int, low: int | None = 0) -> int:
+    """config[name], or default when absent; a bool, a non-int or a value
+    below low (when given) raises a ValueError naming the field."""
+    v = config.get(name, default)
+    if isinstance(v, bool) or not isinstance(v, int) or (low is not None and v < low):
+        need = "an integer" if low is None else f"an integer >= {low}"
+        raise ValueError(f"config {name} must be {need}, got {v!r}")
+    return v
+
+
 def build_context(config: dict) -> Context:
+    seed = _config_int(config, "seed", 0, low=None)
+    max_len = _config_int(config, "max_len", 3)
+    samples = _config_int(config, "samples", 1000)
     rd = RootDatum.from_json(config.get("group", "SL2"))
     fs = FieldSpec.from_json(config.get("field", {"p": 3, "f": 1}))
     wg = WeylGroup(rd)
     grp = ProPWeyl(wg, fs.q)
     alg = HeckeAlgebra(grp, fs)
-    top = TopModule(alg)
-    echo = {
-        "group": rd.to_json(),
-        "field": fs.to_json(),
-        "seed": config.get("seed", 0),
-        "max_len": config.get("max_len", 3),
-        "samples": config.get("samples", 1000),
-    }
-    return Context(
-        rd,
-        wg,
-        fs,
-        grp,
-        alg,
-        top,
-        seed=echo["seed"],
-        max_len=echo["max_len"],
-        samples=echo["samples"],
-        config=echo,
-    )
+    echo = {"group": rd.to_json(), "field": fs.to_json(), "seed": seed,
+            "max_len": max_len, "samples": samples}
+    return Context(rd, wg, fs, grp, alg, TopModule(alg), seed, max_len, samples, echo)
 
 
 def make_context(group_name: str, p: int, f: int = 1, m: int | None = None, **kw) -> Context:
@@ -90,6 +87,15 @@ def _scaled_combine(H, d, other, side):
         prods = H.basis_mul(u, other) if side == "right" else H.basis_mul(other, u)
         accumulate(out, prods, c)
     return out
+
+
+def _draws(ctx: Context, pools, samples: int | None):
+    """Tuples with one entry from each pool: every combination in order
+    when samples is None, else that many seeded random draws."""
+    if samples is None:
+        return product(*pools)
+    rng = random.Random(ctx.seed)
+    return (tuple(rng.choice(p) for p in pools) for _ in range(samples))
 
 
 def _generators(ctx: Context) -> list:
@@ -126,27 +132,13 @@ def suite_assoc(ctx: Context, max_len: int | None = None, samples: int | None = 
         if th * th != th:
             failures.append(f"theta_s not idempotent at s={s}")
 
-    if samples is None:
-        basis = basis_elements(G, max_len)
-        for x in basis:
-            for y in basis:
-                P = H.basis_mul(x, y)
-                for z in basis:
-                    cases += 1
-                    lhs = _scaled_combine(H, P, z, "right")
-                    rhs = _scaled_combine(H, H.basis_mul(y, z), x, "left")
-                    if lhs != rhs:
-                        failures.append(f"assoc fails at ({x!r},{y!r},{z!r})")
-    else:
-        rng = random.Random(ctx.seed)
-        basis = basis_elements(G, max_len)
-        for _ in range(samples):
-            x, y, z = (rng.choice(basis) for _ in range(3))
-            cases += 1
-            lhs = _scaled_combine(H, H.basis_mul(x, y), z, "right")
-            rhs = _scaled_combine(H, H.basis_mul(y, z), x, "left")
-            if lhs != rhs:
-                failures.append(f"assoc fails at ({x!r},{y!r},{z!r})")
+    basis = basis_elements(G, max_len)
+    for x, y, z in _draws(ctx, (basis,) * 3, samples):
+        cases += 1
+        lhs = _scaled_combine(H, H.basis_mul(x, y), z, "right")
+        rhs = _scaled_combine(H, H.basis_mul(y, z), x, "left")
+        if lhs != rhs:
+            failures.append(f"assoc fails at ({x!r},{y!r},{z!r})")
     return _report(ctx, "assoc", cases, failures, max_len=max_len, samples=samples)
 
 
@@ -229,10 +221,8 @@ def suite_involutions(ctx: Context, max_len: int | None = None, rand_len: int = 
             if H.iota(H.J(x * y)) != H.J(H.iota(x * y)):
                 failures.append(f"iota and J do not commute at ({a!r},{b!r})")
 
-    rng = random.Random(ctx.seed)
     big = basis_elements(G, rand_len)
-    for _ in range(samples):
-        a, b = rng.choice(big), rng.choice(big)
+    for a, b in _draws(ctx, (big, big), samples):
         x, y = H.tau(a), H.tau(b)
         cases += 2
         if H.iota(x * y) != H.iota(x) * H.iota(y):
@@ -360,28 +350,12 @@ def suite_duality(ctx: Context, max_len_tau: int = 2, max_len_phi: int = 3,
     taus = basis_elements(G, max_len_tau)
     phis = basis_elements(G, max_len_phi)
 
-    def check(a, b, c, d):
+    for a, b, c, d in _draws(ctx, (taus, taus, taus, phis), samples):
+        cases += 1
         t1, t2, t3, ph = H.tau(a), H.tau(b), H.tau(c), E.phi(d)
         lhs = E.pairing(E.act(t2, E.act(t1, ph, "left"), "right"), t3)
-        rhs = E.pairing(ph, H.J(t1) * t3 * H.J(t2))
-        return lhs == rhs
-
-    if samples is None:
-        for a in taus:
-            for b in taus:
-                for c in taus:
-                    for d in phis:
-                        cases += 1
-                        if not check(a, b, c, d):
-                            failures.append(f"adjunction fails at {(a, b, c, d)!r}")
-    else:
-        rng = random.Random(ctx.seed)
-        for _ in range(samples):
-            a, b, c = (rng.choice(taus) for _ in range(3))
-            d = rng.choice(phis)
-            cases += 1
-            if not check(a, b, c, d):
-                failures.append(f"adjunction fails at {(a, b, c, d)!r}")
+        if lhs != E.pairing(ph, H.J(t1) * t3 * H.J(t2)):
+            failures.append(f"adjunction fails at {(a, b, c, d)!r}")
     return _report(
         ctx, "duality", cases, failures, max_len_tau=max_len_tau,
         max_len_phi=max_len_phi, samples=samples,
@@ -475,7 +449,7 @@ def suite_cosets(ctx: Context, max_len: int | None = None):
             cases += 1
             sup = cosets_mod.support_mul(v, w)
             prod = H.basis_mul(v, w)
-            if not set(prod).issubset(sup.classes):
+            if not sup.issuperset(prod):
                 failures.append(f"Hecke support escapes coset union at ({v!r},{w!r})")
                 continue
             lv, lw = v.w.length(), w.w.length()

@@ -30,6 +30,10 @@ from dataclasses import dataclass
 from .errors import GroupMismatchError, TheoremViolationError
 from .rootdata import AffineRoot, RootDatum, dot
 
+# For infinite Omega, element enumeration uses the length-zero prefixes
+# whose generator exponents lie in [-2, 2].
+_OMEGA_WINDOW = 2
+
 
 def _mat_vec(M, v):
     return tuple(sum(M[i][j] * v[j] for j in range(len(v))) for i in range(len(M)))
@@ -200,25 +204,25 @@ class WeylGroup:
             self._omega = omega_group(self)
         return self._omega
 
-    def elements_of_length(self, n: int, omega_window: int = 2):
+    def elements_of_length(self, n: int):
         """All w with length exactly n.  For infinite Omega only the
-        window |coefficients| <= omega_window of length-zero prefixes is
+        window |coefficients| <= _OMEGA_WINDOW of length-zero prefixes is
         used, so the result is a finite slice of each length stratum."""
-        return self._strata(n, omega_window)[n]
+        return self._strata(n)[n]
 
-    def elements_up_to_length(self, n: int, omega_window: int = 2):
-        strata = self._strata(n, omega_window)
+    def elements_up_to_length(self, n: int):
+        strata = self._strata(n)
         out = []
         for lst in strata:
             out.extend(lst)
         return out
 
-    def _strata(self, n: int, omega_window: int):
+    def _strata(self, n: int):
         om = self.omega()
         if om.finite:
             zero = list(om.elements)
         else:
-            zero = om.window(omega_window)
+            zero = om.window(_OMEGA_WINDOW)
         strata = [zero]
         seen = set(zero)
         for ln in range(1, n + 1):

@@ -94,6 +94,33 @@ def test_malformed_field_exits_2_naming_it(tmp_path, capsys, field, name):
     assert err.startswith("error: ") and name in err
 
 
+@pytest.mark.parametrize(
+    "config,name",
+    [
+        ({"seed": "x"}, "config seed"),
+        ({"seed": 1.5}, "config seed"),
+        ({"seed": True}, "config seed"),
+        ({"max_len": "2"}, "config max_len"),
+        ({"max_len": -1}, "config max_len"),
+        ({"samples": 2.0}, "config samples"),
+        ({"samples": False}, "config samples"),
+        ({"group": 5}, "group must be"),
+        ({"group": []}, "group must be"),
+        ({"group": {"preset": ["SL2"]}}, "unknown preset"),
+        ({"group": {"rank": 2}}, "group roots"),
+        ([SL2_CFG], "config must be"),
+    ],
+)
+def test_malformed_config_exits_2_naming_it(tmp_path, capsys, monkeypatch, config, name):
+    monkeypatch.delenv("PROPHECKE_SEED", raising=False)
+    if isinstance(config, dict):
+        config = {**SL2_CFG, **config}
+    path = _write(tmp_path, "bad_config.json", config)
+    assert main(["verify", "assoc", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+
+
 def test_verify_assoc_pass(cfg, capsys):
     rc = main(["verify", "assoc", "--config", cfg, "--max-len", "2"])
     out = capsys.readouterr().out

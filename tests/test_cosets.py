@@ -4,7 +4,7 @@ import pytest
 
 from prophecke import cosets
 from prophecke.errors import GroupMismatchError
-from prophecke.propweyl import basis_elements
+from prophecke.propweyl import ProPElt, basis_elements
 from prophecke.rootdata import AffineRoot
 
 from conftest import get_context
@@ -15,7 +15,7 @@ def test_support_additive_lengths(sl2_q3):
     s = G.lift_s(0)
     w = G.lift_s(1)
     assert (s.w * w.w).length() == 2
-    assert cosets.support_mul(s, w).classes == {G.mul(s, w)}
+    assert cosets.support_mul(s, w) == {G.mul(s, w)}
 
 
 def test_support_quadratic_branch(sl2_q3):
@@ -24,7 +24,7 @@ def test_support_quadratic_branch(sl2_q3):
     sup = cosets.support_mul(s, s)
     image, _ = G.coroot_image(G.weyl.s_aff[0].root)
     expect = {G.mul(s, s)} | {G.mul(G.torus_elt(t), s) for t in image}
-    assert sup.classes == frozenset(expect)
+    assert sup == frozenset(expect)
     assert len(sup) == 3
 
 
@@ -94,9 +94,11 @@ def test_g_profile_monotone_and_growth(sp4_q3):
 def test_support_json(sl2_q3):
     G = sl2_q3.group
     sup = cosets.support_mul(G.lift_s(0), G.lift_s(0))
-    data = sup.to_json()
-    assert len(data) == 3
-    assert all("torus" in d and "w" in d for d in data)
+    assert type(sup) is frozenset and len(sup) == 3
+    for x in sup:
+        data = x.to_json()
+        assert "torus" in data and "w" in data
+        assert ProPElt.from_json(G, data) is x
 
 
 def test_gprofile_torus_part_irrelevant(sl2_q3):

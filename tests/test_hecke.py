@@ -247,7 +247,7 @@ def test_support_containment_and_length_bounds(sl2_q3):
         for w in basis:
             prod = H.basis_mul(v, w)
             sup = cosets.support_mul(v, w)
-            assert set(prod).issubset(sup.classes)
+            assert sup.issuperset(prod)
             for u in prod:
                 assert abs(w.length() - v.length()) <= u.length()
                 assert u.length() <= v.length() + w.length()

@@ -290,6 +290,42 @@ def test_mul_inv_match_reference_random_length_6(name):
     _check_against_reference(G, [(draw(), draw()) for _ in range(500)])
 
 
+# -- the rank-one step and peel --------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["SL2", "PGL2", "GL2", "SL3", "GL3", "Sp4", "G2sc",
+                                  "SL2xSL2"])
+def test_step_and_peel_match_definition(name):
+    G = grp(name, 3)
+    els = basis_elements(G, 1 if name == "GL3" else 2)
+    for i, A in enumerate(G.weyl.s_aff):
+        ns = G.lift_s(i)
+        image = [G.torus_elt(t) for t in G.coroot_image(A.root)[0]]
+        for y in els:
+            for side in ("left", "right"):
+                moved, translates = G.step(i, y, side)
+                if side == "left":
+                    assert moved == G.mul(ns, y)
+                    want = {G.mul(t, y) for t in image}
+                else:
+                    assert moved == G.mul(y, ns)
+                    want = {G.mul(y, t) for t in image}
+                ascent = moved.w.length() == y.w.length() + 1
+                assert ascent == (i not in y.w.descents(side))
+                assert (translates == ()) == ascent
+                if not ascent:
+                    assert len(translates) == len(set(translates)) == len(image)
+                    assert set(translates) == want
+    for x in els:
+        if x.w.length() == 0:
+            continue
+        for tie in ("min", "max"):
+            s, xp = G.peel(x, tie)
+            assert s == x.w.reduced_word(tie)[1][-1]
+            assert G.mul(xp, G.lift_s(s)) == x
+            assert xp.w.length() == x.w.length() - 1
+
+
 # -- the interning contract ----------------------------------------------------------
 
 
