@@ -45,7 +45,11 @@ def _resolve_seed(args, config) -> tuple[int, str]:
     if args.seed is not None:
         return args.seed, "flag"
     if SEED_ENV in os.environ:
-        return int(os.environ[SEED_ENV]), f"env:{SEED_ENV}"
+        value = os.environ[SEED_ENV]
+        try:
+            return int(value), f"env:{SEED_ENV}"
+        except ValueError:
+            raise ValueError(f"{SEED_ENV} must be an integer, got {value!r}") from None
     return config.get("seed", 0), "config"
 
 

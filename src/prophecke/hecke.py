@@ -12,8 +12,8 @@ the characteristic-p degeneration (q = 0 in k) of the classical
 quadratic relation.  The product recursion peels rank-one factors off
 the left factor's canonical reduced word with ProPWeyl.peel and applies
 each through ProPWeyl.step, the rank-one rule E and the coset calculus
-share; independence of that choice is
-property-tested, not assumed.
+share; iota recurses along the same peel.  Independence of the word
+choice is property-tested, not assumed.
 
 This module also carries the torus idempotents e_lambda and their
 central orbit sums, the involution iota, the inversion anti-involution,
@@ -306,7 +306,8 @@ class HeckeAlgebra:
 
     def iota(self, x: HeckeElt) -> HeckeElt:
         """The involutive algebra automorphism fixing all length-zero basis
-        elements and sending tau_{n_s} to -tau_{n_s} - theta_s."""
+        elements and sending tau_{n_s} to -tau_{n_s} - theta_s; on tau_g it
+        is iota(tau_{g'}) (-tau_{n_s} - theta_s) with g = g' n_s peeled."""
         out: dict = {}
         for g, c in x.terms.items():
             accumulate(out, self._iota_basis(g).terms, c)
@@ -316,11 +317,12 @@ class HeckeAlgebra:
         cached = self._iota_cache.get(g)
         if cached is not None:
             return cached
-        prefix, word = self.group.split_word(g, self.word_tie)
-        result = self.tau(prefix)
-        for s in word:
+        if g.w.length() == 0:
+            result = self.tau(g)
+        else:
+            s, gp = self.group.peel(g, self.word_tie)
             factor = self.tau(self.group.lift_s(s)).scale(-1) - self.theta(s)
-            result = self.mul(result, factor)
+            result = self.mul(self._iota_basis(gp), factor)
         self._iota_cache[g] = result
         return result
 

@@ -33,7 +33,8 @@ ProPWeyl.step is the one rank-one rule that the Hecke product, both
 actions on the top module and the coset calculus share: n_s y alone
 when s lengthens y, and n_s y plus the coroot-image translates t y when
 s shortens it (mirrored on the right).  ProPWeyl.peel splits the last
-letter off an element's canonical reduced word for the recursions.
+letter off an element's canonical reduced word for the recursions of the
+Hecke product, iota, both actions on the top module and the coset calculus.
 
 Elements are hash-consed per group: ProPWeyl._interned maps each normal
 form (t, w0, mu) to its one ProPElt, so equal elements of one group are
@@ -93,9 +94,8 @@ class ProPWeyl:
 
         return list(iproduct(range(self.qm1), repeat=self.rank))
 
-    def torus_action(self, w, t) -> tuple:
-        """Finite-part action on T_q; translations act trivially."""
-        w0 = w.w0 if isinstance(w, ExtAffWeylElt) else w
+    def torus_action(self, w0: int, t) -> tuple:
+        """Action on T_q of the finite Weyl element with index w0."""
         M = self.weyl.elements[w0]
         return tuple(e % self.qm1 for e in _mat_vec(M, t))
 
@@ -239,16 +239,6 @@ class ProPWeyl:
                 cached = self.mul(cached, self.lift_s(i))
             self._lift_cache[w] = cached
         return cached
-
-    def split_word(self, x: "ProPElt", tie: str = "min"):
-        """(prefix, word) with x = prefix . lift_s(word[0]) ... lift_s(word[-1])
-        along the canonical reduced word of x's Weyl part; the prefix has
-        length zero and carries x's torus part and the n_s corrections."""
-        _, word = x.w.reduced_word(tie)
-        prefix = x
-        for s in reversed(word):
-            prefix = self.mul(prefix, self.inv(self.lift_s(s)))
-        return prefix, word
 
     # -- the rank-one step shared by H, E and the coset calculus ----------------
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DataIntegrityError
+from .gf import _is_int
 
 PRESET_NAMES = ("SL2", "PGL2", "GL2", "SL3", "GL3", "Sp4", "G2sc", "SL2xSL2")
 
@@ -65,10 +66,28 @@ def _solve_expansion(simple_vectors, target):
     return sol
 
 
+def _check_contents(rank, roots, coroots, simple):
+    """Types and shapes of an explicit datum, each error naming its field."""
+    if not _is_int(rank) or rank < 1:
+        raise ValueError(f"group rank must be a positive integer, got {rank!r}")
+    for name, vecs in (("roots", roots), ("coroots", coroots)):
+        if not isinstance(vecs, (list, tuple)) or not all(
+            isinstance(v, (list, tuple)) and len(v) == rank and all(map(_is_int, v))
+            for v in vecs
+        ):
+            raise ValueError(f"group {name} must be a list of length-{rank} integer vectors")
+    indices = range(len(roots))
+    if not isinstance(simple, (list, tuple)) or not all(
+        _is_int(i) and i in indices for i in simple
+    ) or len(set(simple)) != len(simple):
+        raise ValueError(f"group simple must be distinct root indices, got {simple!r}")
+
+
 class RootDatum:
     """Reduced based root datum with explicit root/coroot coordinates."""
 
     def __init__(self, rank, roots, coroots, simple_indices, name=None):
+        _check_contents(rank, roots, coroots, simple_indices)
         self.rank = rank
         self.roots = [tuple(v) for v in roots]
         self.coroots = [tuple(v) for v in coroots]

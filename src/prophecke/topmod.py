@@ -5,11 +5,12 @@ phi_g of tau_g, with the explicit generator actions
     phi_w . tau_{n_s} = 0                                 if s lengthens w,
     phi_w . tau_{n_s} = phi_{w s} + |mu| sum_t phi_{w t}  if s shortens w,
 
-(and mirrored on the left), the coordinate-sum trace whose kernel
-complements the one-dimensional trivial line when the length-zero
-subgroup is finite of invertible order, the inversion twist, the duality
-pairing against H, and the supersingularity audit of the trace kernel
-driven by the graded eigencharacters of the length filtration.
+(and mirrored on the left), extended to every tau_y by peeling the last
+letter off y and recursing, as H's product does; the coordinate-sum
+trace whose kernel complements the one-dimensional trivial line when the
+length-zero subgroup is finite of invertible order, the inversion twist,
+the duality pairing against H, and the supersingularity audit of the
+trace kernel driven by the graded eigencharacters of the length filtration.
 """
 
 from __future__ import annotations
@@ -56,54 +57,42 @@ class TopModule:
 
     # -- generator actions -------------------------------------------------------
 
-    def _apply_len0(self, y: ProPElt, terms: dict, side: str) -> dict:
+    def _apply_gen(self, s: int, u: ProPElt, side: str) -> dict:
+        """tau_{n_s} acting on phi_u: ascent annihilates; descent gives the
+        reflection translate plus |mu| times the coroot-image translates."""
         g = self.group
-        if side == "left":
-            return {g.mul(y, u): c for u, c in terms.items()}
-        return {g.mul(u, y): c for u, c in terms.items()}
-
-    def _apply_gen(self, s: int, terms: dict, side: str) -> dict:
-        """One rank-one generator acting on a phi-combination: descent
-        branches into the reflection translate plus |mu| times the
-        coroot-image translates; ascent annihilates."""
-        g = self.group
-        one = self.field.one()
+        moved, translates = g.step(s, u, side)
+        if not translates:
+            return {}
         mu_c = self.field.from_int(g.aff_image(s)[1])
-        out: dict = {}
-        for u, c in terms.items():
-            moved, translates = g.step(s, u, side)
-            if translates:
-                # the torus translates differ from moved in their Weyl part
-                accumulate(out, {moved: one, **dict.fromkeys(translates, mu_c)}, c)
-        return out
+        # the torus translates differ from moved in their Weyl part
+        return {moved: self.field.one(), **dict.fromkeys(translates, mu_c)}
 
     def _act_basis(self, y: ProPElt, u: ProPElt, side: str) -> dict:
+        """tau_y acting on phi_u, with y = y' n_s peeled: on the left
+        tau_{y'} (tau_{n_s} phi_u), on the right (phi_u tau_{y'}) tau_{n_s}."""
         key = (y, u, side)
         cached = self._act_cache.get(key)
         if cached is not None:
             return cached
-        prefix, word = self.group.split_word(y, self.hecke.word_tie)
-        terms = {u: self.field.one()}
-        if side == "left":
-            # tau_y = tau_prefix tau_{s_1} ... tau_{s_l}: innermost factor first
-            for s in reversed(word):
-                terms = self._apply_gen(s, terms, "left")
-                if not terms:
-                    break
-            if terms:
-                terms = self._apply_len0(prefix, terms, "left")
+        g = self.group
+        if y.w.length() == 0:
+            result = {g.mul(y, u) if side == "left" else g.mul(u, y): self.field.one()}
         else:
-            terms = self._apply_len0(prefix, terms, "right")
-            for s in word:
-                terms = self._apply_gen(s, terms, "right")
-                if not terms:
-                    break
-        self._act_cache[key] = terms
-        return terms
+            s, yp = g.peel(y, self.hecke.word_tie)
+            result = {}
+            if side == "left":
+                for v, c in self._apply_gen(s, u, side).items():
+                    accumulate(result, self._act_basis(yp, v, side), c)
+            else:
+                for v, c in self._act_basis(yp, u, side).items():
+                    accumulate(result, self._apply_gen(s, v, side), c)
+        self._act_cache[key] = result
+        return result
 
     def act(self, tau: HeckeElt, x: TopElt, side: str) -> TopElt:
-        """Bilinear extension of the generator formulas along canonical
-        reduced words of each Hecke basis element."""
+        """Bilinear extension of the generator formulas, each Hecke basis
+        element acting through the peel recursion of _act_basis."""
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
         if tau.space is not self.hecke:

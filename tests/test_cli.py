@@ -109,6 +109,12 @@ def test_malformed_field_exits_2_naming_it(tmp_path, capsys, field, name):
         ({"group": {"preset": ["SL2"]}}, "unknown preset"),
         ({"group": {"rank": 2}}, "group roots"),
         ([SL2_CFG], "config must be"),
+        ({"group": {"rank": "x", "roots": 5, "coroots": [], "simple": []}}, "group rank"),
+        ({"group": {"rank": 1, "roots": 5, "coroots": [], "simple": []}}, "group roots"),
+        ({"group": {"rank": 1, "roots": [[2], [-2]], "coroots": [[1], [-1]],
+                    "simple": [5]}}, "group simple"),
+        ({"group": {"rank": 2, "roots": [[2], [-2]], "coroots": [[1], [-1]],
+                    "simple": [0]}}, "group roots"),
     ],
 )
 def test_malformed_config_exits_2_naming_it(tmp_path, capsys, monkeypatch, config, name):
@@ -158,6 +164,13 @@ def test_seed_env_override_echoed(tmp_path, cfg, capsys):
         assert rep["config"]["seed_source"] == "env:PROPHECKE_SEED"
     finally:
         del os.environ["PROPHECKE_SEED"]
+
+
+def test_seed_env_not_an_integer_exits_2_naming_it(cfg, capsys, monkeypatch):
+    monkeypatch.setenv("PROPHECKE_SEED", "abc")
+    assert main(["verify", "lemma_even", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "PROPHECKE_SEED" in err and "'abc'" in err
 
 
 def test_verify_report_byte_determinism(tmp_path, cfg):

@@ -51,10 +51,10 @@ def test_torus_action_and_normality():
     G = grp("SL2", 3)
     s = G.weyl.simple_reflection(0)
     a = G.rd.simple[0]
-    assert G.torus_action(s, G.coroot_torus(a)) == G.coroot_torus(a, -1)
-    assert G.torus_action(G.weyl.identity(), (1,)) == (1,)
+    assert G.torus_action(s.w0, G.coroot_torus(a)) == G.coroot_torus(a, -1)
+    assert G.torus_action(G.weyl.identity().w0, (1,)) == (1,)
     # translations act trivially
-    assert G.torus_action(G.weyl.translation((1,)), (1,)) == (1,)
+    assert G.torus_action(G.weyl.translation((1,)).w0, (1,)) == (1,)
     # s_A(t) t^{-1} lands in the coroot image, for every torus element
     for name in ("SL3", "Sp4"):
         G2 = grp(name, 3)
@@ -64,7 +64,7 @@ def test_torus_action_and_normality():
         for i, A in enumerate(G2.weyl.s_aff):
             sA = G2.weyl.aff_gen(i)
             for t in G2.torus_elements():
-                st = G2.torus_action(sA, t)
+                st = G2.torus_action(sA.w0, t)
                 diff = tuple((x - y) % G2.qm1 for x, y in zip(st, t))
                 assert diff in image_sets[i]
 
@@ -157,7 +157,7 @@ def test_conjugation_relation_r1():
             ns = G.lift_s(i)
             for t in G.torus_elements():
                 lhs = G.mul(G.mul(ns, G.torus_elt(t)), G.inv(ns))
-                assert lhs == G.torus_elt(G.torus_action(ns.w, t))
+                assert lhs == G.torus_elt(G.torus_action(ns.w0, t))
 
 
 @pytest.mark.parametrize("name,max_len", [
