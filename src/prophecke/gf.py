@@ -10,6 +10,11 @@ multiplication adds discrete logarithms over the log/antilog tables of
 a generator of k^x.  Memory stays quadratic, since the addition and
 multiplication tables hold every pair.
 
+The algebra kernels of hecke and topmod keep coefficients as bare
+indices and read the tables (_add, _mul, _neg) directly; FieldElt is the
+boundary type, for constructing scalars, returning them from functions
+such as pairings and character values, and printing them.
+
 Alongside the field itself we fix the distinguished subfield F_q
 (q = p^f with f | m) and the element zeta of exact multiplicative order
 q - 1 used as the value generator for torus characters.

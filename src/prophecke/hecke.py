@@ -9,7 +9,18 @@ affine simple reflection s attached to the root alpha,
     theta_s = -|mu_alpha| sum_{t in alpha-check(F_q^x)} tau_t,
 
 the characteristic-p degeneration (q = 0 in k) of the classical
-quadratic relation.  The product recursion peels rank-one factors off
+quadratic relation.
+
+An element of H or E is a SparseComb whose terms are a dict from the
+intern index of a basis element (ProPElt.index) to the index of its
+nonzero coefficient in the field tables (FieldElt.i); basis_mul and the
+top-module actions return such dicts too, and accumulate adds them up
+through the rows of the field's addition and multiplication tables.
+ProPElt and FieldElt appear only at the boundary: the constructors
+(elt, tau, theta, e_lambda), coeff, items, to_json, repr, and the
+scalar-valued functions (chi_eval here, pairing and S_d on E).
+
+The product recursion peels rank-one factors off
 the left factor's canonical reduced word with ProPWeyl.peel and applies
 each through ProPWeyl.step, the rank-one rule E and the coset calculus
 share; iota recurses along the same peel.  Independence of the word
@@ -33,16 +44,22 @@ from .rootdata import dot
 from .weyl import ExtAffWeylElt
 
 
-def accumulate(out: dict, terms: dict, c: FieldElt) -> None:
-    """out += c * terms, in place, dropping coefficients that cancel."""
+def accumulate(out: dict, terms: dict, c: int, field: FieldSpec) -> None:
+    """out += c * terms, in place, on field indices, dropping coefficients
+    that cancel.  terms holds no zero coefficient."""
+    if not c:
+        return
+    row, add = field._mul[c], field._add
     for g, d in terms.items():
-        cd = c * d
         prev = out.get(g)
-        acc = cd if prev is None else prev + cd
-        if acc.is_zero():
-            out.pop(g, None)
+        if prev is None:
+            out[g] = row[d]
         else:
-            out[g] = acc
+            acc = add[prev][row[d]]
+            if acc:
+                out[g] = acc
+            else:
+                del out[g]
 
 
 def as_scalar(field: FieldSpec, c) -> FieldElt:
@@ -55,9 +72,20 @@ def as_scalar(field: FieldSpec, c) -> FieldElt:
     raise TypeError(f"cannot use {c!r} as a scalar")
 
 
+def index_terms(space, terms: dict) -> dict:
+    """{ProPElt: scalar} to the index form of SparseComb.terms."""
+    out = {}
+    for g, c in terms.items():
+        if g.group is not space.group:
+            raise GroupMismatchError("group element from different group data")
+        out[g.index] = as_scalar(space.field, c).i
+    return out
+
+
 class SparseComb:
     """Finitely supported k-linear combination of basis symbols indexed by
-    pro-p Weyl group elements, living in a fixed space (H or E).
+    pro-p Weyl group elements, living in a fixed space (H or E).  terms
+    maps ProPElt.index to the nonzero FieldElt.i of its coefficient.
 
     Subclasses name the basis symbol, say whether to_json carries it as a
     "basis" tag, and give the error text for operands of different spaces.
@@ -70,13 +98,21 @@ class SparseComb:
 
     def __init__(self, space, terms: dict):
         self.space = space
-        self.terms = {g: c for g, c in terms.items() if not c.is_zero()}
+        self.terms = {g: c for g, c in terms.items() if c}
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def coeff(self, g: ProPElt) -> FieldElt:
-        return self.terms.get(g, self.space.field.zero())
+        if g.group is not self.space.group:
+            raise GroupMismatchError("group element from different group data")
+        return self.space.field._elts[self.terms.get(g.index, 0)]
+
+    def items(self):
+        """(ProPElt, FieldElt) for every term, in insertion order."""
+        elts, coeffs = self.space.group.by_index, self.space.field._elts
+        for g, c in self.terms.items():
+            yield elts[g], coeffs[c]
 
     def _check(self, other):
         if type(other) is not type(self) or other.space is not self.space:
@@ -85,18 +121,19 @@ class SparseComb:
     def __add__(self, other):
         self._check(other)
         out = dict(self.terms)
-        accumulate(out, other.terms, self.space.field.one())
+        accumulate(out, other.terms, 1, self.space.field)
         return type(self)(self.space, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return type(self)(self.space, {g: -c for g, c in self.terms.items()})
+        neg = self.space.field._neg
+        return type(self)(self.space, {g: neg[c] for g, c in self.terms.items()})
 
     def scale(self, c):
-        c = as_scalar(self.space.field, c)
-        return type(self)(self.space, {g: c * d for g, d in self.terms.items()})
+        row = self.space.field._mul[as_scalar(self.space.field, c).i]
+        return type(self)(self.space, {g: row[d] for g, d in self.terms.items()})
 
     def __eq__(self, other):
         return (
@@ -109,7 +146,7 @@ class SparseComb:
         return hash(frozenset(self.terms.items()))
 
     def _sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
+        return sorted(self.items(), key=lambda kv: kv[0].sort_key())
 
     def to_json(self):
         out = {
@@ -175,12 +212,12 @@ class HeckeAlgebra:
         return HeckeElt(self, {})
 
     def elt(self, terms: dict) -> HeckeElt:
-        return HeckeElt(self, {g: as_scalar(self.field, c) for g, c in terms.items()})
+        return HeckeElt(self, index_terms(self, terms))
 
     def tau(self, x: ProPElt) -> HeckeElt:
         if x.group is not self.group:
             raise GroupMismatchError("group element from different group data")
-        return HeckeElt(self, {x: self.field.one()})
+        return HeckeElt(self, {x.index: 1})
 
     def one(self) -> HeckeElt:
         return self.tau(self.group.identity())
@@ -194,21 +231,21 @@ class HeckeAlgebra:
         """The idempotent -|mu| sum of tau over the coroot image of the
         root underlying the s-th affine simple reflection."""
         image, mu_size = self.group.aff_image(s)
-        c = self.field.from_int(-mu_size)
-        return HeckeElt(self, {t: c for t in image})
+        c = self.field.from_int(-mu_size).i
+        return HeckeElt(self, {t.index: c for t in image})
 
     # -- multiplication ---------------------------------------------------------
 
     def basis_mul(self, x: ProPElt, y: ProPElt) -> dict:
-        """tau_x tau_y, peeling the last letter s off x: on ascent
-        tau_{n_s} tau_y = tau_{n_s y}, on descent |mu| sum_t tau_{t y}."""
-        key = (x, y)
+        """tau_x tau_y as index terms, peeling the last letter s off x: on
+        ascent tau_{n_s} tau_y = tau_{n_s y}, on descent |mu| sum_t tau_{t y}."""
+        key = (x.index, y.index)
         cached = self._mul_cache.get(key)
         if cached is not None:
             return cached
         g = self.group
         if x.w.length() == 0:
-            result = {g.mul(x, y): self.field.one()}
+            result = {g.mul(x, y).index: 1}
         else:
             s, xp = g.peel(x, self.word_tie)
             moved, translates = g.step(s, y)
@@ -216,19 +253,21 @@ class HeckeAlgebra:
                 result = self.basis_mul(xp, moved)
             else:
                 result = {}
-                c = self.field.from_int(g.aff_image(s)[1])
+                c = self.field.from_int(g.aff_image(s)[1]).i
                 for u in translates:
-                    accumulate(result, self.basis_mul(xp, u), c)
+                    accumulate(result, self.basis_mul(xp, u), c, self.field)
         self._mul_cache[key] = result
         return result
 
     def mul(self, x: HeckeElt, y: HeckeElt) -> HeckeElt:
         if x.space is not self or y.space is not self:
             raise GroupMismatchError(HeckeElt.mismatch)
+        field, elts = self.field, self.group.by_index
         out: dict = {}
         for gx, cx in x.terms.items():
+            ex, row = elts[gx], field._mul[cx]
             for gy, cy in y.terms.items():
-                accumulate(out, self.basis_mul(gx, gy), cx * cy)
+                accumulate(out, self.basis_mul(ex, elts[gy]), row[cy], field)
         return HeckeElt(self, out)
 
     # -- torus characters and idempotents ----------------------------------------
@@ -260,7 +299,7 @@ class HeckeAlgebra:
         for t in g.torus_elements():
             tinv = tuple((-e) % g.qm1 for e in t)
             terms[g.torus_elt(t)] = sign * self.chi_lambda(lam, tinv)
-        return HeckeElt(self, terms)
+        return self.elt(terms)
 
     def char_orbit(self, lam):
         """Orbit of a torus character exponent vector under the finite Weyl
@@ -308,13 +347,14 @@ class HeckeAlgebra:
         """The involutive algebra automorphism fixing all length-zero basis
         elements and sending tau_{n_s} to -tau_{n_s} - theta_s; on tau_g it
         is iota(tau_{g'}) (-tau_{n_s} - theta_s) with g = g' n_s peeled."""
+        elts = self.group.by_index
         out: dict = {}
         for g, c in x.terms.items():
-            accumulate(out, self._iota_basis(g).terms, c)
+            accumulate(out, self._iota_basis(elts[g]).terms, c, self.field)
         return HeckeElt(self, out)
 
     def _iota_basis(self, g: ProPElt) -> HeckeElt:
-        cached = self._iota_cache.get(g)
+        cached = self._iota_cache.get(g.index)
         if cached is not None:
             return cached
         if g.w.length() == 0:
@@ -323,12 +363,13 @@ class HeckeAlgebra:
             s, gp = self.group.peel(g, self.word_tie)
             factor = self.tau(self.group.lift_s(s)).scale(-1) - self.theta(s)
             result = self.mul(self._iota_basis(gp), factor)
-        self._iota_cache[g] = result
+        self._iota_cache[g.index] = result
         return result
 
     def J(self, x: HeckeElt) -> HeckeElt:
         """The anti-involution tau_g |-> tau_{g^{-1}}."""
-        return HeckeElt(self, {g.inv(): c for g, c in x.terms.items()})
+        elts = self.group.by_index
+        return HeckeElt(self, {elts[g].inv().index: c for g, c in x.terms.items()})
 
     # -- characters of H ----------------------------------------------------------
 
@@ -338,30 +379,31 @@ class HeckeAlgebra:
         On a length-l basis element the trivial character is 0 unless
         l = 0, and the sign character is (-1)^l; both send every
         length-zero tau to 1."""
-        total = self.field.zero()
-        if which == "triv":
-            for g, c in x.terms.items():
-                if g.w.length() == 0:
-                    total = total + c
-        elif which == "sign":
-            minus_one = self.field.from_int(-1)
-            for g, c in x.terms.items():
-                total = total + c * (minus_one ** g.w.length())
-        else:
+        if which not in ("triv", "sign"):
             raise ValueError("which must be 'triv' or 'sign'")
-        return total
+        elts, add, neg = self.group.by_index, self.field._add, self.field._neg
+        total = 0
+        for g, c in x.terms.items():
+            n = elts[g].w.length()
+            if which == "sign":
+                total = add[total][neg[c] if n % 2 else c]
+            elif n == 0:
+                total = add[total][c]
+        return self.field._elts[total]
 
     # -- filtration by length and graded eigencharacters -----------------------------
 
     def filtration_project(self, x: HeckeElt, n: int) -> HeckeElt:
         """Projection killing all terms of length < n."""
+        elts = self.group.by_index
         return HeckeElt(
-            self, {g: c for g, c in x.terms.items() if g.w.length() >= n}
+            self, {g: c for g, c in x.terms.items() if elts[g].w.length() >= n}
         )
 
     def grade_part(self, x: HeckeElt, n: int) -> HeckeElt:
+        elts = self.group.by_index
         return HeckeElt(
-            self, {g: c for g, c in x.terms.items() if g.w.length() == n}
+            self, {g: c for g, c in x.terms.items() if elts[g].w.length() == n}
         )
 
     def graded_support_char(self, lam, w: ProPElt, side: str) -> "AffineCharacter":

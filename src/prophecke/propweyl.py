@@ -38,18 +38,20 @@ Hecke product, iota, both actions on the top module and the coset calculus.
 
 Elements are hash-consed per group: ProPWeyl._interned maps each normal
 form (t, w0, mu) to its one ProPElt, so equal elements of one group are
-the same object.  An element's hash is its intern index (unique in the
-group, and consistent with the value equality __eq__ keeps), and its
-products (keyed by the right operand) and inverse are memoised on it for
-the lifetime of the group.  Two ProPWeyl built over one WeylGroup share
-no element.
+the same object.  Each element carries its intern index, ProPElt.index,
+and ProPWeyl.by_index maps the index back to the element; the index is
+the element's hash (unique in the group, and consistent with the value
+equality __eq__ keeps) and the key of every term in H and E.  An
+element's products (keyed by the right operand) and inverse are memoised
+on it for the lifetime of the group.  Two ProPWeyl built over one
+WeylGroup share no element.
 """
 
 from __future__ import annotations
 
 from .errors import DataIntegrityError, GroupMismatchError, TheoremViolationError
 from .rootdata import AffineRoot, dot
-from .weyl import ExtAffWeylElt, WeylGroup, _mat_vec
+from .weyl import ExtAffWeylElt, WeylGroup, _int_vector, _mat_vec
 
 
 class ProPWeyl:
@@ -59,6 +61,7 @@ class ProPWeyl:
         if q < 2:
             raise ValueError("q must be a prime power >= 2")
         self._interned = {}  # (t, w0, mu) -> its one ProPElt
+        self.by_index = []  # intern index -> ProPElt
         self.weyl = weyl
         self.rd = weyl.rd
         self.rank = weyl.rank
@@ -319,9 +322,10 @@ class ProPElt:
     """Normal-form element t . n(w) of the pro-p Weyl group.
 
     Interned: constructing (group, t, w) twice returns the same object,
-    so ProPWeyl.mul and ProPWeyl.inv memoise their results on it."""
+    so ProPWeyl.mul and ProPWeyl.inv memoise their results on it.  index
+    is its position in group.by_index."""
 
-    __slots__ = ("group", "t", "w", "_hash", "_prods", "_inv")
+    __slots__ = ("group", "t", "w", "index", "_prods", "_inv")
 
     def __new__(cls, group: ProPWeyl, t: tuple, w: ExtAffWeylElt):
         key = (t, w.w0, w.mu)
@@ -331,10 +335,11 @@ class ProPElt:
             self.group = group
             self.t = t
             self.w = w
-            self._hash = len(group._interned)
+            self.index = len(group.by_index)
             self._prods = {}  # right operand -> product
             self._inv = None
             group._interned[key] = self
+            group.by_index.append(self)
         return self
 
     def __eq__(self, other):
@@ -347,7 +352,7 @@ class ProPElt:
         )
 
     def __hash__(self):
-        return self._hash
+        return self.index
 
     @property
     def w0(self):
@@ -382,8 +387,12 @@ class ProPElt:
 
     @classmethod
     def from_json(cls, group: ProPWeyl, data) -> "ProPElt":
-        w = ExtAffWeylElt.from_json(group.weyl, data["w"])
-        return group.elt(data.get("torus", group.zero_t), w)
+        if not isinstance(data, dict) or "w" not in data:
+            raise ValueError(f"element must be a JSON object with a \"w\" field, got {data!r}")
+        t = data.get("torus", group.zero_t)
+        if not _int_vector(t, group.rank):
+            raise ValueError(f"element torus must be {group.rank} integers, got {t!r}")
+        return group.elt(t, ExtAffWeylElt.from_json(group.weyl, data["w"]))
 
     def __repr__(self):
         return f"g[t={list(self.t)}, {self.w!r}]"

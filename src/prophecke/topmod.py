@@ -11,6 +11,10 @@ trace whose kernel complements the one-dimensional trivial line when the
 length-zero subgroup is finite of invertible order, the inversion twist,
 the duality pairing against H, and the supersingularity audit of the
 trace kernel driven by the graded eigencharacters of the length filtration.
+
+Elements and action results are index terms, as in H: a dict from
+ProPElt.index to the FieldElt.i of a nonzero coefficient.  pairing and
+S_d return FieldElt.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .errors import (
     TheoremViolationError,
 )
 from .gf import FieldElt
-from .hecke import HeckeAlgebra, HeckeElt, SparseComb, accumulate, as_scalar
+from .hecke import HeckeAlgebra, HeckeElt, SparseComb, accumulate, index_terms
 from .propweyl import ProPElt
 
 
@@ -47,13 +51,13 @@ class TopModule:
     def phi(self, x: ProPElt) -> TopElt:
         if x.group is not self.group:
             raise GroupMismatchError("group element from different group data")
-        return TopElt(self, {x: self.field.one()})
+        return TopElt(self, {x.index: 1})
 
     def zero(self) -> TopElt:
         return TopElt(self, {})
 
     def elt(self, terms: dict) -> TopElt:
-        return TopElt(self, {g: as_scalar(self.field, c) for g, c in terms.items()})
+        return TopElt(self, index_terms(self, terms))
 
     # -- generator actions -------------------------------------------------------
 
@@ -64,29 +68,30 @@ class TopModule:
         moved, translates = g.step(s, u, side)
         if not translates:
             return {}
-        mu_c = self.field.from_int(g.aff_image(s)[1])
+        mu_c = self.field.from_int(g.aff_image(s)[1]).i
         # the torus translates differ from moved in their Weyl part
-        return {moved: self.field.one(), **dict.fromkeys(translates, mu_c)}
+        return {moved.index: 1, **{t.index: mu_c for t in translates}}
 
     def _act_basis(self, y: ProPElt, u: ProPElt, side: str) -> dict:
         """tau_y acting on phi_u, with y = y' n_s peeled: on the left
         tau_{y'} (tau_{n_s} phi_u), on the right (phi_u tau_{y'}) tau_{n_s}."""
-        key = (y, u, side)
+        key = (y.index, u.index, side)
         cached = self._act_cache.get(key)
         if cached is not None:
             return cached
-        g = self.group
+        g, field = self.group, self.field
         if y.w.length() == 0:
-            result = {g.mul(y, u) if side == "left" else g.mul(u, y): self.field.one()}
+            result = {(g.mul(y, u) if side == "left" else g.mul(u, y)).index: 1}
         else:
             s, yp = g.peel(y, self.hecke.word_tie)
+            elts = g.by_index
             result = {}
             if side == "left":
                 for v, c in self._apply_gen(s, u, side).items():
-                    accumulate(result, self._act_basis(yp, v, side), c)
+                    accumulate(result, self._act_basis(yp, elts[v], side), c, field)
             else:
                 for v, c in self._act_basis(yp, u, side).items():
-                    accumulate(result, self._apply_gen(s, v, side), c)
+                    accumulate(result, self._apply_gen(s, elts[v], side), c, field)
         self._act_cache[key] = result
         return result
 
@@ -99,37 +104,42 @@ class TopModule:
             raise GroupMismatchError("Hecke element from a different algebra")
         if x.space is not self:
             raise GroupMismatchError("top element from a different module")
+        field, elts = self.field, self.group.by_index
         out: dict = {}
         for y, cy in tau.terms.items():
+            ey, row = elts[y], field._mul[cy]
             for u, cu in x.terms.items():
-                accumulate(out, self._act_basis(y, u, side), cy * cu)
+                accumulate(out, self._act_basis(ey, elts[u], side), row[cu], field)
         return TopElt(self, out)
 
     # -- dualities ----------------------------------------------------------------
 
     def J_top(self, x: TopElt) -> TopElt:
         """Inversion relabeling phi_g |-> phi_{g^{-1}}."""
-        return TopElt(self, {g.inv(): c for g, c in x.terms.items()})
+        elts = self.group.by_index
+        return TopElt(self, {elts[g].inv().index: c for g, c in x.terms.items()})
 
     def pairing(self, x: TopElt, h: HeckeElt) -> FieldElt:
         """Dual-basis pairing sum_g x_g h_g."""
-        total = self.field.zero()
+        add, mul = self.field._add, self.field._mul
+        total = 0
         small, big = (
             (x.terms, h.terms) if len(x.terms) <= len(h.terms) else (h.terms, x.terms)
         )
         for g, c in small.items():
             d = big.get(g)
             if d is not None:
-                total = total + c * d
-        return total
+                total = add[total][mul[c][d]]
+        return self.field._elts[total]
 
     def S_d(self, x: TopElt) -> FieldElt:
         """Coordinate-sum trace; both H-actions push through it by the
         trivial character."""
-        total = self.field.zero()
+        add = self.field._add
+        total = 0
         for c in x.terms.values():
-            total = total + c
-        return total
+            total = add[total][c]
+        return self.field._elts[total]
 
     # -- the trivial line and its complement -----------------------------------------
 
@@ -145,7 +155,7 @@ class TopModule:
 
     def triv_line(self) -> TopElt:
         if self._triv_line is None:
-            terms = {x: self.field.one() for x in self.omega_tilde()}
+            terms = {x.index: 1 for x in self.omega_tilde()}
             self._triv_line = TopElt(self, terms)
         return self._triv_line
 

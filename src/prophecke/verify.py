@@ -81,11 +81,13 @@ def _report(ctx: Context, suite: str, cases: int, failures: list, **params) -> d
 
 
 def _scaled_combine(H, d, other, side):
-    """Multiply a coefficient dict by a basis element on one side."""
+    """Multiply index terms by a basis element on one side."""
+    elts = H.group.by_index
     out = {}
     for u, c in d.items():
+        u = elts[u]
         prods = H.basis_mul(u, other) if side == "right" else H.basis_mul(other, u)
-        accumulate(out, prods, c)
+        accumulate(out, prods, c, H.field)
     return out
 
 
@@ -448,7 +450,7 @@ def suite_cosets(ctx: Context, max_len: int | None = None):
         for w in basis:
             cases += 1
             sup = cosets_mod.support_mul(v, w)
-            prod = H.basis_mul(v, w)
+            prod = map(G.by_index.__getitem__, H.basis_mul(v, w))
             if not sup.issuperset(prod):
                 failures.append(f"Hecke support escapes coset union at ({v!r},{w!r})")
                 continue

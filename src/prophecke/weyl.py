@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GroupMismatchError, TheoremViolationError
+from .gf import _is_int
 from .rootdata import AffineRoot, RootDatum, dot
 
 # For infinite Omega, element enumeration uses the length-zero prefixes
@@ -387,10 +388,29 @@ class ExtAffWeylElt:
 
     @classmethod
     def from_json(cls, group: WeylGroup, data) -> "ExtAffWeylElt":
-        return group.from_word(data.get("w0_word", []), data.get("mu"))
+        if not isinstance(data, dict):
+            raise ValueError(f"element w must be a JSON object, got {data!r}")
+        word = data.get("w0_word", [])
+        gens = range(len(group.gen_index))
+        if not isinstance(word, (list, tuple)) or not all(
+            _is_int(i) and i in gens for i in word
+        ):
+            raise ValueError(
+                f"element w0_word must list simple reflection indices below "
+                f"{len(gens)}, got {word!r}"
+            )
+        mu = data.get("mu")
+        if mu is not None and not _int_vector(mu, group.rank):
+            raise ValueError(f"element mu must be {group.rank} integers, got {mu!r}")
+        return group.from_word(word, mu)
 
     def __repr__(self):
         return f"w[{'.'.join(map(str, self.group.words0[self.w0])) or 'e'}; {list(self.mu)}]"
+
+
+def _int_vector(v, n: int) -> bool:
+    """Whether v is a list or tuple of n integers."""
+    return isinstance(v, (list, tuple)) and len(v) == n and all(map(_is_int, v))
 
 
 def length_bruteforce(w: ExtAffWeylElt) -> int:

@@ -77,6 +77,37 @@ def test_mul_bad_input_exits_2(tmp_path, cfg, capsys):
     assert main(["mul", "--config", cfg, not_an_object, taus]) == 2
 
 
+def _term(coeff=(1,), torus=(0,), word=(0,), mu=(0,)):
+    w = {"w0_word": list(word), "mu": list(mu)}
+    return {"coeff": coeff if isinstance(coeff, str) else list(coeff),
+            "elt": {"torus": list(torus), "w": w}}
+
+
+@pytest.mark.parametrize(
+    "element,name",
+    [
+        ({"terms": 5}, "element terms"),
+        ({"terms": [{"coeff": [1]}]}, '"coeff" and "elt"'),
+        ({"terms": [_term(coeff="x")]}, "term coeff"),
+        ({"terms": [_term(mu=(0, 0))]}, "element mu"),
+        ({"terms": [_term(word=(5,))]}, "element w0_word"),
+        ({"terms": [_term(torus=(0, 0))]}, "element torus"),
+        ({"terms": [{"coeff": [1], "elt": {"torus": [0]}}]}, '"w" field'),
+    ],
+)
+def test_mul_malformed_element_names_the_field(tmp_path, cfg, capsys, element, name):
+    from prophecke import make_context
+    from prophecke.serial import elt_from_json
+
+    with pytest.raises(ValueError, match=name):
+        elt_from_json(make_context("SL2", 3).hecke, element)
+    bad = _write(tmp_path, "bad.json", element)
+    taus = _write(tmp_path, "taus.json", TAUS)
+    assert main(["mul", "--config", cfg, bad, taus]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+
+
 @pytest.mark.parametrize(
     "field,name",
     [

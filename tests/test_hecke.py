@@ -32,7 +32,7 @@ def test_theta_examples(sl2_q3, pgl2_q3):
     image, mu = G.coroot_image(G.weyl.s_aff[0].root)
     assert mu == 1 and len(image) == 2
     two = H.field.from_int(-1 * mu)  # -1 = 2 in F_3
-    assert th.terms == {G.torus_elt(t): two for t in image}
+    assert dict(th.items()) == {G.torus_elt(t): two for t in image}
     assert th * th == th
 
     Hp = pgl2_q3.hecke
@@ -48,7 +48,8 @@ def test_quadratic_relation_worked_example(sl2_q3):
     tbar = G.torus_elt((1,))
     assert sq == H.tau(ns) + H.tau(G.mul(tbar, ns))
     # no n_s^2 coset: its coefficient q vanishes in characteristic p
-    assert G.mul(ns, ns) not in sq.terms
+    assert sq.coeff(G.mul(ns, ns)).is_zero()
+    assert len(sq.terms) == 2
 
 
 @pytest.mark.parametrize(
@@ -207,8 +208,8 @@ def test_classify_per_component():
 def test_filtration_project(sl2_q3):
     H, G = sl2_q3.hecke, sl2_q3.group
     x = H.one() + H.tau(G.lift_s(0)) + H.tau(G.lift_w(G.weyl.translation((1,))))
-    assert set(g.w.length() for g in H.filtration_project(x, 1).terms) == {1, 2}
-    assert set(g.w.length() for g in H.filtration_project(x, 2).terms) == {2}
+    assert set(g.w.length() for g, _ in H.filtration_project(x, 1).items()) == {1, 2}
+    assert set(g.w.length() for g, _ in H.filtration_project(x, 2).items()) == {2}
     assert H.filtration_project(x, 3).is_zero()
 
 
@@ -245,7 +246,7 @@ def test_support_containment_and_length_bounds(sl2_q3):
     basis = basis_elements(G, 3)
     for v in basis:
         for w in basis:
-            prod = H.basis_mul(v, w)
+            prod = [G.by_index[u] for u in H.basis_mul(v, w)]
             sup = cosets.support_mul(v, w)
             assert sup.issuperset(prod)
             for u in prod:
