@@ -24,6 +24,7 @@ from .hecke import AffineCharacter
 from .propweyl import ProPElt, basis_elements
 from .serial import canonical_json, elt_from_json
 from .verify import SUITES, build_context, run_suite
+from .weyl import ExtAffWeylElt
 
 SEED_ENV = "PROPHECKE_SEED"
 
@@ -198,8 +199,7 @@ def cmd_coset(args) -> int:
             "index_w": cosets.index(ctx.group, w),
         }
     else:  # profile
-        elt = _load_json(args.a)
-        w = ctx.weyl.from_word(elt.get("w0_word", []), elt.get("mu"))
+        w = ExtAffWeylElt.from_json(ctx.weyl, _load_json(args.a))
         profile = cosets.g_profile(w)
         payload = {
             **profile.to_json(ctx.rd),

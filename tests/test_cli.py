@@ -281,6 +281,18 @@ def test_coset_profile_command(tmp_path, cfg, capsys):
     assert set(out["g"].values()) == {1}
 
 
+@pytest.mark.parametrize(
+    "elt,name",
+    [({"w0_word": [-1], "mu": [0]}, "element w0_word"),
+     ({"w0_word": [0], "mu": [0, 0]}, "element mu"),
+     ([0], "element w must be a JSON object")],
+)
+def test_coset_profile_malformed_element_names_the_field(tmp_path, cfg, capsys, elt, name):
+    w = _write(tmp_path, "w.json", elt)
+    assert main(["coset", "profile", "--config", cfg, w]) == 2
+    assert name in capsys.readouterr().err
+
+
 def test_coset_support_needs_two_files(tmp_path, cfg):
     w = _write(tmp_path, "w.json", {"torus": [0], "w": {"w0_word": [0], "mu": [0]}})
     assert main(["coset", "support", "--config", cfg, w]) == 2
