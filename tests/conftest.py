@@ -1,14 +1,47 @@
 import pytest
 
 from prophecke import make_context
+from prophecke.verify import build_context
 
 _CACHE = {}
+
+# Explicit data with every root listed.  PGL3 has Omega = Z/3; the other
+# two have an Omega with torsion and a free part (Z/2 x Z and Z/2 x Z^2),
+# which no preset has.
+EXPLICIT_GROUPS = {
+    "PGL3": {
+        "rank": 2,
+        "roots": [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-1, -1]],
+        "coroots": [[2, -1], [-2, 1], [-1, 2], [1, -2], [1, 1], [-1, -1]],
+        "simple": [0, 2],
+    },
+    "PGL2xGL2": {
+        "rank": 3,
+        "roots": [[1, 0, 0], [-1, 0, 0], [0, 1, -1], [0, -1, 1]],
+        "coroots": [[2, 0, 0], [-2, 0, 0], [0, 1, -1], [0, -1, 1]],
+        "simple": [0, 2],
+    },
+    "PGL2xGm2": {
+        "rank": 3,
+        "roots": [[1, 0, 0], [-1, 0, 0]],
+        "coroots": [[2, 0, 0], [-2, 0, 0]],
+        "simple": [0],
+    },
+}
 
 
 def get_context(group, p, f=1, m=None):
     key = (group, p, f, m)
     if key not in _CACHE:
         _CACHE[key] = make_context(group, p, f, m)
+    return _CACHE[key]
+
+
+def get_explicit_context(name):
+    """Context over GF(3) for one of EXPLICIT_GROUPS."""
+    key = ("explicit", name)
+    if key not in _CACHE:
+        _CACHE[key] = build_context({"group": EXPLICIT_GROUPS[name], "field": {"p": 3, "f": 1}})
     return _CACHE[key]
 
 
