@@ -267,9 +267,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except (
         ValueError,
-        KeyError,
-        IndexError,
-        TypeError,
         OSError,
         json.JSONDecodeError,
         GroupMismatchError,

@@ -191,19 +191,21 @@ class FieldSpec:
         if m is None:
             m = f
         _check_int("m", m)
-        if not is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
         if f < 1:
             raise ValueError("f must be >= 1")
         if m < 1 or m % f != 0:
             raise UnsupportedFieldError(
                 f"f = {f} must divide m = {m} so that F_q embeds in GF(p^m)"
             )
+        # Bounded before the primality scan and the power, which a large p
+        # or m would make run without end.
+        if p > _MAX_ORDER or m >= _MAX_ORDER.bit_length() or p**m > _MAX_ORDER:
+            raise ValueError(f"field of order {p}^{m} exceeds desk scale")
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
         self.p, self.f, self.m = p, f, m
         self.q = p**f
         self.order = p**m
-        if self.order > _MAX_ORDER:
-            raise ValueError(f"field of order {self.order} exceeds desk scale")
         if reduction_poly is None:
             poly = default_reduction_poly(p, m)
         else:

@@ -558,8 +558,7 @@ def suite_length_oracle(ctx: Context, max_len: int = 6):
             failures.append(f"closed form != scan at {w!r}")
         if w.length() != w.inv().length():
             failures.append(f"length(w) != length(w^-1) at {w!r}")
-    om = wg.omega()
-    omega_elts = om.elements if om.finite else om.window(1)
+    omega_elts = wg.omega().window(1)
     for w in ws[: 200]:
         for o1 in omega_elts:
             for o2 in omega_elts:

@@ -7,6 +7,12 @@ on affine roots, the length function, reduced words over the affine
 simple reflections, the length-zero subgroup Omega, and the parity
 invariant coupling negation-stable root orbits to length all live here.
 
+Omega is computed exactly, with no search: it is isomorphic to
+Lambda/Q-check, whose invariants and generator lifts come from the
+Smith normal form of the simple coroots, and the one length-zero
+element of the class of mu is the prefix of the reduced word of the
+translation t_mu.
+
 The length of (w0, mu) is computed per root alpha by counting the
 integers h for which (alpha, h) is a positive affine root sent negative;
 the closed form is validated against a brute-force scan at construction
@@ -26,6 +32,7 @@ measured.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product as iproduct
 
 from .errors import GroupMismatchError, TheoremViolationError
 from .gf import _is_int
@@ -150,8 +157,6 @@ class WeylGroup:
 
     def _sanity_check_length(self):
         box = [-2, -1, 0, 1, 2] if self.rank <= 2 else [-1, 0, 1]
-        from itertools import product as iproduct
-
         for w0 in range(self.order):
             for mu in iproduct(box, repeat=self.rank):
                 w = self.elt(w0, mu)
@@ -219,11 +224,7 @@ class WeylGroup:
         return out
 
     def _strata(self, n: int):
-        om = self.omega()
-        if om.finite:
-            zero = list(om.elements)
-        else:
-            zero = om.window(_OMEGA_WINDOW)
+        zero = self.omega().window(_OMEGA_WINDOW)
         strata = [zero]
         seen = set(zero)
         for ln in range(1, n + 1):
@@ -432,10 +433,12 @@ def length_bruteforce(w: ExtAffWeylElt) -> int:
 class OmegaGroup:
     """The abelian subgroup of length-zero elements, W = Omega x| W_aff.
 
-    For semisimple data the full element list is found by solving
-    length(w0 t_mu) = 0 over a coset box of Lambda modulo the coroot
-    lattice; otherwise generators of the free part are returned together
-    with finite=False.
+    Omega is isomorphic to Lambda/Q-check, and each class holds exactly
+    one length-zero element.  When the quotient is finite, elements
+    lists all of it, sorted by (w0, mu), and generators is its
+    non-identity elements.  Otherwise finite=False, elements is empty and
+    generators holds one element per invariant other than 1, torsion and
+    free alike, sorted by (sum |mu|, w0, mu).
     """
 
     group: WeylGroup
@@ -455,8 +458,6 @@ class OmegaGroup:
         [-width, width]; equals the full group when finite."""
         if self.finite:
             return list(self.elements)
-        from itertools import product as iproduct
-
         out = []
         seen = set()
         base = [g for g in self.generators]
@@ -473,14 +474,14 @@ class OmegaGroup:
 
 
 def _smith_normal_form(mat):
-    """Diagonal of an integer elimination of mat (list of rows), plus the
-    rank.  Row/column operations are unimodular, so the product of the
-    diagonal is the index of the column lattice and rank < #rows detects
-    an infinite quotient.  Fine at rank <= 3."""
+    """Diagonal d of an integer elimination of mat (list of rows), plus
+    U^-1, the inverse of its row operations U.  U mat V is diagonal for
+    some unimodular V, so Z^rows modulo the column lattice of mat is the
+    sum of Z/d_i and of one Z per row past d; column i of U^-1 lifts the
+    generator of the i-th summand."""
     A = [row[:] for row in mat]
-    if not A or not A[0]:
-        return [], 0
-    rows, cols = len(A), len(A[0])
+    rows, cols = len(A), len(A[0]) if A else 0
+    uinv = [[int(i == j) for j in range(rows)] for i in range(rows)]
 
     def find_pivot(r, c):
         piv, best = None, None
@@ -499,6 +500,8 @@ def _smith_normal_form(mat):
         while True:
             i, j = piv
             A[r], A[i] = A[i], A[r]
+            for row in uinv:
+                row[r], row[i] = row[i], row[r]
             for row in A:
                 row[c], row[j] = row[j], row[c]
             p = A[r][c]
@@ -507,6 +510,8 @@ def _smith_normal_form(mat):
                 if A[i][c]:
                     q = A[i][c] // p
                     A[i] = [x - q * y for x, y in zip(A[i], A[r])]
+                    for row in uinv:
+                        row[r] += q * row[i]
                     if A[i][c]:
                         clean = False
             for j in range(c + 1, cols):
@@ -522,73 +527,42 @@ def _smith_normal_form(mat):
         diag.append(abs(A[r][c]))
         r += 1
         c += 1
-    return diag, len(diag)
+    return diag, uinv
 
 
 def omega_group(weyl: WeylGroup) -> OmegaGroup:
+    """Omega from the Smith normal form of the simple coroots.  The
+    classes of U^-1 y are listed by 0 <= y_i < d_i when Omega is finite,
+    and generated by the unit vectors y = e_i with d_i != 1 otherwise;
+    each maps to the length-zero prefix of its translation, and of a
+    generator and its inverse the smaller by the sort key is kept."""
     rd = weyl.rd
     rank = weyl.rank
-    cols = [rd.coroots[i] for i in rd.simple]
-    mat = [[cols[j][i] for j in range(len(cols))] for i in range(rank)]
-    diag, rk = _smith_normal_form(mat)
-    finite = rk == rank
-    invariants = tuple(diag) + (0,) * (rank - rk)
-    order = 1
-    for d in diag:
-        order *= d
-    if finite:
-        for width in (2, 3, 4, 6):
-            found = _zero_length_box(weyl, width)
-            if len(found) == order:
-                elements = sorted(found, key=lambda w: (w.w0, w.mu))
-                gens = [w for w in elements if not w.is_identity()]
-                return OmegaGroup(weyl, True, invariants, elements, gens)
-        raise TheoremViolationError("could not enumerate Omega; box too small")
-    # infinite case: pick length-zero elements whose Lambda/Q-check classes
-    # generate the quotient (free part plus any torsion)
-    found = _zero_length_box(weyl, 2)
-    gens = _spanning_subset(weyl, found)
-    return OmegaGroup(weyl, False, invariants, [], gens)
+    mat = [[rd.coroots[j][i] for j in rd.simple] for i in range(rank)]
+    diag, uinv = _smith_normal_form(mat)
+    invariants = tuple(diag) + (0,) * (rank - len(diag))
 
+    def prefix(y):
+        """The length-zero element in the class of U^-1 y."""
+        return weyl.translation(_mat_vec(uinv, y)).reduced_word()[0]
 
-def _zero_length_box(weyl: WeylGroup, width: int):
-    from itertools import product as iproduct
+    if 0 not in invariants:
+        elements = sorted(
+            (prefix(y) for y in iproduct(*map(range, invariants))),
+            key=lambda w: (w.w0, w.mu),
+        )
+        gens = [w for w in elements if not w.is_identity()]
+        return OmegaGroup(weyl, True, invariants, elements, gens)
 
-    out = []
-    for w0 in range(weyl.order):
-        for mu in iproduct(range(-width, width + 1), repeat=weyl.rank):
-            w = weyl.elt(w0, mu)
-            if w.length() == 0:
-                out.append(w)
-    return out
+    def key(w):
+        return (sum(abs(c) for c in w.mu), w.w0, w.mu)
 
-
-def _spanning_subset(weyl: WeylGroup, zero_elements):
-    """Greedy generators of the group of length-zero elements: add an
-    element whenever it enlarges the subgroup generated so far inside a
-    bounded window of translation parts."""
     gens = []
-    span = {weyl.identity()}
-
-    def grow(limit=2000):
-        frontier = list(span)
-        while frontier and len(span) < limit:
-            nxt = []
-            for w in frontier:
-                for g in gens:
-                    for v in (w * g, w * g.inv()):
-                        if v not in span and max(
-                            (abs(c) for c in v.mu), default=0
-                        ) <= 4:
-                            span.add(v)
-                            nxt.append(v)
-            frontier = nxt
-
-    for w in sorted(zero_elements, key=lambda w: (sum(abs(c) for c in w.mu), w.w0, w.mu)):
-        if w not in span and not w.is_identity():
-            gens.append(w)
-            grow()
-    return gens
+    for i, d in enumerate(invariants):
+        if d != 1:
+            g = prefix(tuple(int(j == i) for j in range(rank)))
+            gens.append(min(g, g.inv(), key=key))
+    return OmegaGroup(weyl, False, invariants, [], sorted(gens, key=key))
 
 
 def lemma_even(w: ExtAffWeylElt):

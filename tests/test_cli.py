@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from prophecke import cli
 from prophecke.cli import main
 
 SL2_CFG = {"group": {"preset": "SL2"}, "field": {"p": 3, "f": 1, "m": 1}, "seed": 0}
@@ -116,6 +117,9 @@ def test_mul_malformed_element_names_the_field(tmp_path, cfg, capsys, element, n
         ({"p": 5, "f": None}, "field f"),
         ({"f": 1}, "field p"),
         ([3], "field must be a JSON object"),
+        ({"p": 2**61 - 1}, "exceeds desk scale"),
+        ({"p": 2, "m": 10**9}, "exceeds desk scale"),
+        ({"p": 2, "m": 13}, "exceeds desk scale"),
     ],
 )
 def test_malformed_field_exits_2_naming_it(tmp_path, capsys, field, name):
@@ -255,6 +259,15 @@ def test_export_topmod_table(tmp_path, cfg):
     assert main(["export", "topmod_table", "--config", cfg, "--max-len", "1", "--out", out]) == 0
     table = json.loads(open(out).read())
     assert table["rows"] and all("side" in r for r in table["rows"])
+
+
+def test_internal_error_is_not_exit_2(cfg, monkeypatch):
+    def broken(ctx, what, max_len):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "_export_payload", broken)
+    with pytest.raises(KeyError):
+        main(["export", "omega", "--config", cfg])
 
 
 def test_unknown_suite_usage_error(cfg):

@@ -1,15 +1,22 @@
 """Extended affine Weyl group: affine action, length, words, Omega, parity."""
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from prophecke.errors import GroupMismatchError
-from prophecke.rootdata import AffineRoot, preset
-from prophecke.weyl import WeylGroup, lemma_even, length_bruteforce, omega_group
+from prophecke.rootdata import PRESET_NAMES, AffineRoot, preset
+from prophecke.weyl import (
+    WeylGroup,
+    _smith_normal_form,
+    lemma_even,
+    length_bruteforce,
+    omega_group,
+)
 
-from conftest import get_context
+from conftest import EXPLICIT_GROUPS, get_context, get_explicit_context
 
 
 def wg(name):
@@ -112,9 +119,41 @@ def test_omega_groups():
     omg = omega_group(wg("GL2"))
     assert not omg.finite
     assert omg.invariants == (1, 0)
-    assert omg.generators and all(x.length() == 0 for x in omg.generators)
+    assert [(x.w0, x.mu) for x in omg.generators] == [(1, (-1, 0))]
+    assert [(x.w0, x.mu) for x in wg("GL3").omega().generators] == [(3, (0, 0, 1))]
     for name, order in [("SL3", 1), ("Sp4", 1), ("G2sc", 1), ("SL2xSL2", 1)]:
         assert wg(name).omega().order == order
+
+
+def _det(m):
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j in range(len(m))
+    )
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES + tuple(EXPLICIT_GROUPS))
+def test_omega_is_exact(name):
+    g = wg(name) if name in PRESET_NAMES else get_explicit_context(name).weyl
+    om = g.omega()
+    assert all(w.length() == 0 for w in om.elements + om.generators)
+    window = om.window(2)
+    if om.finite:
+        assert window == om.elements
+        assert len(set(om.elements)) == len(om.elements) == math.prod(om.invariants)
+        assert {a * b for a in om.elements for b in om.elements} <= set(om.elements)
+    for i in range(g.rank):
+        e = tuple(int(j == i) for j in range(g.rank))
+        assert g.translation(e).reduced_word()[0] in window
+    rd = g.rd
+    mat = [[rd.coroots[j][i] for j in rd.simple] for i in range(g.rank)]
+    diag, uinv = _smith_normal_form(mat)
+    assert abs(_det(uinv)) == 1
+    # d_i times the i-th generator's lift lies in the coroot lattice
+    for i, d in enumerate(diag):
+        assert g.translation([d * row[i] for row in uinv]).is_affine()
 
 
 def test_length_constant_on_omega_double_cosets():
