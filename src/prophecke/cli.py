@@ -156,10 +156,10 @@ def _export_payload(ctx, what: str, max_len: int):
             out["generators"] = [w.to_json() for w in om.generators]
         return out
     if what == "characters":
-        qm1 = max(G.qm1, 1)
+        lams = G.torus_elements()
         n_aff = len(G.weyl.s_aff)
         rows = []
-        for lam in iproduct(range(qm1), repeat=G.rank):
+        for lam in lams:
             for eps in iproduct((0, -1), repeat=n_aff):
                 try:
                     char = AffineCharacter(H, lam, eps)
@@ -167,7 +167,7 @@ def _export_payload(ctx, what: str, max_len: int):
                     continue
                 cls = H.classify_character(char)
                 rows.append({**char.to_json(), "class": cls.to_json()})
-        return {"rows": rows, "torus_characters": qm1**G.rank}
+        return {"rows": rows, "torus_characters": len(lams)}
     raise ValueError(f"unknown export {what!r}")
 
 

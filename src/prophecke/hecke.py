@@ -30,7 +30,10 @@ This module also carries the torus idempotents e_lambda and their
 central orbit sums, the involution iota, the inversion anti-involution,
 the trivial and sign characters, the length filtration, and the
 classifier for characters of the affine subalgebra (twisted trivial,
-twisted sign, supersingular).
+twisted sign, supersingular).  A character of T_q is its exponent
+vector lam against the fixed order-(q-1) generator of k^x, lam(t) =
+zeta^<lam, t>; the vectors are the tuples ProPWeyl.torus_elements
+lists, so the character group is iterated as the torus is.
 """
 
 from __future__ import annotations
@@ -203,7 +206,7 @@ class HeckeAlgebra:
         self._iota_cache: dict = {}
         zq1 = field.zeta_q()
         self._zeta_pow = [field.one()]
-        for _ in range(max(group.qm1 - 1, 0)):
+        for _ in range(group.qm1 - 1):
             self._zeta_pow.append(self._zeta_pow[-1] * zq1)
 
     # -- element constructors ----------------------------------------------------
@@ -221,9 +224,6 @@ class HeckeAlgebra:
 
     def one(self) -> HeckeElt:
         return self.tau(self.group.identity())
-
-    def tau_w(self, w: ExtAffWeylElt) -> HeckeElt:
-        return self.tau(self.group.lift_w(w))
 
     # -- structural generators -----------------------------------------------------
 
@@ -272,18 +272,9 @@ class HeckeAlgebra:
 
     # -- torus characters and idempotents ----------------------------------------
 
-    def torus_characters(self):
-        from itertools import product as iproduct
-
-        qm1 = self.group.qm1
-        return [
-            TorusCharacter(self, lam)
-            for lam in iproduct(range(qm1), repeat=self.group.rank)
-        ]
-
     def chi_lambda(self, lam, t) -> FieldElt:
         """Value of the torus character with exponent vector lam at t."""
-        e = dot(lam, t) % max(self.group.qm1, 1)
+        e = dot(lam, t) % self.group.qm1
         return self._zeta_pow[e]
 
     def e_lambda(self, lam) -> HeckeElt:
@@ -293,7 +284,7 @@ class HeckeAlgebra:
         odd rank this is the classical minus sign in front of the sum.
         Needs F_q inside k, which FieldSpec guarantees via f | m."""
         g = self.group
-        lam = tuple(e % max(g.qm1, 1) for e in lam)
+        lam = tuple(e % g.qm1 for e in lam)
         sign = self.field.from_int((-1) ** g.rank)
         terms = {}
         for t in g.torus_elements():
@@ -303,35 +294,16 @@ class HeckeAlgebra:
 
     def char_orbit(self, lam):
         """Orbit of a torus character exponent vector under the finite Weyl
-        group (acting by lambda |-> lambda o w^{-1})."""
-        g = self.group
-        wg = g.weyl
-        qm1 = max(g.qm1, 1)
-        lam = tuple(e % qm1 for e in lam)
-        seen = {lam}
-        frontier = [lam]
-        while frontier:
-            nxt = []
-            for l in frontier:
-                for w0 in wg.gen_index:
-                    Minv = wg.elements[wg.inv0[w0]]
-                    img = tuple(
-                        sum(Minv[i][j] * l[i] for i in range(g.rank)) % qm1
-                        for j in range(g.rank)
-                    )
-                    if img not in seen:
-                        seen.add(img)
-                        nxt.append(img)
-            frontier = nxt
-        return sorted(seen)
+        group (acting by lambda |-> lambda o w^{-1}), sorted."""
+        wg = self.group.weyl
+        return sorted({self.conj_char(wg.elt(w0), lam) for w0 in range(wg.order)})
 
     def conj_char(self, w: ExtAffWeylElt, lam):
         """Exponent vector of the conjugated character lambda o w^{-1}."""
         g = self.group
-        qm1 = max(g.qm1, 1)
         Minv = g.weyl.elements[g.weyl.inv0[w.w0]]
         return tuple(
-            sum(Minv[i][j] * lam[i] for i in range(g.rank)) % qm1
+            sum(Minv[i][j] * lam[i] for i in range(g.rank)) % g.qm1
             for j in range(g.rank)
         )
 
@@ -418,11 +390,9 @@ class HeckeAlgebra:
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
         g = self.group
-        qm1 = max(g.qm1, 1)
-        lam = tuple(e % qm1 for e in lam)
+        lam = tuple(e % g.qm1 for e in lam)
         m = w.w.length()
-        descent_side = "left" if side == "left" else "right"
-        descents = set(w.w.descents(descent_side))
+        descents = set(w.w.descents(side))
         eps = []
         for i, A in enumerate(g.weyl.s_aff):
             trivial = self._lam_trivial_on_image(lam, A.root)
@@ -455,8 +425,7 @@ class HeckeAlgebra:
         return char
 
     def _lam_trivial_on_image(self, lam, root_index: int) -> bool:
-        qm1 = max(self.group.qm1, 1)
-        return dot(lam, self.group.rd.coroots[root_index]) % qm1 == 0
+        return dot(lam, self.group.rd.coroots[root_index]) % self.group.qm1 == 0
 
     # -- classification of affine characters ----------------------------------------
 
@@ -464,7 +433,6 @@ class HeckeAlgebra:
         """Per irreducible component: is the restriction the twisted sign
         character, the twisted trivial character, or neither; supersingular
         means neither, on every component."""
-        char.validate()
         g = self.group
         rd = g.rd
         ncomp = rd.ncomp
@@ -487,23 +455,6 @@ class HeckeAlgebra:
         return CharacterClass(tuple(twisted_sign), tuple(twisted_trivial), ss)
 
 
-class TorusCharacter:
-    """Character of T_q with values in k, given by an exponent vector
-    against the fixed order-(q-1) generator of k^x."""
-
-    __slots__ = ("algebra", "lam")
-
-    def __init__(self, algebra: HeckeAlgebra, lam: tuple):
-        self.algebra = algebra
-        self.lam = lam
-
-    def __call__(self, t) -> FieldElt:
-        return self.algebra.chi_lambda(self.lam, t)
-
-    def __repr__(self):
-        return f"chi{list(self.lam)}"
-
-
 class AffineCharacter:
     """Character datum of the affine subalgebra: a torus character plus a
     value in {0, -1} at each affine simple reflection."""
@@ -511,9 +462,8 @@ class AffineCharacter:
     __slots__ = ("algebra", "lam", "eps")
 
     def __init__(self, algebra: HeckeAlgebra, lam, eps):
-        qm1 = max(algebra.group.qm1, 1)
         self.algebra = algebra
-        self.lam = tuple(e % qm1 for e in lam)
+        self.lam = tuple(e % algebra.group.qm1 for e in lam)
         self.eps = tuple(eps)
         self.validate()
 

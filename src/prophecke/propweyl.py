@@ -38,13 +38,12 @@ Hecke product, iota, both actions on the top module and the coset calculus.
 
 Elements are hash-consed per group: ProPWeyl._interned maps each normal
 form (t, w0, mu) to its one ProPElt, so equal elements of one group are
-the same object.  Each element carries its intern index, ProPElt.index,
-and ProPWeyl.by_index maps the index back to the element; the index is
-the element's hash (unique in the group, and consistent with the value
-equality __eq__ keeps) and the key of every term in H and E.  An
-element's products (keyed by the right operand) and inverse are memoised
-on it for the lifetime of the group.  Two ProPWeyl built over one
-WeylGroup share no element.
+the same object and equality is identity.  Each element carries its
+intern index, ProPElt.index, and ProPWeyl.by_index maps the index back
+to the element; the index is the element's hash (unique in the group)
+and the key of every term in H and E.  An element's products (keyed by
+the right operand) and inverse are memoised on it for the lifetime of
+the group.  Two ProPWeyl built over one WeylGroup share no element.
 """
 
 from __future__ import annotations
@@ -341,15 +340,6 @@ class ProPElt:
             group._interned[key] = self
             group.by_index.append(self)
         return self
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ProPElt)
-            and self.group is other.group
-            and self.t == other.t
-            and self.w0 == other.w0
-            and self.mu == other.mu
-        )
 
     def __hash__(self):
         return self.index

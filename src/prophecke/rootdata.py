@@ -17,6 +17,11 @@ from .gf import _is_int
 
 PRESET_NAMES = ("SL2", "PGL2", "GL2", "SL3", "GL3", "Sp4", "G2sc", "SL2xSL2")
 
+# Constructing the Weyl group checks the closed-form length on 3^rank
+# translations per finite element, so the rank is bounded at desk scale
+# (the presets go up to rank 3).
+_MAX_RANK = 4
+
 
 def dot(x, y) -> int:
     return sum(a * b for a, b in zip(x, y))
@@ -70,6 +75,8 @@ def _check_contents(rank, roots, coroots, simple):
     """Types and shapes of an explicit datum, each error naming its field."""
     if not _is_int(rank) or rank < 1:
         raise ValueError(f"group rank must be a positive integer, got {rank!r}")
+    if rank > _MAX_RANK:
+        raise ValueError(f"group rank {rank} exceeds desk scale (at most {_MAX_RANK})")
     for name, vecs in (("roots", roots), ("coroots", coroots)):
         if not isinstance(vecs, (list, tuple)) or not all(
             isinstance(v, (list, tuple)) and len(v) == rank and all(map(_is_int, v))
@@ -154,7 +161,6 @@ class RootDatum:
                 raise DataIntegrityError("root supported on several components")
             component_of.append(comps.pop())
         self.component_of = component_of
-        self.simple_component = comp_of_simple
 
     def _validate_reflections(self):
         for a, ac in zip(self.roots, self.coroots):

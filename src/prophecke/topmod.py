@@ -9,8 +9,8 @@ phi_g of tau_g, with the explicit generator actions
 letter off y and recursing, as H's product does; the coordinate-sum
 trace whose kernel complements the one-dimensional trivial line when the
 length-zero subgroup is finite of invertible order, the inversion twist,
-the duality pairing against H, and the supersingularity audit of the
-trace kernel driven by the graded eigencharacters of the length filtration.
+and the duality pairing against H.  The supersingularity audit of the
+trace kernel is the verify suite "supersingular".
 
 Elements and action results are index terms, as in H: a dict from
 ProPElt.index to the FieldElt.i of a nonzero coefficient.  pairing and
@@ -19,11 +19,7 @@ S_d return FieldElt.
 
 from __future__ import annotations
 
-from .errors import (
-    DecompositionUnavailableError,
-    GroupMismatchError,
-    TheoremViolationError,
-)
+from .errors import DecompositionUnavailableError, GroupMismatchError
 from .gf import FieldElt
 from .hecke import HeckeAlgebra, HeckeElt, SparseComb, accumulate, index_terms
 from .propweyl import ProPElt
@@ -173,77 +169,3 @@ class TopModule:
             )
         triv = line.scale(self.S_d(x) / c)
         return triv, x - triv
-
-    # -- supersingularity audit -------------------------------------------------------
-
-    def audit_supersingular_kernel(self, max_len: int) -> "AuditReport":
-        """For every grade 1..max_len, every torus character, and every
-        length-m class (plus grade 0 with nontrivial characters), verify
-        the graded eigencharacter on both sides and classify it; every
-        verdict must be supersingular for the report to pass.
-
-        Requires a semisimple simply connected group with irreducible root
-        system, where the trace kernel is exhausted by these classes."""
-        g = self.group
-        rd = g.rd
-        om = g.weyl.omega()
-        if rd.ncomp != 1 or not om.finite or om.order != 1:
-            raise ValueError(
-                "audit requires a simply connected group with irreducible root system"
-            )
-        H = self.hecke
-        entries = []
-        failures = []
-        chars = [c.lam for c in H.torus_characters()]
-        for m in range(0, max_len + 1):
-            ws = g.weyl.elements_of_length(m)
-            for w in ws:
-                lift = g.lift_w(w)
-                for lam in chars:
-                    if m == 0 and not any(lam):
-                        continue  # the trivial-character line, split off separately
-                    for side in ("left", "right"):
-                        entry = {
-                            "m": m,
-                            "lambda": list(lam),
-                            "w": w.to_json(),
-                            "side": side,
-                        }
-                        try:
-                            char = H.graded_support_char(lam, lift, side)
-                            cls = H.classify_character(char)
-                            entry["eps"] = list(char.eps)
-                            entry["verdict"] = (
-                                "supersingular"
-                                if cls.is_supersingular
-                                else "NOT-supersingular"
-                            )
-                            if not cls.is_supersingular:
-                                failures.append(entry)
-                        except TheoremViolationError as exc:
-                            entry["verdict"] = f"eigencheck-failed: {exc}"
-                            failures.append(entry)
-                        entries.append(entry)
-        return AuditReport(entries, failures)
-
-
-class AuditReport:
-    def __init__(self, entries, failures):
-        self.entries = entries
-        self.failures = failures
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    @property
-    def cases(self) -> int:
-        return len(self.entries)
-
-    def to_json(self):
-        return {
-            "cases": self.cases,
-            "ok": self.ok,
-            "failures": self.failures,
-            "entries": self.entries,
-        }

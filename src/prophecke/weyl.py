@@ -20,13 +20,12 @@ time and again, much harder, by the length_oracle test suite.
 
 Elements are hash-consed per group: WeylGroup._interned maps each normal
 form (w0, mu) to its one ExtAffWeylElt, so equal elements of one group
-are the same object.  An element's hash is its intern index (unique in
-the group, and consistent with the value equality __eq__ keeps), and
-its products (keyed by the right operand), inverse, length and reduced
-words (keyed by the tie rule) are memoised on it for the lifetime of the
-group.  The group-level _len_cache and _word_cache are still filled on
-every first computation, so their sizes count the distinct elements
-measured.
+are the same object and equality is identity.  An element's hash is its
+intern index (unique in the group), and its products (keyed by the
+right operand), inverse, length and reduced words (keyed by the tie
+rule) are memoised on it for the lifetime of the group.  The
+group-level _len_cache and _word_cache are still filled on every first
+computation, so their sizes count the distinct elements measured.
 """
 
 from __future__ import annotations
@@ -41,6 +40,11 @@ from .rootdata import AffineRoot, RootDatum, dot
 # For infinite Omega, element enumeration uses the length-zero prefixes
 # whose generator exponents lie in [-2, 2].
 _OMEGA_WINDOW = 2
+
+# The multiplication table and the cocycle of ProPWeyl hold |W0|^2
+# entries, and the construction-time checks grow with |W0| as well; the
+# largest finite Weyl group this library builds is B3's, of order 48.
+_MAX_W0_ORDER = 48
 
 
 def _mat_vec(M, v):
@@ -59,6 +63,14 @@ def _identity_matrix(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
+def _reflection_matrix(a, ac):
+    """Matrix on X_* of the reflection x |-> x - <x, a> ac."""
+    n = len(a)
+    return tuple(
+        tuple((1 if r == c else 0) - ac[r] * a[c] for c in range(n)) for r in range(n)
+    )
+
+
 class WeylGroup:
     """Finite Weyl group table plus the affine machinery built on it.
 
@@ -72,17 +84,8 @@ class WeylGroup:
         self._interned = {}  # (w0, mu) -> its one ExtAffWeylElt
         self.rd = rd
         self.rank = rd.rank
-        n = rd.rank
-        gens = []
-        for i in rd.simple:
-            a, ac = rd.roots[i], rd.coroots[i]
-            M = tuple(
-                tuple((1 if r == c else 0) - ac[r] * a[c] for c in range(n))
-                for r in range(n)
-            )
-            gens.append(M)
-        self.gen_matrices = gens
-        ident = _identity_matrix(n)
+        gens = [_reflection_matrix(rd.roots[i], rd.coroots[i]) for i in rd.simple]
+        ident = _identity_matrix(rd.rank)
         elements = [ident]
         index = {ident: 0}
         words = {0: ()}
@@ -97,11 +100,15 @@ class WeylGroup:
                         elements.append(M)
                         words[index[M]] = words[ei] + (gi,)
                         nxt.append(index[M])
+                        if len(elements) > _MAX_W0_ORDER:
+                            raise ValueError(
+                                f"finite Weyl group has more than {_MAX_W0_ORDER} "
+                                f"elements; exceeds desk scale"
+                            )
             frontier = nxt
         self.elements = elements
         self.index = index
         self.order = len(elements)
-        self.id_index = 0
         self.gen_index = [index[g] for g in gens]
 
         # Root permutations: the root paired with the image coroot
@@ -184,13 +191,8 @@ class WeylGroup:
 
     def affine_reflection(self, A: AffineRoot) -> "ExtAffWeylElt":
         """s_(alpha,h) = s_alpha composed with translation by h alpha-check."""
-        rd = self.rd
-        a, ac = rd.roots[A.root], rd.coroots[A.root]
-        n = self.rank
-        M = tuple(
-            tuple((1 if r == c else 0) - ac[r] * a[c] for c in range(n))
-            for r in range(n)
-        )
+        ac = self.rd.coroots[A.root]
+        M = _reflection_matrix(self.rd.roots[A.root], ac)
         return self.elt(self.index[M], tuple(A.h * c for c in ac))
 
     def aff_gen(self, i: int) -> "ExtAffWeylElt":
@@ -263,14 +265,6 @@ class ExtAffWeylElt:
             self._words = None  # tie rule -> reduced_word result
             group._interned[key] = self
         return self
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtAffWeylElt)
-            and self.group is other.group
-            and self.w0 == other.w0
-            and self.mu == other.mu
-        )
 
     def __hash__(self):
         return self._hash

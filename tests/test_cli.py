@@ -3,13 +3,20 @@
 import hashlib
 import json
 import os
+import time
 
 import pytest
 
 from prophecke import cli
 from prophecke.cli import main
+from prophecke.rootdata import _generate
 
 SL2_CFG = {"group": {"preset": "SL2"}, "field": {"p": 3, "f": 1, "m": 1}, "seed": 0}
+# Simply connected A4: |W0| = 120, past the bound on the finite Weyl group.
+A4_SC = _generate(
+    4, [(2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2)],
+    [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], None,
+).to_json()
 TAUS = {
     "terms": [
         {"coeff": [1], "elt": {"torus": [0], "w": {"w0_word": [0], "mu": [0]}}}
@@ -150,6 +157,8 @@ def test_malformed_field_exits_2_naming_it(tmp_path, capsys, field, name):
                     "simple": [5]}}, "group simple"),
         ({"group": {"rank": 2, "roots": [[2], [-2]], "coroots": [[1], [-1]],
                     "simple": [0]}}, "group roots"),
+        ({"group": {"rank": 5, "roots": [], "coroots": [], "simple": []}}, "group rank"),
+        ({"group": A4_SC}, "Weyl group"),
     ],
 )
 def test_malformed_config_exits_2_naming_it(tmp_path, capsys, monkeypatch, config, name):
@@ -157,7 +166,9 @@ def test_malformed_config_exits_2_naming_it(tmp_path, capsys, monkeypatch, confi
     if isinstance(config, dict):
         config = {**SL2_CFG, **config}
     path = _write(tmp_path, "bad_config.json", config)
+    start = time.perf_counter()
     assert main(["verify", "assoc", "--config", path]) == 2
+    assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and name in err
 

@@ -8,6 +8,7 @@ import pytest
 from prophecke.errors import GroupMismatchError, TheoremViolationError
 from prophecke.hecke import AffineCharacter
 from prophecke.propweyl import basis_elements
+from prophecke.rootdata import PRESET_NAMES
 
 from conftest import get_context
 
@@ -80,7 +81,7 @@ def test_assoc_random_other_residue_sizes(p, f, m):
 
 def test_e_lambda_family(sl2_q3):
     H, G = sl2_q3.hecke, sl2_q3.group
-    es = {c.lam: H.e_lambda(c.lam) for c in H.torus_characters()}
+    es = {la: H.e_lambda(la) for la in G.torus_elements()}
     total = H.zero()
     for e in es.values():
         total = total + e
@@ -102,10 +103,9 @@ def test_e_lambda_family(sl2_q3):
 
 def test_conjugation_rule(sl3_q3):
     H, G = sl3_q3.hecke, sl3_q3.group
-    lams = [c.lam for c in H.torus_characters()]
     for w in G.weyl.elements_up_to_length(2):
         tw = H.tau(G.lift_w(w))
-        for la in lams:
+        for la in G.torus_elements():
             assert tw * H.e_lambda(la) == H.e_lambda(H.conj_char(w, la)) * tw
 
 
@@ -117,6 +117,37 @@ def test_e_gamma_central(sl3_q3):
         eg = H.e_gamma(la)
         for x in gens:
             assert eg * x == x * eg
+
+
+def _orbit_by_generators(H, lam):
+    """Reference orbit of a character exponent vector: closure under the
+    simple reflections, one generator step at a time."""
+    g, wg = H.group, H.group.weyl
+    lam = tuple(e % g.qm1 for e in lam)
+    seen = {lam}
+    frontier = [lam]
+    while frontier:
+        nxt = []
+        for l in frontier:
+            for w0 in wg.gen_index:
+                Minv = wg.elements[wg.inv0[w0]]
+                img = tuple(
+                    sum(Minv[i][j] * l[i] for i in range(g.rank)) % g.qm1
+                    for j in range(g.rank)
+                )
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (2, 2), (5, 1)])
+@pytest.mark.parametrize("group", PRESET_NAMES)
+def test_char_orbit_matches_generator_closure(group, p, f):
+    H = get_context(group, p, f).hecke
+    for lam in H.group.torus_elements():
+        assert H.char_orbit(lam) == _orbit_by_generators(H, lam)
 
 
 def test_iota(sl2_q3):

@@ -22,3 +22,47 @@ def test_no_assert_or_bare_assertion_error():
             ):
                 offences.append(f"{path.name}:{node.lineno}")
     assert not offences, offences
+
+
+def _definitions(tree):
+    """(name, line) of every function or class defined, and of every
+    attribute stored on an object, dunders excepted."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = node.name
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            name = node.attr
+        else:
+            continue
+        if not (name.startswith("__") and name.endswith("__")):
+            yield name, node.lineno
+
+
+def _loads(tree):
+    """Every name, attribute, import alias and string constant read."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_no_unreferenced_definitions():
+    """Every function, class and stored attribute of the package is read
+    somewhere in the package, the tests or the benchmark; a string
+    constant counts, since getattr and patching name attributes so."""
+    repo = Path(__file__).resolve().parents[1]
+    loaded = set()
+    for top in ("src", "tests", "perfbench"):
+        for path in (repo / top).rglob("*.py"):
+            loaded.update(_loads(ast.parse(path.read_text(), filename=str(path))))
+    unread = []
+    for path in sorted(Path(prophecke.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        unread += [f"{path.name}:{line} {name}" for name, line in _definitions(tree)
+                   if name not in loaded]
+    assert not unread, unread

@@ -6,6 +6,7 @@ import pytest
 
 from prophecke.errors import DecompositionUnavailableError, GroupMismatchError
 from prophecke.propweyl import basis_elements
+from prophecke.verify import run_suite
 
 from conftest import get_context
 
@@ -168,24 +169,24 @@ def test_module_respects_quadratic(sl3_q3):
 
 
 def test_audit_example_entries(sl2_q3):
-    rep = sl2_q3.top.audit_supersingular_kernel(2)
-    assert rep.ok
+    rep = run_suite(sl2_q3, "supersingular", max_len=2)
+    assert rep["failures"] == [] and rep["cases"] == len(rep["entries"])
     # m=1, trivial character, w = s: descent at s, ascent elsewhere
     hits = [
         e
-        for e in rep.entries
+        for e in rep["entries"]
         if e["m"] == 1 and e["lambda"] == [0] and e["side"] == "left"
     ]
     assert hits and all(e["verdict"] == "supersingular" for e in hits)
     assert any(e["eps"] == [-1, 0] or e["eps"] == [0, -1] for e in hits)
     # m=0 entries exist only for nontrivial characters
-    zero_grade = [e for e in rep.entries if e["m"] == 0]
+    zero_grade = [e for e in rep["entries"] if e["m"] == 0]
     assert zero_grade and all(e["lambda"] != [0] for e in zero_grade)
 
 
 def test_audit_rejects_non_simply_connected(pgl2_q3):
     with pytest.raises(ValueError):
-        pgl2_q3.top.audit_supersingular_kernel(1)
+        run_suite(pgl2_q3, "supersingular", max_len=1)
 
 
 def test_top_elt_json(sl2_q3):
