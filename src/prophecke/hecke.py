@@ -15,7 +15,9 @@ An element of H or E is a SparseComb whose terms are a dict from the
 intern index of a basis element (ProPElt.index) to the index of its
 nonzero coefficient in the field tables (FieldElt.i); basis_mul and the
 top-module actions return such dicts too, and accumulate adds them up
-through the rows of the field's addition and multiplication tables.
+through the rows of the field's addition and multiplication tables.  An
+element adopts the dict it is built from, uncopied and unfiltered;
+SparseComb states what that asks of producers and callers.
 ProPElt and FieldElt appear only at the boundary: the constructors
 (elt, tau, theta, e_lambda), coeff, items, to_json, repr, and the
 scalar-valued functions (chi_eval here, pairing and S_d on E).
@@ -76,12 +78,15 @@ def as_scalar(field: FieldSpec, c) -> FieldElt:
 
 
 def index_terms(space, terms: dict) -> dict:
-    """{ProPElt: scalar} to the index form of SparseComb.terms."""
+    """{ProPElt: scalar} to the index form of SparseComb.terms, dropping
+    zero scalars."""
     out = {}
     for g, c in terms.items():
         if g.group is not space.group:
             raise GroupMismatchError("group element from different group data")
-        out[g.index] = as_scalar(space.field, c).i
+        i = as_scalar(space.field, c).i
+        if i:
+            out[g.index] = i
     return out
 
 
@@ -89,6 +94,13 @@ class SparseComb:
     """Finitely supported k-linear combination of basis symbols indexed by
     pro-p Weyl group elements, living in a fixed space (H or E).  terms
     maps ProPElt.index to the nonzero FieldElt.i of its coefficient.
+
+    The element adopts the terms dict it is built from, without copying
+    or filtering it: the producer must hold no zero coefficient in it,
+    and no one may mutate it afterwards, nor hand in a dict a memo still
+    holds.  Every producer here builds a fresh dict; index_terms and
+    scale drop the zeros they can make, accumulate drops cancelled
+    terms, and theta's -|mu| is nonzero because |mu| = 2 needs odd q.
 
     Subclasses name the basis symbol, say whether to_json carries it as a
     "basis" tag, and give the error text for operands of different spaces.
@@ -101,7 +113,7 @@ class SparseComb:
 
     def __init__(self, space, terms: dict):
         self.space = space
-        self.terms = {g: c for g, c in terms.items() if c}
+        self.terms = terms
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -135,7 +147,10 @@ class SparseComb:
         return type(self)(self.space, {g: neg[c] for g, c in self.terms.items()})
 
     def scale(self, c):
-        row = self.space.field._mul[as_scalar(self.space.field, c).i]
+        c = as_scalar(self.space.field, c).i
+        if not c:
+            return type(self)(self.space, {})
+        row = self.space.field._mul[c]
         return type(self)(self.space, {g: row[d] for g, d in self.terms.items()})
 
     def __eq__(self, other):

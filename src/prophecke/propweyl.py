@@ -44,6 +44,11 @@ to the element; the index is the element's hash (unique in the group)
 and the key of every term in H and E.  An element's products (keyed by
 the right operand) and inverse are memoised on it for the lifetime of
 the group.  Two ProPWeyl built over one WeylGroup share no element.
+
+The action of the finite Weyl group on T_q, which every product and
+inverse computed afresh needs, is memoised per group too: one dict per
+finite Weyl element, filled on first use, so the memo holds at most
+|W0| |T_q| entries (96 for SL3 over GF(5)).
 """
 
 from __future__ import annotations
@@ -69,6 +74,8 @@ class ProPWeyl:
         # exponent of -1 in F_q^x (0 when q is even, since then -1 = 1)
         self.neg_one_exp = (q - 1) // 2 if q % 2 == 1 else 0
         self.zero_t = (0,) * self.rank
+        # per finite Weyl index: torus vector -> its image, filled on demand
+        self._torus_actions = [{} for _ in range(weyl.order)]
         self._cocycle = self._build_cocycle()
         self._lift_cache = {}
         self._mrep_cache = {}
@@ -97,9 +104,15 @@ class ProPWeyl:
         return list(iproduct(range(self.qm1), repeat=self.rank))
 
     def torus_action(self, w0: int, t) -> tuple:
-        """Action on T_q of the finite Weyl element with index w0."""
-        M = self.weyl.elements[w0]
-        return tuple(e % self.qm1 for e in _mat_vec(M, t))
+        """Action on T_q of the finite Weyl element with index w0, on a
+        reduced torus vector t.  Memoised: the same tuple comes back for
+        the same (w0, t), and the memo holds at most |W0| |T_q| entries."""
+        acts = self._torus_actions[w0]
+        out = acts.get(t)
+        if out is None:
+            M = self.weyl.elements[w0]
+            out = acts[t] = tuple(e % self.qm1 for e in _mat_vec(M, t))
+        return out
 
     def coroot_torus(self, root_index: int, e: int = 1) -> tuple:
         ac = self.rd.coroots[root_index]

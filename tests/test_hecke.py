@@ -299,3 +299,44 @@ def test_field_group_q_mismatch():
     G = get_context("SL2", 3).group
     with pytest.raises(GroupMismatchError):
         HeckeAlgebra(G, FieldSpec(5))
+
+
+def test_elements_own_their_terms(sl2_q3):
+    """Zero coefficients are dropped by their producers, and no result
+    shares its terms dict with a memo: clearing one result's terms leaves
+    an identical second call unchanged."""
+    from prophecke.serial import elt_from_json
+
+    H, G, E = sl2_q3.hecke, sl2_q3.group, sl2_q3.top
+    g, ns = G.torus_elt((1,)), G.lift_s(0)
+    zeros = [
+        H.elt({g: 0}),
+        E.elt({g: 0}),
+        (H.tau(ns) + H.tau(g)).scale(0),
+        E.phi(ns).scale(0),
+        elt_from_json(H, {"terms": [{"coeff": 3, "elt": ns.to_json()}]}),
+    ]
+    for z in zeros:
+        assert z.is_zero() and z.terms == {}
+
+    x, y = H.tau(ns), H.tau(ns) + H.tau(g).scale(2)
+    ph = E.phi(ns) + E.phi(G.identity())
+    calls = {
+        "mul": lambda: H.mul(x, x),
+        "mul dense": lambda: y * y,
+        "act left": lambda: E.act(x, E.phi(ns), "left"),
+        "act right": lambda: E.act(x, E.phi(ns), "right"),
+        "act dense": lambda: E.act(y, ph, "left"),
+        "iota": lambda: H.iota(x),
+        "iota dense": lambda: H.iota(y),
+        "J": lambda: H.J(y),
+        "+": lambda: x + y,
+        "-": lambda: y - x,
+        "scale": lambda: y.scale(2),
+    }
+    for name, call in calls.items():
+        first = call()
+        want = dict(first.terms)
+        assert want, name
+        first.terms.clear()
+        assert call().terms == want, name

@@ -6,7 +6,7 @@ import pytest
 
 from prophecke.errors import GroupMismatchError
 from prophecke.propweyl import basis_elements
-from prophecke.rootdata import AffineRoot
+from prophecke.rootdata import PRESET_NAMES, AffineRoot
 
 from conftest import get_context
 
@@ -381,3 +381,22 @@ def test_suite_dict_probes_never_call_eq(monkeypatch):
     rep = run_suite(ctx, "assoc", max_len=1)
     assert not rep["failures"] and rep["cases"] > 0
     assert calls[0] == 0
+
+
+# -- the torus-action memo ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_torus_action_memo(name, q):
+    """Every (w0, t) against the matrix action reduced mod q - 1; a repeat
+    returns the memoised tuple, and the memo stays within |W0| |T_q|."""
+    from prophecke.weyl import _mat_vec
+
+    G = grp(name, q)
+    for w0, M in enumerate(G.weyl.elements):
+        for t in G.torus_elements():
+            first = G.torus_action(w0, t)
+            assert first == tuple(e % G.qm1 for e in _mat_vec(M, t)), (w0, t)
+            assert G.torus_action(w0, t) is first
+    assert sum(map(len, G._torus_actions)) <= G.weyl.order * G.qm1 ** G.rank

@@ -207,3 +207,57 @@ def test_hecke_and_top_elements_do_not_mix(sl2_q3):
             a + b
         with pytest.raises(GroupMismatchError):
             a - b
+
+
+def _broken_apply_gen(fault):
+    """TopModule._apply_gen with one fault: "left" or "right" drops the
+    |mu| translates on that side; "ascent" lets a right ascent move phi_u
+    instead of annihilating it."""
+
+    def apply_gen(self, s, u, side):
+        g = self.group
+        moved, translates = g.step(s, u, side)
+        if not translates:
+            return {moved.index: 1} if fault == "ascent" and side == "right" else {}
+        if fault == side:
+            return {moved.index: 1}
+        mu_c = self.field.from_int(g.aff_image(s)[1]).i
+        return {moved.index: 1, **{t.index: mu_c for t in translates}}
+
+    return apply_gen
+
+
+# (group, fault) -> (failure count, SHA-256 of the canonical JSON of the
+# failure list) of "bimodule" at max_len 1 over GF(3).  They were recorded
+# while the suite recomputed each generator's action for every partner
+# generator, so computing it once must find the same failures in the same
+# order.
+BROKEN_BIMODULE = {
+    ("SL2", "left"): (12,
+        "351357f59458b048be953262e742897075a57676d8f453093d9f779503d4cc6a"),
+    ("SL2", "right"): (12,
+        "45f0e23aa1862caefd58203c2bcab096987577ba07a0f7fe73869b08bb9c5d7f"),
+    ("SL2", "ascent"): (32,
+        "a542290ff27b96ad7c5fc05aa8ced556b3dfc14ebceacfaf2bc9a2012b3d8dbc"),
+    ("SL3", "left"): (36,
+        "4827f40be926497ec34900b086e333e4e748f5121b0fb0495d92c90a250886f1"),
+    ("SL3", "right"): (36,
+        "dffd0729db9669a0a9ba9587d2734205ef27240afeb2247bcbff542bfc8b6981"),
+    ("SL3", "ascent"): (120,
+        "630ce9b5dadc9e976af1e9a68ce7e7890b7bee4cff0e222df801c6ae56d31833"),
+}
+
+
+@pytest.mark.parametrize("group,fault", list(BROKEN_BIMODULE))
+def test_bimodule_catches_broken_actions(monkeypatch, group, fault):
+    import hashlib
+
+    from prophecke import make_context
+    from prophecke.serial import canonical_json
+    from prophecke.topmod import TopModule
+
+    monkeypatch.setattr(TopModule, "_apply_gen", _broken_apply_gen(fault))
+    ctx = make_context(group, 3)  # fresh: the broken actions fill its memo
+    failures = run_suite(ctx, "bimodule", max_len=1)["failures"]
+    digest = hashlib.sha256(canonical_json(failures).encode()).hexdigest()
+    assert (len(failures), digest) == BROKEN_BIMODULE[group, fault]
