@@ -349,7 +349,10 @@ class HeckeAlgebra:
         else:
             s, gp = self.group.peel(g, self.word_tie)
             factor = self.tau(self.group.lift_s(s)).scale(-1) - self.theta(s)
-            result = self.mul(self._iota_basis(gp), factor)
+            product = self.mul(self._iota_basis(gp), factor)
+            # The memo keeps a compacted copy: the dict mul built still
+            # holds the table slots of the terms that cancelled.
+            result = HeckeElt(self, dict(product.terms))
         self._iota_cache[g.index] = result
         return result
 

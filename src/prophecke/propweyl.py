@@ -145,7 +145,7 @@ class ProPWeyl:
         rd = self.rd
         order = wg.order
         e_neg = self.neg_one_exp
-        pos = set(rd.positive_roots())
+        positive = rd.positive
         table = [[None] * order for _ in range(order)]
         for u in range(order):
             for v in range(order):
@@ -153,7 +153,7 @@ class ProPWeyl:
                 cur = u
                 for gi in wg.words0[v]:
                     root = rd.simple[gi]
-                    descended = wg.root_perm[cur][root] not in pos
+                    descended = not positive[wg.root_perm[cur][root]]
                     cur = wg.mult[cur][wg.gen_index[gi]]
                     if descended:
                         corr = self.coroot_torus(root, e_neg)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import DataIntegrityError
 from .gf import _is_int
@@ -24,7 +25,7 @@ _MAX_RANK = 4
 
 
 def dot(x, y) -> int:
-    return sum(a * b for a, b in zip(x, y))
+    return sum(map(mul, x, y))
 
 
 @dataclass(frozen=True)
@@ -132,6 +133,9 @@ class RootDatum:
                 raise ValueError(f"root {v} has mixed-sign expansion {coeffs}")
             exps.append(coeffs)
         self.expansions = exps
+        # A root is positive when its expansion has a positive coefficient;
+        # read by every length, descent and positivity test.
+        self.positive = tuple(any(c > 0 for c in exp) for exp in exps)
 
     def _compute_components(self):
         ns = len(self.simple)
@@ -178,11 +182,10 @@ class RootDatum:
         return self._index[tuple(-c for c in self.roots[i])]
 
     def is_positive_root(self, i: int) -> bool:
-        exp = self.expansions[i]
-        return any(c > 0 for c in exp)
+        return self.positive[i]
 
     def positive_roots(self):
-        return [i for i in range(len(self.roots)) if self.is_positive_root(i)]
+        return [i for i, p in enumerate(self.positive) if p]
 
     def cartan_matrix(self):
         return [
@@ -220,7 +223,7 @@ class RootDatum:
         linear part is a positive root."""
         if A.h != 0:
             return A.h > 0
-        return self.is_positive_root(A.root)
+        return self.positive[A.root]
 
     def pi_aff(self):
         """Affine base: the finite base, then (m_c, 1) for the minimal root

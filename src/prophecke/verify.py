@@ -308,8 +308,9 @@ def suite_bimodule(ctx: Context, max_len: int | None = None):
     """Top-module bimodule axioms for generator pairs against the phi
     basis, plus the relations-respected checks (quadratic and braid acting
     on the module).  Each generator's left and right action on each phi
-    is computed once, before the pairs are checked."""
-    G, H, E = ctx.group, ctx.hecke, ctx.top
+    is computed once, before the pairs and the quadratic relations are
+    checked."""
+    G, E = ctx.group, ctx.top
     max_len = ctx.max_len if max_len is None else max_len
     failures = []
     cases = 0
@@ -330,14 +331,16 @@ def suite_bimodule(ctx: Context, max_len: int | None = None):
                 if E.act(y, left[i][k], "right") != E.act(x, right[j][k], "left"):
                     failures.append("left/right compatibility fails")
 
+    # The simple-reflection generators come first in gens, so row s holds
+    # t = gens[s] acting on every phi.
     for s in range(len(G.weyl.s_aff)):
-        t = H.tau(G.lift_s(s))
+        t = gens[s]
         rel = t * t  # equals -theta tau_ns in H
-        for ph in phis:
+        for k, ph in enumerate(phis):
             cases += 2
-            if E.act(t, E.act(t, ph, "left"), "left") != E.act(rel, ph, "left"):
+            if E.act(t, left[s][k], "left") != E.act(rel, ph, "left"):
                 failures.append(f"quadratic relation on module fails at s={s}")
-            if E.act(t, E.act(t, ph, "right"), "right") != E.act(rel, ph, "right"):
+            if E.act(t, right[s][k], "right") != E.act(rel, ph, "right"):
                 failures.append(f"right quadratic relation on module fails at s={s}")
     return _report(ctx, "bimodule", cases, failures, max_len=max_len)
 

@@ -130,9 +130,9 @@ class WeylGroup:
                 if self.mult[i][j] == 0:
                     self.inv0[i] = j
                     break
-        pos = set(rd.positive_roots())
+        positive, pos = rd.positive, rd.positive_roots()
         self.length0 = [
-            sum(1 for j in pos if perm[j] not in pos) for perm in self.root_perm
+            sum(1 for j in pos if not positive[perm[j]]) for perm in self.root_perm
         ]
         # canonical finite reduced words by smallest-descent stripping
         self.words0 = [self._canonical_word0(i) for i in range(self.order)]
@@ -148,13 +148,13 @@ class WeylGroup:
 
     def _canonical_word0(self, ei):
         word = []
-        pos = set(self.rd.positive_roots())
+        positive = self.rd.positive
         cur = ei
         while self.length0[cur] > 0:
             for gi, si in enumerate(self.gen_index):
                 # right descent: cur sends alpha_gi negative
                 root = self.rd.simple[gi]
-                if self.root_perm[cur][root] not in pos:
+                if not positive[self.root_perm[cur][root]]:
                     word.insert(0, gi)
                     cur = self.mult[cur][si]
                     break
@@ -313,13 +313,16 @@ class ExtAffWeylElt:
             return self._len
         g = self.group
         key = (self.w0, self.mu)
-        rd = g.rd
+        positive = g.rd.positive
         perm = g.root_perm[self.w0]
+        mu = self.mu
         total = 0
-        for i in range(len(rd.roots)):
-            delta_src = 0 if rd.is_positive_root(i) else 1
-            delta_img = 0 if rd.is_positive_root(perm[i]) else 1
-            total += max(0, delta_img - delta_src + dot(self.mu, rd.roots[i]))
+        for i, alpha in enumerate(g.rd.roots):
+            # With delta 1 on a negative root and 0 on a positive one, the
+            # h with (alpha, h) positive and sent negative number
+            # delta_img - delta_src + <mu, alpha>, when that is positive;
+            # delta_img - delta_src is positive[i] - positive[perm[i]].
+            total += max(0, positive[i] - positive[perm[i]] + dot(mu, alpha))
         # The group-level cache is kept filled alongside, for its size.
         self._len = g._len_cache[key] = total
         return total
@@ -410,15 +413,24 @@ def _int_vector(v, n: int) -> bool:
 
 def length_bruteforce(w: ExtAffWeylElt) -> int:
     """Independent oracle: scan all (alpha, h) with |h| <= max|<mu,alpha>| + 1
-    and count positive affine roots sent negative."""
-    g = w.group
-    rd = g.rd
-    bound = max((abs(dot(w.mu, a)) for a in rd.roots), default=0) + 1
+    and count positive affine roots sent negative.
+
+    w sends (alpha, h) to (w0(alpha), h + c) with (w0(alpha), c) the image
+    of (alpha, 0), so each root's image is taken once through act_affine
+    and the walk over h tests positivity on plain integers, as
+    RootDatum.is_positive_affine does: h > 0, or h = 0 and the root is
+    positive."""
+    positive = w.group.rd.positive
+    images = [w.act_affine(AffineRoot(i, 0)) for i in range(len(positive))]
+    bound = max((abs(B.h) for B in images), default=0) + 1
     count = 0
-    for i in range(len(rd.roots)):
+    for i, B in enumerate(images):
+        src_positive, img_positive, shift = positive[i], positive[B.root], B.h
         for h in range(-bound, bound + 1):
-            A = AffineRoot(i, h)
-            if rd.is_positive_affine(A) and not rd.is_positive_affine(w.act_affine(A)):
+            k = h + shift
+            if (h > 0 or (h == 0 and src_positive)) and not (
+                k > 0 or (k == 0 and img_positive)
+            ):
                 count += 1
     return count
 

@@ -5,9 +5,11 @@ from prophecke.verify import build_context
 
 _CACHE = {}
 
-# Explicit data with every root listed.  PGL3 has Omega = Z/3; the other
+# Explicit data with every root listed.  PGL3 has Omega = Z/3; the next
 # two have an Omega with torsion and a free part (Z/2 x Z and Z/2 x Z^2),
-# which no preset has.
+# which no preset has.  PGL2xPGL2 has |mu| = 2 on both roots and elements
+# with two descents, so over GF(3) a coefficient |mu| = -1 meets a second
+# descent, which no preset does either.
 EXPLICIT_GROUPS = {
     "PGL3": {
         "rank": 2,
@@ -26,6 +28,12 @@ EXPLICIT_GROUPS = {
         "roots": [[1, 0, 0], [-1, 0, 0]],
         "coroots": [[2, 0, 0], [-2, 0, 0]],
         "simple": [0],
+    },
+    "PGL2xPGL2": {
+        "rank": 2,
+        "roots": [[1, 0], [-1, 0], [0, 1], [0, -1]],
+        "coroots": [[2, 0], [-2, 0], [0, 2], [0, -2]],
+        "simple": [0, 2],
     },
 }
 

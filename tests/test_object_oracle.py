@@ -11,7 +11,7 @@ import pytest
 
 from prophecke import HeckeAlgebra, TopModule, basis_elements
 
-from conftest import get_context
+from conftest import get_context, get_explicit_context
 
 
 def _accumulate(out, terms, c):
@@ -92,6 +92,23 @@ def test_kernel_matches_object_reference(group, p, f, m, L):
     E = TopModule(H)
     ref = ObjectReference(G, F)
     basis = basis_elements(G, L)
+    for x in basis:
+        for y in basis:
+            assert _objects(G, F, H.basis_mul(x, y)) == ref.basis_mul(x, y), (x, y)
+            for side in ("left", "right"):
+                got = _objects(G, F, E._act_basis(x, y, side))
+                assert got == ref.act(x, y, side), (x, y, side)
+
+
+def test_kernel_matches_object_reference_on_pgl2xpgl2():
+    """|mu| = 2 on both roots: over GF(3) the right action's recursion
+    coefficient -1 meets a second descent, which no preset reaches."""
+    ctx = get_explicit_context("PGL2xPGL2")
+    G, F = ctx.group, ctx.field
+    H = HeckeAlgebra(G, F)
+    E = TopModule(H)
+    ref = ObjectReference(G, F)
+    basis = basis_elements(G, 2)
     for x in basis:
         for y in basis:
             assert _objects(G, F, H.basis_mul(x, y)) == ref.basis_mul(x, y), (x, y)

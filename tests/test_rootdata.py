@@ -2,7 +2,9 @@
 
 import pytest
 
-from prophecke.rootdata import AffineRoot, RootDatum, dot, preset
+from prophecke.rootdata import PRESET_NAMES, AffineRoot, RootDatum, dot, preset
+
+from conftest import EXPLICIT_GROUPS
 
 
 def orbit_generate(simple_roots, simple_coroots):
@@ -141,3 +143,16 @@ def test_invalid_data_rejected():
     with pytest.raises(ValueError):
         # non-reduced: contains alpha and 2 alpha (both with valid coroots)
         RootDatum(1, [(1,), (-1,), (2,), (-2,)], [(2,), (-2,), (1,), (-1,)], [0])
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES + tuple(EXPLICIT_GROUPS))
+def test_positivity_follows_expansion_signs(name):
+    rd = preset(name) if name in PRESET_NAMES else RootDatum.from_json(EXPLICIT_GROUPS[name])
+    signs = [any(c > 0 for c in exp) for exp in rd.expansions]
+    assert [rd.is_positive_root(i) for i in range(len(rd.roots))] == signs
+    assert rd.positive_roots() == [i for i, p in enumerate(signs) if p]
+    for i, exp in enumerate(rd.expansions):
+        assert rd.is_positive_root(i) == all(c >= 0 for c in exp)
+        assert rd.is_positive_root(i) != rd.is_positive_root(rd.neg_index(i))
+        for h in (-1, 0, 1):
+            assert rd.is_positive_affine(AffineRoot(i, h)) == (h > 0 or (h == 0 and signs[i]))

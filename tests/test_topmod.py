@@ -8,7 +8,7 @@ from prophecke.errors import DecompositionUnavailableError, GroupMismatchError
 from prophecke.propweyl import basis_elements
 from prophecke.verify import run_suite
 
-from conftest import get_context
+from conftest import get_context, get_explicit_context
 
 
 def test_act_examples(sl2_q3):
@@ -261,3 +261,10 @@ def test_bimodule_catches_broken_actions(monkeypatch, group, fault):
     failures = run_suite(ctx, "bimodule", max_len=1)["failures"]
     digest = hashlib.sha256(canonical_json(failures).encode()).hexdigest()
     assert (len(failures), digest) == BROKEN_BIMODULE[group, fault]
+
+
+def test_bimodule_on_pgl2xpgl2():
+    """Two right descents after a coefficient |mu| = 2 = -1 in GF(3): the
+    case a wrong right-action recursion coefficient shows in."""
+    report = run_suite(get_explicit_context("PGL2xPGL2"), "bimodule", max_len=2)
+    assert report["failures"] == [] and report["cases"] == 41600

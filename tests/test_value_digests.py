@@ -15,6 +15,8 @@ import pytest
 from prophecke import HeckeAlgebra, TopModule, basis_elements
 from prophecke.serial import canonical_json
 
+from conftest import get_explicit_context
+
 # (group, p, m, L, Lu) with q = p, and k = GF(p^m)
 CASES = {
     ("SL2", 3, 1, 3, 1): (
@@ -69,3 +71,22 @@ def test_value_digest(ctx_factory, case, tie):
     rows = value_rows(H, TopModule(H), L, Lu)
     digest = hashlib.sha256(canonical_json(rows).encode()).hexdigest()
     assert digest == CASES[case]
+
+
+# (conftest.EXPLICIT_GROUPS name, L, Lu) over GF(3)
+EXPLICIT_CASES = {
+    ("PGL2xPGL2", 2, 0): (
+        "5ace23d8eb522e03443c0bee83708d6f1328aa0f3b07a0727091da9f6b5f684f"
+    ),
+}
+
+
+@pytest.mark.parametrize("tie", ["min", "max"])
+@pytest.mark.parametrize("case", list(EXPLICIT_CASES), ids=lambda c: "-".join(map(str, c)))
+def test_explicit_value_digest(case, tie):
+    name, L, Lu = case
+    ctx = get_explicit_context(name)
+    H = HeckeAlgebra(ctx.group, ctx.field, word_tie=tie)
+    rows = value_rows(H, TopModule(H), L, Lu)
+    digest = hashlib.sha256(canonical_json(rows).encode()).hexdigest()
+    assert digest == EXPLICIT_CASES[case]

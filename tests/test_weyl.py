@@ -1,14 +1,16 @@
 """Extended affine Weyl group: affine action, length, words, Omega, parity."""
 
+import itertools
 import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prophecke.errors import GroupMismatchError
-from prophecke.rootdata import PRESET_NAMES, AffineRoot, preset
+from prophecke.errors import GroupMismatchError, TheoremViolationError
+from prophecke.rootdata import PRESET_NAMES, AffineRoot, RootDatum, dot, preset
 from prophecke.weyl import (
+    ExtAffWeylElt,
     WeylGroup,
     _smith_normal_form,
     lemma_even,
@@ -349,3 +351,57 @@ def test_length_and_reduced_word_memoised_on_element():
     assert again[0] == first[0]
     assert again[1] is first[1] and again[2] is first[2]
     assert (len(g._len_cache), len(g._word_cache)) == sizes
+
+
+def _datum(name):
+    if name in PRESET_NAMES:
+        return preset(name)
+    return RootDatum.from_json(EXPLICIT_GROUPS[name])
+
+
+def _object_scan(w):
+    """The length scan as first written: an AffineRoot for every (alpha, h)
+    with |h| <= max|<mu, alpha>| + 1, its image through act_affine, and
+    positivity read off the simple-root expansion."""
+    rd = w.group.rd
+
+    def positive(A):
+        return A.h > 0 or (A.h == 0 and any(c > 0 for c in rd.expansions[A.root]))
+
+    bound = max((abs(dot(w.mu, a)) for a in rd.roots), default=0) + 1
+    return sum(
+        1
+        for i in range(len(rd.roots))
+        for h in range(-bound, bound + 1)
+        if positive(AffineRoot(i, h)) and not positive(w.act_affine(AffineRoot(i, h)))
+    )
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES + tuple(EXPLICIT_GROUPS))
+def test_length_bruteforce_matches_object_scan(name):
+    # one wider than the construction-time check's box
+    g = WeylGroup(_datum(name))
+    box = range(-3, 4) if g.rank <= 2 else range(-2, 3)
+    for w0 in range(g.order):
+        for mu in itertools.product(box, repeat=g.rank):
+            w = g.elt(w0, mu)
+            assert length_bruteforce(w) == _object_scan(w) == w.length(), w
+
+
+@pytest.mark.parametrize(
+    "name,last", [("SL3", False), ("SL3", True), ("GL3", True), ("G2sc", True)]
+)
+def test_construction_check_catches_one_wrong_length(monkeypatch, name, last):
+    """A length off by one at a corner of the checked box fails the build."""
+    rd = _datum(name)
+    order = WeylGroup(rd).order
+    edge = 2 if rd.rank <= 2 else 1
+    target = (order - 1, (edge,) * rd.rank) if last else (0, (-edge,) * rd.rank)
+    length = ExtAffWeylElt.length
+
+    def off_by_one(w):
+        return length(w) + ((w.w0, w.mu) == target)
+
+    monkeypatch.setattr(ExtAffWeylElt, "length", off_by_one)
+    with pytest.raises(TheoremViolationError, match="disagrees with scan"):
+        WeylGroup(rd)
