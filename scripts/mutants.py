@@ -1,0 +1,133 @@
+"""Mutation check: every listed mutant of src/ must fail a fast test subset.
+
+Each mutant is an exact string replacement in one module.  For each, the
+script copies src/ to a temporary directory, applies the replacement
+there (never in the working tree), and runs SUBSET against the copy with
+pytest -x.  A mutant survives when the subset passes on it; the script
+then exits 1.  It exits 2 when the subset fails on the unmutated copy or
+a mutant's text no longer occurs exactly once, since either makes the
+check meaningless.
+
+    python3 scripts/mutants.py
+
+This is not part of tier-1: it runs the subset once per mutant.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Tier-1 tests that kill every mutant below, chosen for speed.
+SUBSET = [
+    "tests/test_weyl.py::test_omega_groups",
+    "tests/test_weyl.py::test_omega_is_exact",
+    "tests/test_hecke.py::test_elements_own_their_terms",
+    "tests/test_object_oracle.py",
+    "tests/test_topmod.py::test_bimodule_catches_broken_actions",
+    "tests/test_topmod.py::test_bimodule_on_pgl2xpgl2",
+    "tests/test_suite_faults.py",
+    "tests/test_table_digests.py::test_explicit_datum_digest",
+]
+
+# (name, module under src/prophecke, exact text, replacement)
+MUTANTS = [
+    ("accumulate ignores c", "hecke.py",
+     "    row, add = field._mul[c], field._add\n",
+     "    row, add = field._mul[1], field._add\n"),
+    ("right action recursion coefficient is 1", "topmod.py",
+     "accumulate(result, self._apply_gen(s, elts[v], side), c, field)",
+     "accumulate(result, self._apply_gen(s, elts[v], side), 1, field)"),
+    ("smith form drops the U^-1 row swap", "weyl.py",
+     "            for row in uinv:\n                row[r], row[i] = row[i], row[r]\n",
+     ""),
+    ("smith form drops the U^-1 row update", "weyl.py",
+     "                    for row in uinv:\n                        row[r] += q * row[i]\n",
+     ""),
+    ("omega keeps g over min(g, g^-1)", "weyl.py",
+     "gens.append(min(g, g.inv(), key=key))",
+     "gens.append(g)"),
+    ("omega generators unsorted", "weyl.py",
+     "OmegaGroup(weyl, False, invariants, [], sorted(gens, key=key))",
+     "OmegaGroup(weyl, False, invariants, [], gens)"),
+    ("act returns the memo's dict", "topmod.py",
+     "        out: dict = {}\n        for y, cy in tau.terms.items():\n",
+     "        out: dict = {}\n"
+     "        if len(tau.terms) == len(x.terms) == 1 and"
+     " {*tau.terms.values(), *x.terms.values()} == {1}:\n"
+     "            return TopElt(self, self._act_basis("
+     "elts[next(iter(tau.terms))], elts[next(iter(x.terms))], side))\n"
+     "        for y, cy in tau.terms.items():\n"),
+    ("index_terms keeps zeros", "hecke.py",
+     "        if i:\n            out[g.index] = i\n",
+     "        out[g.index] = i\n"),
+    ("scale without its zero case", "hecke.py",
+     "        if not c:\n            return type(self)(self.space, {})\n        row = ",
+     "        row = "),
+    ("apply_gen drops the left translates", "topmod.py",
+     "        return {moved.index: 1, **{t.index: mu_c for t in translates}}\n",
+     "        if side == \"left\":\n            return {moved.index: 1}\n"
+     "        return {moved.index: 1, **{t.index: mu_c for t in translates}}\n"),
+    ("apply_gen drops the right translates", "topmod.py",
+     "        return {moved.index: 1, **{t.index: mu_c for t in translates}}\n",
+     "        if side == \"right\":\n            return {moved.index: 1}\n"
+     "        return {moved.index: 1, **{t.index: mu_c for t in translates}}\n"),
+    ("right ascent does not annihilate", "topmod.py",
+     "        if not translates:\n            return {}\n",
+     "        if not translates:\n"
+     "            return {moved.index: 1} if side == \"right\" else {}\n"),
+    ("_Tally.check ignores ok", "verify.py",
+     "        self.cases += 1\n        if not ok:\n",
+     "        self.cases += 1\n        if False:\n"),
+]
+
+
+def run_subset(src: Path) -> tuple[bool, str]:
+    """True when SUBSET passes against the package under src."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *SUBSET],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    return proc.returncode == 0, lines[-1] if lines else proc.stderr.strip()[-200:]
+
+
+def main() -> int:
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="prophecke-mutants-") as tmp:
+        ok, tail = run_subset(ROOT / "src")
+        if not ok:
+            print(f"subset fails on the unmutated source: {tail}")
+            return 2
+        survivors = []
+        for name, module, old, new in MUTANTS:
+            copy = Path(tmp) / "src"
+            shutil.rmtree(copy, ignore_errors=True)
+            shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
+            path = copy / "prophecke" / module
+            text = path.read_text()
+            if text.count(old) != 1:
+                print(f"mutant {name!r}: its text occurs {text.count(old)} times in {module}")
+                return 2
+            path.write_text(text.replace(old, new))
+            t0 = time.perf_counter()
+            survived, tail = run_subset(copy)
+            verdict = "SURVIVED" if survived else "killed"
+            print(f"{verdict:8}  {name}  ({time.perf_counter() - t0:.1f} s; {tail})")
+            if survived:
+                survivors.append(name)
+    print(f"{len(MUTANTS) - len(survivors)}/{len(MUTANTS)} mutants killed"
+          f" in {time.perf_counter() - start:.1f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

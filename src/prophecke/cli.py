@@ -96,7 +96,7 @@ def cmd_verify(args) -> int:
     params = {}
     if args.max_len is not None:
         params["max_len"] = args.max_len
-    if args.samples is not None and args.suite in ("assoc", "duality", "involutions"):
+    if args.samples is not None:
         params["samples"] = args.samples
     report = run_suite(ctx, args.suite, **params)
     report["config"] = ctx.config

@@ -5,10 +5,17 @@ Every suite runs a family of identities and returns a plain report dict
 pass condition.  Suites are deterministic: exhaustive parts iterate in
 canonical order and randomized parts draw from a seeded generator whose
 seed is echoed in the report.
+
+A suite keeps its books in one _Tally(ctx, suite, **params): check(ok,
+msg, *args) counts one case and records msg.format(*args) only when ok
+is false, and report() builds the dict.  Where one case covers several
+checks (matsumoto's reduced words, cosets' products) the suite adds to
+tally.cases itself and records through tally.fail.
 """
 
 from __future__ import annotations
 
+import inspect
 import random
 from dataclasses import dataclass, field as dc_field
 from itertools import product
@@ -68,25 +75,38 @@ def make_context(group_name: str, p: int, f: int = 1, m: int | None = None, **kw
     return build_context(cfg)
 
 
-def _report(ctx: Context, suite: str, cases: int, failures: list, **params) -> dict:
-    return {
-        "suite": suite,
-        "group": ctx.rd.to_json(),
-        "field": ctx.field.to_json(),
-        "seed": ctx.seed,
-        "params": params,
-        "cases": cases,
-        "failures": failures,
-    }
+class _Tally:
+    """Case count and failure list of one suite run, and its report."""
+
+    __slots__ = ("ctx", "suite", "params", "cases", "failures")
+
+    def __init__(self, ctx: Context, suite: str, **params):
+        self.ctx, self.suite, self.params = ctx, suite, params
+        self.cases, self.failures = 0, []
+
+    def check(self, ok, msg: str, *args):
+        """Count one case; record msg.format(*args) unless ok.  Kept one
+        body with no call out: assoc makes tens of thousands of calls."""
+        self.cases += 1
+        if not ok:
+            self.failures.append(msg.format(*args))
+
+    def fail(self, msg: str, *args):
+        """Record a failure without counting a case."""
+        self.failures.append(msg.format(*args))
+
+    def report(self) -> dict:
+        ctx = self.ctx
+        return {"suite": self.suite, "group": ctx.rd.to_json(), "field": ctx.field.to_json(),
+                "seed": ctx.seed, "params": self.params, "cases": self.cases,
+                "failures": self.failures}
 
 
 def _scaled_combine(H, d, other, side):
     """Multiply index terms by a basis element on one side."""
-    elts = H.group.by_index
-    out = {}
+    out, elts = {}, H.group.by_index
     for u, c in d.items():
-        u = elts[u]
-        prods = H.basis_mul(u, other) if side == "right" else H.basis_mul(other, u)
+        prods = H.basis_mul(elts[u], other) if side == "right" else H.basis_mul(other, elts[u])
         accumulate(out, prods, c, H.field)
     return out
 
@@ -120,28 +140,22 @@ def suite_assoc(ctx: Context, max_len: int | None = None, samples: int | None = 
     max_len; an integer runs that many seeded random triples instead."""
     H, G = ctx.hecke, ctx.group
     max_len = ctx.max_len if max_len is None else max_len
-    failures = []
-    cases = 0
+    t = _Tally(ctx, "assoc", max_len=max_len, samples=samples)
+    check = t.check
 
     for s in range(len(G.weyl.s_aff)):
-        t = H.tau(G.lift_s(s))
+        tn = H.tau(G.lift_s(s))
         th = H.theta(s)
-        cases += 3
-        if not (t * t + th * t).is_zero():
-            failures.append(f"tau_ns^2 != -theta tau_ns at s={s}")
-        if not (t * t + t * th).is_zero():
-            failures.append(f"tau_ns^2 != -tau_ns theta at s={s}")
-        if th * th != th:
-            failures.append(f"theta_s not idempotent at s={s}")
+        check((tn * tn + th * tn).is_zero(), "tau_ns^2 != -theta tau_ns at s={}", s)
+        check((tn * tn + tn * th).is_zero(), "tau_ns^2 != -tau_ns theta at s={}", s)
+        check(th * th == th, "theta_s not idempotent at s={}", s)
 
     basis = basis_elements(G, max_len)
     for x, y, z in _draws(ctx, (basis,) * 3, samples):
-        cases += 1
         lhs = _scaled_combine(H, H.basis_mul(x, y), z, "right")
         rhs = _scaled_combine(H, H.basis_mul(y, z), x, "left")
-        if lhs != rhs:
-            failures.append(f"assoc fails at ({x!r},{y!r},{z!r})")
-    return _report(ctx, "assoc", cases, failures, max_len=max_len, samples=samples)
+        check(lhs == rhs, "assoc fails at ({!r},{!r},{!r})", x, y, z)
+    return t.report()
 
 
 def suite_matsumoto(ctx: Context, max_len: int | None = None):
@@ -150,48 +164,43 @@ def suite_matsumoto(ctx: Context, max_len: int | None = None):
     products are also recomputed with the opposite descent tie-break."""
     G, H, E = ctx.group, ctx.hecke, ctx.top
     max_len = ctx.max_len if max_len is None else max_len
-    failures = []
-    cases = 0
+    t = _Tally(ctx, "matsumoto", max_len=max_len)
     H_alt = HeckeAlgebra(G, ctx.field, word_tie="max")
     phi_probes = [E.phi(G.identity())]
     if G.qm1 > 1:
-        probe_t = G.coroot_torus(G.rd.simple[0])
-        phi_probes.append(E.phi(G.torus_elt(probe_t)))
+        phi_probes.append(E.phi(G.torus_elt(G.coroot_torus(G.rd.simple[0]))))
 
     for w in G.weyl.elements_up_to_length(max_len):
         omega, _ = w.reduced_word()
         ref = G.lift_w(w)
         ref_tau = H.tau(ref)
-        words = w.all_reduced_words()
-        for rw in words:
-            cases += 1
+        for rw in w.all_reduced_words():
+            t.cases += 1
             x = G.lift_omega(omega)
             prod = H.tau(x)
             for i in rw:
                 x = G.mul(x, G.lift_s(i))
                 prod = prod * H.tau(G.lift_s(i))
             if x != ref:
-                failures.append(f"lift differs along {rw} for {w!r}")
+                t.fail("lift differs along {} for {!r}", rw, w)
             if prod != ref_tau:
-                failures.append(f"Hecke product differs along {rw} for {w!r}")
+                t.fail("Hecke product differs along {} for {!r}", rw, w)
             for ph in phi_probes:
                 left = ph
                 for i in reversed(rw):
                     left = E.act(H.tau(G.lift_s(i)), left, "left")
                 left = E.act(H.tau(G.lift_omega(omega)), left, "left")
                 if left != E.act(ref_tau, ph, "left"):
-                    failures.append(f"left top action differs along {rw} for {w!r}")
+                    t.fail("left top action differs along {} for {!r}", rw, w)
                 right = E.act(H.tau(G.lift_omega(omega)), ph, "right")
                 for i in rw:
                     right = E.act(H.tau(G.lift_s(i)), right, "right")
                 if right != E.act(ref_tau, ph, "right"):
-                    failures.append(f"right top action differs along {rw} for {w!r}")
+                    t.fail("right top action differs along {} for {!r}", rw, w)
         # opposite tie-break must give identical structure constants
-        lift_alt = G.lift_w(w)  # lift_w is tie-independent by the above
-        cases += 1
-        if H_alt.basis_mul(ref, lift_alt) != H.basis_mul(ref, lift_alt):
-            failures.append(f"tie-break changes tau_w^2 for {w!r}")
-    return _report(ctx, "matsumoto", cases, failures, max_len=max_len)
+        t.check(H_alt.basis_mul(ref, ref) == H.basis_mul(ref, ref),
+                "tie-break changes tau_w^2 for {!r}", w)
+    return t.report()
 
 
 def suite_involutions(ctx: Context, max_len: int | None = None, rand_len: int = 6,
@@ -199,109 +208,80 @@ def suite_involutions(ctx: Context, max_len: int | None = None, rand_len: int = 
     """iota and J are involutive (anti)automorphisms exchanged through the
     trivial/sign characters."""
     G, H = ctx.group, ctx.hecke
+    iota, J = H.iota, H.J
     max_len = ctx.max_len if max_len is None else max_len
     samples = ctx.samples if samples is None else samples
-    failures = []
-    cases = 0
+    t = _Tally(ctx, "involutions", max_len=max_len, rand_len=rand_len, samples=samples)
+    check = t.check
 
     basis = basis_elements(G, max_len)
     for a in basis:
         x = H.tau(a)
-        cases += 2
-        if H.iota(H.iota(x)) != x:
-            failures.append(f"iota^2 != id at {a!r}")
-        if H.J(H.J(x)) != x:
-            failures.append(f"J^2 != id at {a!r}")
+        check(iota(iota(x)) == x, "iota^2 != id at {!r}", a)
+        check(J(J(x)) == x, "J^2 != id at {!r}", a)
     for a in basis:
         for b in basis:
             x, y = H.tau(a), H.tau(b)
-            cases += 3
-            if H.iota(x * y) != H.iota(x) * H.iota(y):
-                failures.append(f"iota not multiplicative at ({a!r},{b!r})")
-            if H.J(x * y) != H.J(y) * H.J(x):
-                failures.append(f"J not anti-multiplicative at ({a!r},{b!r})")
-            if H.iota(H.J(x * y)) != H.J(H.iota(x * y)):
-                failures.append(f"iota and J do not commute at ({a!r},{b!r})")
+            check(iota(x * y) == iota(x) * iota(y), "iota not multiplicative at ({!r},{!r})", a, b)
+            check(J(x * y) == J(y) * J(x), "J not anti-multiplicative at ({!r},{!r})", a, b)
+            check(iota(J(x * y)) == J(iota(x * y)),
+                  "iota and J do not commute at ({!r},{!r})", a, b)
 
     big = basis_elements(G, rand_len)
     for a, b in _draws(ctx, (big, big), samples):
         x, y = H.tau(a), H.tau(b)
-        cases += 2
-        if H.iota(x * y) != H.iota(x) * H.iota(y):
-            failures.append(f"iota not multiplicative at random ({a!r},{b!r})")
-        if H.J(x * y) != H.J(y) * H.J(x):
-            failures.append(f"J not anti-multiplicative at random ({a!r},{b!r})")
+        check(iota(x * y) == iota(x) * iota(y),
+              "iota not multiplicative at random ({!r},{!r})", a, b)
+        check(J(x * y) == J(y) * J(x), "J not anti-multiplicative at random ({!r},{!r})", a, b)
     for a in big:
-        cases += 1
         x = H.tau(a)
-        if H.chi_eval("sign", x) != H.chi_eval("triv", H.iota(x)):
-            failures.append(f"chi_sign != chi_triv o iota at {a!r}")
-    return _report(
-        ctx, "involutions", cases, failures, max_len=max_len, rand_len=rand_len,
-        samples=samples,
-    )
+        check(H.chi_eval("sign", x) == H.chi_eval("triv", iota(x)),
+              "chi_sign != chi_triv o iota at {!r}", a)
+    return t.report()
 
 
 def suite_idempotents(ctx: Context):
     """The torus idempotent family and its interaction with theta and with
     conjugation by basis elements."""
     G, H = ctx.group, ctx.hecke
-    failures = []
-    cases = 0
+    t = _Tally(ctx, "idempotents")
     lams = G.torus_elements()
     es = {la: H.e_lambda(la) for la in lams}
 
-    total = H.zero()
-    for e in es.values():
-        total = total + e
-    cases += 1
-    if total != H.one():
-        failures.append("sum of e_lambda != 1")
+    t.check(sum(es.values(), H.zero()) == H.one(), "sum of e_lambda != 1")
 
     for la in lams:
         for lb in lams:
-            cases += 1
-            prod = es[la] * es[lb]
             want = es[la] if la == lb else H.zero()
-            if prod != want:
-                failures.append(f"e_lambda orthogonality fails at {la},{lb}")
+            t.check(es[la] * es[lb] == want, "e_lambda orthogonality fails at {},{}", la, lb)
 
     for la in lams:
         e = es[la]
-        for t in G.torus_elements():
-            cases += 1
-            tt = H.tau(G.torus_elt(t))
-            want = e.scale(H.chi_lambda(la, t))
-            if e * tt != want or tt * e != want:
-                failures.append(f"e_lambda tau_t rule fails at {la},{t}")
+        for tv in G.torus_elements():
+            tt = H.tau(G.torus_elt(tv))
+            want = e.scale(H.chi_lambda(la, tv))
+            t.check(e * tt == want and tt * e == want,
+                    "e_lambda tau_t rule fails at {},{}", la, tv)
         for s in range(len(G.weyl.s_aff)):
-            cases += 1
-            trivial = H._lam_trivial_on_image(la, G.weyl.s_aff[s].root)
-            want = e if trivial else H.zero()
-            if e * H.theta(s) != want:
-                failures.append(f"e_lambda theta rule fails at {la},s={s}")
+            want = e if H._lam_trivial_on_image(la, G.weyl.s_aff[s].root) else H.zero()
+            t.check(e * H.theta(s) == want, "e_lambda theta rule fails at {},s={}", la, s)
 
     ws = G.weyl.elements_up_to_length(2)
     for la in lams:
         for w in ws:
-            cases += 1
             tw = H.tau(G.lift_w(w))
-            if tw * es[la] != es[H.conj_char(w, la)] * tw:
-                failures.append(f"conjugation rule fails at {la},{w!r}")
+            t.check(tw * es[la] == es[H.conj_char(w, la)] * tw,
+                    "conjugation rule fails at {},{!r}", la, w)
 
     gens = _generators(ctx)
-    seen_orbits = set()
+    orbit_reps = {}  # orbit -> its first character
     for la in lams:
-        orbit = tuple(H.char_orbit(la))
-        if orbit in seen_orbits:
-            continue
-        seen_orbits.add(orbit)
+        orbit_reps.setdefault(tuple(H.char_orbit(la)), la)
+    for la in orbit_reps.values():
         eg = H.e_gamma(la)
         for x in gens:
-            cases += 1
-            if eg * x != x * eg:
-                failures.append(f"e_gamma not central at orbit of {la}")
-    return _report(ctx, "idempotents", cases, failures)
+            t.check(eg * x == x * eg, "e_gamma not central at orbit of {}", la)
+    return t.report()
 
 
 def suite_bimodule(ctx: Context, max_len: int | None = None):
@@ -312,8 +292,8 @@ def suite_bimodule(ctx: Context, max_len: int | None = None):
     checked."""
     G, E = ctx.group, ctx.top
     max_len = ctx.max_len if max_len is None else max_len
-    failures = []
-    cases = 0
+    t = _Tally(ctx, "bimodule", max_len=max_len)
+    check = t.check
     gens = _generators(ctx)
     phis = [E.phi(b) for b in basis_elements(G, max_len)]
     left = [[E.act(g, ph, "left") for ph in phis] for g in gens]
@@ -323,26 +303,24 @@ def suite_bimodule(ctx: Context, max_len: int | None = None):
         for j, y in enumerate(gens):
             xy = x * y
             for k, ph in enumerate(phis):
-                cases += 3
-                if E.act(xy, ph, "left") != E.act(x, left[j][k], "left"):
-                    failures.append("left associativity fails")
-                if E.act(xy, ph, "right") != E.act(y, right[i][k], "right"):
-                    failures.append("right associativity fails")
-                if E.act(y, left[i][k], "right") != E.act(x, right[j][k], "left"):
-                    failures.append("left/right compatibility fails")
+                check(E.act(xy, ph, "left") == E.act(x, left[j][k], "left"),
+                      "left associativity fails")
+                check(E.act(xy, ph, "right") == E.act(y, right[i][k], "right"),
+                      "right associativity fails")
+                check(E.act(y, left[i][k], "right") == E.act(x, right[j][k], "left"),
+                      "left/right compatibility fails")
 
     # The simple-reflection generators come first in gens, so row s holds
-    # t = gens[s] acting on every phi.
+    # gens[s] acting on every phi.
     for s in range(len(G.weyl.s_aff)):
-        t = gens[s]
-        rel = t * t  # equals -theta tau_ns in H
+        tn = gens[s]
+        rel = tn * tn  # equals -theta tau_ns in H
         for k, ph in enumerate(phis):
-            cases += 2
-            if E.act(t, left[s][k], "left") != E.act(rel, ph, "left"):
-                failures.append(f"quadratic relation on module fails at s={s}")
-            if E.act(t, right[s][k], "right") != E.act(rel, ph, "right"):
-                failures.append(f"right quadratic relation on module fails at s={s}")
-    return _report(ctx, "bimodule", cases, failures, max_len=max_len)
+            check(E.act(tn, left[s][k], "left") == E.act(rel, ph, "left"),
+                  "quadratic relation on module fails at s={}", s)
+            check(E.act(tn, right[s][k], "right") == E.act(rel, ph, "right"),
+                  "right quadratic relation on module fails at s={}", s)
+    return t.report()
 
 
 def suite_duality(ctx: Context, max_len_tau: int = 2, max_len_phi: int = 3,
@@ -350,21 +328,17 @@ def suite_duality(ctx: Context, max_len_tau: int = 2, max_len_phi: int = 3,
     """pairing(tau . phi . tau', tau'') = pairing(phi, J(tau) tau'' J(tau''));
     exhaustive when samples is None, else seeded random."""
     G, H, E = ctx.group, ctx.hecke, ctx.top
-    failures = []
-    cases = 0
+    t = _Tally(ctx, "duality", max_len_tau=max_len_tau, max_len_phi=max_len_phi,
+               samples=samples)
     taus = basis_elements(G, max_len_tau)
     phis = basis_elements(G, max_len_phi)
 
     for a, b, c, d in _draws(ctx, (taus, taus, taus, phis), samples):
-        cases += 1
         t1, t2, t3, ph = H.tau(a), H.tau(b), H.tau(c), E.phi(d)
         lhs = E.pairing(E.act(t2, E.act(t1, ph, "left"), "right"), t3)
-        if lhs != E.pairing(ph, H.J(t1) * t3 * H.J(t2)):
-            failures.append(f"adjunction fails at {(a, b, c, d)!r}")
-    return _report(
-        ctx, "duality", cases, failures, max_len_tau=max_len_tau,
-        max_len_phi=max_len_phi, samples=samples,
-    )
+        t.check(lhs == E.pairing(ph, H.J(t1) * t3 * H.J(t2)), "adjunction fails at {!r}",
+                (a, b, c, d))
+    return t.report()
 
 
 def suite_trace(ctx: Context, max_len: int | None = None):
@@ -372,22 +346,18 @@ def suite_trace(ctx: Context, max_len: int | None = None):
     character, and the trace is inversion-invariant."""
     G, H, E = ctx.group, ctx.hecke, ctx.top
     max_len = ctx.max_len if max_len is None else max_len
-    failures = []
-    cases = 0
+    t = _Tally(ctx, "trace", max_len=max_len)
     gens = _generators(ctx)
     for b in basis_elements(G, max_len):
         ph = E.phi(b)
-        cases += 1
-        if E.S_d(E.J_top(ph)) != E.S_d(ph):
-            failures.append(f"S o J != S at {b!r}")
+        t.check(E.S_d(E.J_top(ph)) == E.S_d(ph), "S o J != S at {!r}", b)
         for tg in gens:
-            cases += 2
             want = H.chi_eval("triv", tg) * E.S_d(ph)
-            if E.S_d(E.act(tg, ph, "left")) != want:
-                failures.append(f"left trace equivariance fails at {b!r}")
-            if E.S_d(E.act(tg, ph, "right")) != want:
-                failures.append(f"right trace equivariance fails at {b!r}")
-    return _report(ctx, "trace", cases, failures, max_len=max_len)
+            t.check(E.S_d(E.act(tg, ph, "left")) == want,
+                    "left trace equivariance fails at {!r}", b)
+            t.check(E.S_d(E.act(tg, ph, "right")) == want,
+                    "right trace equivariance fails at {!r}", b)
+    return t.report()
 
 
 def suite_decompose(ctx: Context, max_len: int | None = None):
@@ -396,34 +366,27 @@ def suite_decompose(ctx: Context, max_len: int | None = None):
     DecompositionUnavailableError when the splitting does not exist."""
     G, H, E = ctx.group, ctx.hecke, ctx.top
     max_len = ctx.max_len if max_len is None else max_len
-    failures = []
-    cases = 0
+    t = _Tally(ctx, "decompose", max_len=max_len)
     line = E.triv_line()  # raises if Omega is infinite
     if E.S_d(line).is_zero():
         raise DecompositionUnavailableError("|Omega| vanishes in k")
     gens = _generators(ctx)
     for tg in gens:
         for side in ("left", "right"):
-            cases += 1
             want = line.scale(H.chi_eval("triv", tg))
-            if E.act(tg, line, side) != want:
-                failures.append(f"trivial line not stable under {tg!r} on the {side}")
+            t.check(E.act(tg, line, side) == want,
+                    "trivial line not stable under {!r} on the {}", tg, side)
+    simple = gens[: len(G.weyl.s_aff)]
     for b in basis_elements(G, max_len):
         ph = E.phi(b)
         triv, ker = E.decompose(ph)
-        cases += 4
-        if triv + ker != ph:
-            failures.append(f"decompose does not sum back at {b!r}")
-        if not E.S_d(ker).is_zero():
-            failures.append(f"kernel part has nonzero trace at {b!r}")
+        t.check(triv + ker == ph, "decompose does not sum back at {!r}", b)
+        t.check(E.S_d(ker).is_zero(), "kernel part has nonzero trace at {!r}", b)
         t2, k2 = E.decompose(triv)
-        if t2 != triv or not k2.is_zero():
-            failures.append(f"decompose not idempotent at {b!r}")
-        for tg in gens[: len(G.weyl.s_aff)]:
-            if not E.S_d(E.act(tg, ker, "left")).is_zero():
-                failures.append(f"kernel not stable at {b!r}")
-                break
-    return _report(ctx, "decompose", cases, failures, max_len=max_len)
+        t.check(t2 == triv and k2.is_zero(), "decompose not idempotent at {!r}", b)
+        t.check(all(E.S_d(E.act(tg, ker, "left")).is_zero() for tg in simple),
+                "kernel not stable at {!r}", b)
+    return t.report()
 
 
 def suite_supersingular(ctx: Context, max_len: int | None = None):
@@ -439,11 +402,9 @@ def suite_supersingular(ctx: Context, max_len: int | None = None):
     max_len = ctx.max_len if max_len is None else max_len
     om = G.weyl.omega()
     if G.rd.ncomp != 1 or not om.finite or om.order != 1:
-        raise ValueError(
-            "audit requires a simply connected group with irreducible root system"
-        )
+        raise ValueError("audit requires a simply connected group with irreducible root system")
+    t = _Tally(ctx, "supersingular", max_len=max_len)
     entries = []
-    failures = []
     for m in range(max_len + 1):
         for w in G.weyl.elements_of_length(m):
             lift = G.lift_w(w)
@@ -460,12 +421,9 @@ def suite_supersingular(ctx: Context, max_len: int | None = None):
                     except TheoremViolationError as exc:
                         entry["verdict"] = f"eigencheck-failed: {exc}"
                         ss = False
-                    if not ss:
-                        failures.append(str(entry))
+                    t.check(ss, "{}", entry)
                     entries.append(entry)
-    out = _report(ctx, "supersingular", len(entries), failures, max_len=max_len)
-    out["entries"] = entries
-    return out
+    return dict(t.report(), entries=entries)
 
 
 # -- combinatorial suites ----------------------------------------------------------
@@ -477,73 +435,56 @@ def suite_cosets(ctx: Context, max_len: int | None = None):
     reduced word."""
     G, H = ctx.group, ctx.hecke
     max_len = ctx.max_len if max_len is None else max_len
-    failures = []
-    cases = 0
+    t = _Tally(ctx, "cosets", max_len=max_len)
     basis = basis_elements(G, max_len)
     for v in basis:
         for w in basis:
-            cases += 1
+            t.cases += 1
             sup = cosets_mod.support_mul(v, w)
             prod = map(G.by_index.__getitem__, H.basis_mul(v, w))
             if not sup.issuperset(prod):
-                failures.append(f"Hecke support escapes coset union at ({v!r},{w!r})")
+                t.fail("Hecke support escapes coset union at ({!r},{!r})", v, w)
                 continue
             lv, lw = v.w.length(), w.w.length()
             for u in sup:
-                lu = u.w.length()
-                if not (abs(lw - lv) <= lu <= lv + lw):
-                    failures.append(f"length bound fails at ({v!r},{w!r},{u!r})")
+                if not (abs(lw - lv) <= u.w.length() <= lv + lw):
+                    t.fail("length bound fails at ({!r},{!r},{!r})", v, w, u)
             if cosets_mod.support_mul(v, w, tie="max") != sup:
-                failures.append(f"support depends on word choice at ({v!r},{w!r})")
-    return _report(ctx, "cosets", cases, failures, max_len=max_len)
+                t.fail("support depends on word choice at ({!r},{!r})", v, w)
+    return t.report()
 
 
 def suite_gprofile(ctx: Context, max_len: int | None = None):
     """Root-filtration profiles: identity baseline, index sum rule,
     monotonicity along length-additive products, one-step growth."""
-    G = ctx.group
-    wg, rd = G.weyl, G.rd
+    G, wg = ctx.group, ctx.weyl
     max_len = ctx.max_len if max_len is None else max_len
-    failures = []
-    cases = 0
-    gid = cosets_mod.g_profile_identity(rd).values
-    if cosets_mod.g_profile(wg.identity()).values != gid:
-        failures.append("identity profile wrong")
-    cases += 1
+    t = _Tally(ctx, "gprofile", max_len=max_len)
+    gid = cosets_mod.g_profile_identity(G.rd).values
+    t.check(cosets_mod.g_profile(wg.identity()).values == gid, "identity profile wrong")
     ws = wg.elements_up_to_length(max_len)
     profiles = {w: cosets_mod.g_profile(w).values for w in ws}
+
     for w in ws:
-        cases += 1
-        if sum(profiles[w][i] - gid[i] for i in gid) != w.length():
-            failures.append(f"sum rule fails at {w!r}")
+        t.check(sum(profiles[w][i] - gid[i] for i in gid) == w.length(),
+                "sum rule fails at {!r}", w)
     for v in ws:
         for w in ws:
             vw = v * w
             if vw.length() != v.length() + w.length() or vw.length() > max_len:
                 continue
-            cases += 1
-            pv, pvw = profiles[v], profiles.get(vw)
-            if pvw is None:
-                pvw = cosets_mod.g_profile(vw).values
-            if any(pvw[i] < pv[i] for i in pv):
-                failures.append(f"monotonicity fails at ({v!r},{w!r})")
+            pv, pvw = profiles[v], profiles.get(vw) or cosets_mod.g_profile(vw).values
+            t.check(not any(pvw[i] < pv[i] for i in pv), "monotonicity fails at ({!r},{!r})", v, w)
     for w in ws:
         for si, A in enumerate(wg.s_aff):
             ws_elt = w * wg.aff_gen(si)
             if ws_elt.length() != w.length() + 1:
                 continue
-            cases += 1
             B = w.act_affine(A)
-            pw = profiles[w]
-            pws = profiles.get(ws_elt)
-            if pws is None:
-                pws = cosets_mod.g_profile(ws_elt).values
-            for i in pw:
-                want = pw[i] + 1 if i == B.root else pw[i]
-                if pws[i] != want:
-                    failures.append(f"one-step growth fails at ({w!r},s={si})")
-                    break
-    return _report(ctx, "gprofile", cases, failures, max_len=max_len)
+            pw, pws = profiles[w], profiles.get(ws_elt) or cosets_mod.g_profile(ws_elt).values
+            t.check(all(pws[i] == (pw[i] + 1 if i == B.root else pw[i]) for i in pw),
+                    "one-step growth fails at ({!r},s={})", w, si)
+    return t.report()
 
 
 def suite_lemma_even(ctx: Context, max_len: int = 4):
@@ -558,24 +499,18 @@ def suite_lemma_even(ctx: Context, max_len: int = 4):
     checks the sharp statement: parity holds exactly when the defect is
     trivial."""
     wg = ctx.weyl
-    failures = []
-    cases = 0
+    t = _Tally(ctx, "lemma_even", max_len=max_len)
     for w0 in range(wg.order):
         w = wg.elt(w0)
-        cases += 1
         N, ok = lemma_even(w)
-        if not ok:
-            failures.append(f"parity fails at finite element {w!r} (N={N})")
+        t.check(ok, "parity fails at finite element {!r} (N={})", w, N)
     for w in wg.elements_up_to_length(max_len):
-        cases += 1
         N, ok = lemma_even(w)
         omega, _ = w.reduced_word()
         defect_free = wg.length0[omega.w0] % 2 == 0
-        if ok != defect_free:
-            failures.append(
-                f"parity/defect mismatch at {w!r} (N={N}, defect-free={defect_free})"
-            )
-    return _report(ctx, "lemma_even", cases, failures, max_len=max_len)
+        t.check(ok == defect_free, "parity/defect mismatch at {!r} (N={}, defect-free={})",
+                w, N, defect_free)
+    return t.report()
 
 
 def suite_length_oracle(ctx: Context, max_len: int = 6):
@@ -583,23 +518,17 @@ def suite_length_oracle(ctx: Context, max_len: int = 6):
     of inverses, and constancy on double cosets of the length-zero
     subgroup."""
     wg = ctx.weyl
-    failures = []
-    cases = 0
+    t = _Tally(ctx, "length_oracle", max_len=max_len)
     ws = wg.elements_up_to_length(max_len)
     for w in ws:
-        cases += 2
-        if w.length() != length_bruteforce(w):
-            failures.append(f"closed form != scan at {w!r}")
-        if w.length() != w.inv().length():
-            failures.append(f"length(w) != length(w^-1) at {w!r}")
+        t.check(w.length() == length_bruteforce(w), "closed form != scan at {!r}", w)
+        t.check(w.length() == w.inv().length(), "length(w) != length(w^-1) at {!r}", w)
     omega_elts = wg.omega().window(1)
     for w in ws[: 200]:
-        for o1 in omega_elts:
-            for o2 in omega_elts:
-                cases += 1
-                if (o1 * w * o2).length() != w.length():
-                    failures.append(f"length not Omega-bi-invariant at {w!r}")
-    return _report(ctx, "length_oracle", cases, failures, max_len=max_len)
+        for o1, o2 in product(omega_elts, repeat=2):
+            t.check((o1 * w * o2).length() == w.length(),
+                    "length not Omega-bi-invariant at {!r}", w)
+    return t.report()
 
 
 _SUITE_FNS = {
@@ -621,6 +550,14 @@ SUITES = tuple(_SUITE_FNS)
 
 
 def run_suite(ctx: Context, name: str, **params) -> dict:
+    """Run one suite; an unknown suite or a parameter the suite does not
+    take raises a ValueError naming it."""
     if name not in _SUITE_FNS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
-    return _SUITE_FNS[name](ctx, **params)
+    fn = _SUITE_FNS[name]
+    takes = tuple(inspect.signature(fn).parameters)[1:]
+    for p in params:
+        if p not in takes:
+            raise ValueError(
+                f"suite {name} takes no parameter {p}; it takes {', '.join(takes) or 'none'}")
+    return fn(ctx, **params)

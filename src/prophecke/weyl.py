@@ -466,10 +466,9 @@ class OmegaGroup:
             return list(self.elements)
         out = []
         seen = set()
-        base = [g for g in self.generators]
-        for exps in iproduct(range(-width, width + 1), repeat=len(base)):
+        for exps in iproduct(range(-width, width + 1), repeat=len(self.generators)):
             w = self.group.identity()
-            for g, e in zip(base, exps):
+            for g, e in zip(self.generators, exps):
                 step = g if e >= 0 else g.inv()
                 for _ in range(abs(e)):
                     w = w * step

@@ -189,6 +189,18 @@ def test_verify_supersingular_requires_sc(tmp_path, capsys):
     assert main(["verify", "supersingular", "--config", cfg, "--max-len", "1"]) == 2
 
 
+@pytest.mark.parametrize("suite,flag,name", [
+    ("duality", "--max-len", "max_len"),
+    ("idempotents", "--max-len", "max_len"),
+    ("lemma_even", "--samples", "samples"),
+])
+def test_verify_flag_the_suite_does_not_take_exits_2(cfg, capsys, suite, flag, name):
+    assert main(["verify", suite, "--config", cfg, flag, "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err and suite in err
+    assert "Traceback" not in err
+
+
 def test_verify_json_report(tmp_path, cfg):
     out = str(tmp_path / "report.json")
     rc = main(
