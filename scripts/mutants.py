@@ -83,6 +83,12 @@ MUTANTS = [
      "        if not translates:\n            return {}\n",
      "        if not translates:\n"
      "            return {moved.index: 1} if side == \"right\" else {}\n"),
+    ("act_basis base case multiplies on the left on both sides", "topmod.py",
+     "return (g.mul(y, u) if side == \"left\" else g.mul(u, y)).unit",
+     "return g.mul(y, u).unit"),
+    ("support_mul base case returns w", "cosets.py",
+     "        return frozenset((group.mul(v, w),))\n",
+     "        return frozenset((w,))\n"),
     ("_Tally.check ignores ok", "verify.py",
      "        self.cases += 1\n        if not ok:\n",
      "        self.cases += 1\n        if False:\n"),

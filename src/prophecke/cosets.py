@@ -8,9 +8,12 @@ when s lengthens w, and the branching
 
     I s I . I w I = I s w I u U_t I t w I    (t over the coroot image)
 
-when it shortens w.  Hecke products in characteristic p
-can only lose classes from this union (coefficients divisible by q
-vanish), so containment, not equality, is what gets asserted against H.
+when it shortens w.  A length-zero v is one group product, answered
+without touching the memo, so ProPWeyl._support_cache holds only pairs
+with v of positive length, keyed by (v.index, w.index, tie).  Hecke
+products in characteristic p can only lose classes from this union
+(coefficients divisible by q vanish), so containment, not equality, is
+what gets asserted against H.
 
 The g-profile of w records, per root alpha, the least integer m with
 (alpha, m) nonnegative on both the base chamber and its w-translate; it
@@ -34,19 +37,18 @@ def support_mul(v: ProPElt, w: ProPElt, tie: str = "min") -> frozenset:
     group = v.group
     if w.group is not group:
         raise GroupMismatchError("pro-p elements from different groups")
+    if v.w.length() == 0:
+        return frozenset((group.mul(v, w),))
     cache = group._support_cache
-    key = (v, w, tie)
+    key = (v.index, w.index, tie)
     cached = cache.get(key)
     if cached is not None:
         return cached
-    if v.w.length() == 0:
-        result = frozenset({group.mul(v, w)})
-    else:
-        s, vp = group.peel(v, tie)
-        moved, translates = group.step(s, w)
-        result = support_mul(vp, moved, tie)
-        if translates:
-            result = result.union(*(support_mul(vp, u, tie) for u in translates))
+    s, vp = group.peel(v, tie)
+    moved, translates = group.step(s, w)
+    result = support_mul(vp, moved, tie)
+    if translates:
+        result = result.union(*(support_mul(vp, u, tie) for u in translates))
     cache[key] = result
     return result
 

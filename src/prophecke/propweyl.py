@@ -42,8 +42,13 @@ the same object and equality is identity.  Each element carries its
 intern index, ProPElt.index, and ProPWeyl.by_index maps the index back
 to the element; the index is the element's hash (unique in the group)
 and the key of every term in H and E.  An element's products (keyed by
-the right operand) and inverse are memoised on it for the lifetime of
-the group.  Two ProPWeyl built over one WeylGroup share no element.
+the right operand's index, an int that hashes in C) and inverse are
+memoised on it for the lifetime of the group.  Each element also carries
+unit = {index: 1}, its own basis vector as index terms, built once at
+interning and read-only: where a peel recursion of H, E or the coset
+calculus reaches a length-zero factor, the answer is one group product,
+and its unit is returned instead of a fresh dict per pair.  Two ProPWeyl
+built over one WeylGroup share no element.
 
 The action of the finite Weyl group on T_q, which every product and
 inverse computed afresh needs, is memoised per group too: one dict per
@@ -79,7 +84,7 @@ class ProPWeyl:
         self._cocycle = self._build_cocycle()
         self._lift_cache = {}
         self._mrep_cache = {}
-        self._support_cache = {}  # (v, w, tie) -> frozenset of classes
+        self._support_cache = {}  # (v.index, w.index, tie) -> frozenset of classes
         self._aff_lifts = [
             self.lift_affine_reflection(A) for A in self.weyl.s_aff
         ]
@@ -281,13 +286,13 @@ class ProPWeyl:
     def mul(self, x: "ProPElt", y: "ProPElt") -> "ProPElt":
         if x.group is not self or y.group is not self:
             raise GroupMismatchError("pro-p elements from different groups")
-        prod = x._prods.get(y)
+        prod = x._prods.get(y.index)
         if prod is None:
             t = self._t_add(
                 self._t_add(x.t, self.torus_action(x.w.w0, y.t)),
                 self._cocycle[x.w.w0][y.w.w0],
             )
-            prod = x._prods[y] = ProPElt(self, t, x.w * y.w)
+            prod = x._prods[y.index] = ProPElt(self, t, x.w * y.w)
         return prod
 
     def inv(self, x: "ProPElt") -> "ProPElt":
@@ -334,10 +339,15 @@ class ProPElt:
     """Normal-form element t . n(w) of the pro-p Weyl group.
 
     Interned: constructing (group, t, w) twice returns the same object,
-    so ProPWeyl.mul and ProPWeyl.inv memoise their results on it.  index
-    is its position in group.by_index."""
+    so ProPWeyl.mul and ProPWeyl.inv memoise their results on it, the
+    products keyed by the right operand's index.  index is its position
+    in group.by_index, and unit = {index: 1} is tau or phi of the element
+    as index terms, built once at interning: the recursions of H, E and
+    the coset calculus answer a length-zero factor with the unit of a
+    group product.  unit is shared and read-only, like every memo value;
+    no element may adopt it."""
 
-    __slots__ = ("group", "t", "w", "index", "_prods", "_inv")
+    __slots__ = ("group", "t", "w", "index", "unit", "_prods", "_inv")
 
     def __new__(cls, group: ProPWeyl, t: tuple, w: ExtAffWeylElt):
         key = (t, w.w0, w.mu)
@@ -348,7 +358,8 @@ class ProPElt:
             self.t = t
             self.w = w
             self.index = len(group.by_index)
-            self._prods = {}  # right operand -> product
+            self.unit = {self.index: 1}
+            self._prods = {}  # right operand's index -> product
             self._inv = None
             group._interned[key] = self
             group.by_index.append(self)

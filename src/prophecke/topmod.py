@@ -6,7 +6,10 @@ phi_g of tau_g, with the explicit generator actions
     phi_w . tau_{n_s} = phi_{w s} + |mu| sum_t phi_{w t}  if s shortens w,
 
 (and mirrored on the left), extended to every tau_y by peeling the last
-letter off y and recursing, as H's product does; the coordinate-sum
+letter off y and recursing, as H's product does.  The recursion bottoms
+out at a length-zero y, whose action is the first line: it returns the
+read-only ProPElt.unit of the group product and memoises nothing, so the
+memo holds only pairs with y of positive length.  The coordinate-sum
 trace whose kernel complements the one-dimensional trivial line when the
 length-zero subgroup is finite of invertible order, the inversion twist,
 and the duality pairing against H.  The supersingularity audit of the
@@ -70,24 +73,25 @@ class TopModule:
 
     def _act_basis(self, y: ProPElt, u: ProPElt, side: str) -> dict:
         """tau_y acting on phi_u, with y = y' n_s peeled: on the left
-        tau_{y'} (tau_{n_s} phi_u), on the right (phi_u tau_{y'}) tau_{n_s}."""
+        tau_{y'} (tau_{n_s} phi_u), on the right (phi_u tau_{y'}) tau_{n_s}.
+        A length-zero y relabels, and its answer is the group product's
+        read-only unit, which the memo does not store."""
+        g = self.group
+        if y.w.length() == 0:
+            return (g.mul(y, u) if side == "left" else g.mul(u, y)).unit
         key = (y.index, u.index, side)
         cached = self._act_cache.get(key)
         if cached is not None:
             return cached
-        g, field = self.group, self.field
-        if y.w.length() == 0:
-            result = {(g.mul(y, u) if side == "left" else g.mul(u, y)).index: 1}
+        field, elts = self.field, g.by_index
+        s, yp = g.peel(y, self.hecke.word_tie)
+        result = {}
+        if side == "left":
+            for v, c in self._apply_gen(s, u, side).items():
+                accumulate(result, self._act_basis(yp, elts[v], side), c, field)
         else:
-            s, yp = g.peel(y, self.hecke.word_tie)
-            elts = g.by_index
-            result = {}
-            if side == "left":
-                for v, c in self._apply_gen(s, u, side).items():
-                    accumulate(result, self._act_basis(yp, elts[v], side), c, field)
-            else:
-                for v, c in self._act_basis(yp, u, side).items():
-                    accumulate(result, self._apply_gen(s, elts[v], side), c, field)
+            for v, c in self._act_basis(yp, u, side).items():
+                accumulate(result, self._apply_gen(s, elts[v], side), c, field)
         self._act_cache[key] = result
         return result
 

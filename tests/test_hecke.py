@@ -303,8 +303,10 @@ def test_field_group_q_mismatch():
 
 def test_elements_own_their_terms(sl2_q3):
     """Zero coefficients are dropped by their producers, and no result
-    shares its terms dict with a memo: clearing one result's terms leaves
-    an identical second call unchanged."""
+    shares its terms dict with a memo or with an element's unit: clearing
+    one result's terms leaves an identical second call unchanged, and
+    every unit still reads {index: 1}.  The length-zero operands reach the
+    base cases that answer with a group product's unit."""
     from prophecke.serial import elt_from_json
 
     H, G, E = sl2_q3.hecke, sl2_q3.group, sl2_q3.top
@@ -333,10 +335,20 @@ def test_elements_own_their_terms(sl2_q3):
         "+": lambda: x + y,
         "-": lambda: y - x,
         "scale": lambda: y.scale(2),
+        "act left, length zero": lambda: E.act(H.tau(g), E.phi(ns), "left"),
+        "act right, length zero": lambda: E.act(H.tau(g), E.phi(ns), "right"),
+        "mul, length zero": lambda: H.tau(g) * H.tau(ns),
+        "iota, length zero": lambda: H.iota(H.tau(g)),
     }
+
+    def units_intact():
+        return all(e.unit == {e.index: 1} for e in G.by_index)
+
     for name, call in calls.items():
         first = call()
         want = dict(first.terms)
         assert want, name
         first.terms.clear()
+        assert units_intact(), name
         assert call().terms == want, name
+        assert units_intact(), name

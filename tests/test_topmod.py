@@ -6,9 +6,9 @@ import pytest
 
 from prophecke.errors import DecompositionUnavailableError, GroupMismatchError
 from prophecke.propweyl import basis_elements
-from prophecke.verify import run_suite
+from prophecke.verify import build_context, run_suite
 
-from conftest import get_context, get_explicit_context
+from conftest import EXPLICIT_GROUPS, get_context, get_explicit_context
 
 
 def test_act_examples(sl2_q3):
@@ -268,3 +268,34 @@ def test_bimodule_on_pgl2xpgl2():
     case a wrong right-action recursion coefficient shows in."""
     report = run_suite(get_explicit_context("PGL2xPGL2"), "bimodule", max_len=2)
     assert report["failures"] == [] and report["cases"] == 41600
+
+
+@pytest.mark.parametrize("name", ["SL2", "PGL2xPGL2"])
+def test_length_zero_base_cases_are_not_memoised(name):
+    """A length-zero left factor is answered from the group product and
+    stored nowhere: after bimodule and cosets, no key of the action memo
+    has a length-zero y and no key of the support memo a length-zero v,
+    and the base cases give the relabelled basis vector."""
+    from prophecke import cosets, make_context
+
+    if name in EXPLICIT_GROUPS:  # fresh: the suites below fill its memos
+        ctx = build_context({"group": EXPLICIT_GROUPS[name], "field": {"p": 3, "f": 1}})
+    else:
+        ctx = make_context(name, 3)
+    G, E = ctx.group, ctx.top
+    for suite in ("bimodule", "cosets"):
+        report = run_suite(ctx, suite, max_len=1)
+        assert report["failures"] == [], suite
+    elts = G.by_index
+    assert E._act_cache and G._support_cache
+    assert all(elts[y].length() > 0 for y, _, _ in E._act_cache)
+    assert all(elts[v].length() > 0 for v, _, _ in G._support_cache)
+
+    sizes = len(E._act_cache), len(G._support_cache)
+    basis = basis_elements(G, 1)
+    for t in (x for x in basis if x.length() == 0):
+        for u in basis:
+            assert E._act_basis(t, u, "left") == {G.mul(t, u).index: 1}
+            assert E._act_basis(t, u, "right") == {G.mul(u, t).index: 1}
+            assert cosets.support_mul(t, u) == {G.mul(t, u)}
+    assert (len(E._act_cache), len(G._support_cache)) == sizes
