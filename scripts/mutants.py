@@ -92,6 +92,18 @@ MUTANTS = [
     ("_Tally.check ignores ok", "verify.py",
      "        self.cases += 1\n        if not ok:\n",
      "        self.cases += 1\n        if False:\n"),
+    ("closure adds the expansion step", "rootdata.py",
+     "img_e = e[:j] + (e[j] - k,) + e[j + 1:]",
+     "img_e = e[:j] + (e[j] + k,) + e[j + 1:]"),
+    ("g_profile drops the delta(alpha) bound", "cosets.py",
+     "max(neg[i], neg[perm[i]] + dot(mu, alpha))",
+     "neg[perm[i]] + dot(mu, alpha)"),
+    ("g_profile drops delta(w0' alpha)", "cosets.py",
+     "max(neg[i], neg[perm[i]] + dot(mu, alpha))",
+     "max(neg[i], dot(mu, alpha))"),
+    ("lowest root by greatest height", "rootdata.py",
+     "low = min(heights.values())",
+     "low = max(heights.values())"),
 ]
 
 

@@ -19,7 +19,9 @@ The g-profile of w records, per root alpha, the least integer m with
 (alpha, m) nonnegative on both the base chamber and its w-translate; it
 is the combinatorial shadow of the unipotent filtration of I cap w I
 w^{-1}, and satisfies the step law and the index sum rule tested in the
-suites.
+suites.  With w^{-1} = (w0', mu') and delta 1 on a negative root and 0
+on a positive one, the two conditions read m >= delta(alpha) and
+m >= delta(w0' alpha) + <mu', alpha>, so g_w is their maximum.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 from .errors import GroupMismatchError
 from .propweyl import ProPElt, ProPWeyl
-from .rootdata import AffineRoot, dot
+from .rootdata import dot
 from .weyl import ExtAffWeylElt
 
 
@@ -72,22 +74,15 @@ class GProfile:
 
 
 def g_profile(w: ExtAffWeylElt) -> GProfile:
-    """Per root, the least m such that (alpha, m) is a positive affine root
-    whose w-preimage is also positive, found by upward scan from a bound
-    that both conditions exceed."""
+    """Per root alpha, the least m such that (alpha, m) is a positive affine
+    root whose w-preimage is also positive:
+    max(delta(alpha), delta(w0' alpha) + <mu', alpha>) for w^{-1} = (w0', mu')."""
     g = w.group
-    rd = g.rd
     winv = w.inv()
-    values = {}
-    for i in range(len(rd.roots)):
-        m = min(0, dot(winv.mu, rd.roots[i])) - 1
-        while True:
-            A = AffineRoot(i, m)
-            if rd.is_positive_affine(A) and rd.is_positive_affine(winv.act_affine(A)):
-                break
-            m += 1
-        values[i] = m
-    return GProfile(values)
+    perm, mu = g.root_perm[winv.w0], winv.mu
+    neg = [1 - p for p in g.rd.positive]  # delta, as positive holds bools
+    return GProfile({i: max(neg[i], neg[perm[i]] + dot(mu, alpha))
+                     for i, alpha in enumerate(g.rd.roots)})
 
 
 def g_profile_identity(rd) -> GProfile:

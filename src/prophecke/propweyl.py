@@ -82,8 +82,6 @@ class ProPWeyl:
         # per finite Weyl index: torus vector -> its image, filled on demand
         self._torus_actions = [{} for _ in range(weyl.order)]
         self._cocycle = self._build_cocycle()
-        self._lift_cache = {}
-        self._mrep_cache = {}
         self._support_cache = {}  # (v.index, w.index, tie) -> frozenset of classes
         self._aff_lifts = [
             self.lift_affine_reflection(A) for A in self.weyl.s_aff
@@ -194,32 +192,26 @@ class ProPWeyl:
         For a simple root this is (0, s_alpha).  In general the element
         squares exactly to alpha-check(-1) and is pinned modulo the coroot
         image of alpha, which is all the in-scope relations see."""
-        cached = self._mrep_cache.get(root_index)
-        if cached is not None:
-            return cached
         rd = self.rd
         if not rd.is_positive_root(root_index):
-            result = self.reflection_lift(rd.neg_index(root_index))
-        elif root_index in rd.simple:
-            result = ProPElt(
+            return self.reflection_lift(rd.neg_index(root_index))
+        if root_index in rd.simple:
+            return ProPElt(
                 self, self.zero_t, self.weyl.affine_reflection(AffineRoot(root_index, 0))
             )
-        else:
-            alpha = rd.roots[root_index]
-            # positive non-simple root: some simple pairs positively, and
-            # reflecting there strictly drops the height
-            j = next(i for i in rd.simple if dot(rd.coroots[i], alpha) > 0)
-            beta_vec = tuple(
-                a - dot(rd.coroots[j], alpha) * b
-                for a, b in zip(alpha, rd.roots[j])
-            )
-            beta = rd.root_index(beta_vec)
-            nj = ProPElt(
-                self, self.zero_t, self.weyl.affine_reflection(AffineRoot(j, 0))
-            )
-            result = self.mul(self.mul(nj, self.reflection_lift(beta)), self.inv(nj))
-        self._mrep_cache[root_index] = result
-        return result
+        alpha = rd.roots[root_index]
+        # positive non-simple root: some simple pairs positively, and
+        # reflecting there strictly drops the height
+        j = next(i for i in rd.simple if dot(rd.coroots[i], alpha) > 0)
+        beta_vec = tuple(
+            a - dot(rd.coroots[j], alpha) * b
+            for a, b in zip(alpha, rd.roots[j])
+        )
+        beta = rd.root_index(beta_vec)
+        nj = ProPElt(
+            self, self.zero_t, self.weyl.affine_reflection(AffineRoot(j, 0))
+        )
+        return self.mul(self.mul(nj, self.reflection_lift(beta)), self.inv(nj))
 
     def lift_affine_reflection(self, A: AffineRoot) -> "ProPElt":
         """Lift of the reflection at the affine root (alpha, h): the
@@ -251,14 +243,11 @@ class ProPWeyl:
         length-zero prefix times the rank-one lifts of the word letters.
         The torus part of the result records the accumulated n_s^2
         corrections."""
-        cached = self._lift_cache.get(w)
-        if cached is None:
-            omega, word = w.reduced_word()
-            cached = self.lift_omega(omega)
-            for i in word:
-                cached = self.mul(cached, self.lift_s(i))
-            self._lift_cache[w] = cached
-        return cached
+        omega, word = w.reduced_word()
+        out = self.lift_omega(omega)
+        for i in word:
+            out = self.mul(out, self.lift_s(i))
+        return out
 
     # -- the rank-one step shared by H, E and the coset calculus ----------------
 

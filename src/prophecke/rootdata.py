@@ -5,12 +5,16 @@ to the chosen basis of the cocharacter lattice X_* = Z^r, so that the
 canonical pairing <x, xi> is the plain dot product.  Coroots live in X_*
 itself.  The isogeny type is carried entirely by the coroot coordinates
 (SL2 and PGL2 share their root, not their coroot).
+
+One walk, _close, closes the simple (root, coroot) pairs under the simple
+reflections and carries each root's simple-root expansion.  A preset is
+the pairs it reaches; an explicit datum must list exactly those pairs.
+Positivity, components and the lowest roots are read off the expansions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
 from .errors import DataIntegrityError
@@ -37,39 +41,6 @@ class AffineRoot:
 
     def __repr__(self):
         return f"A({self.root},{self.h})"
-
-
-def _solve_expansion(simple_vectors, target):
-    """Coefficients of target in the linearly independent simple_vectors,
-    exact over Q; returns None if target is outside their span."""
-    rows = [list(map(Fraction, col)) for col in zip(*simple_vectors)]
-    rhs = [Fraction(t) for t in target]
-    ncols = len(simple_vectors)
-    sol = [Fraction(0)] * ncols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        rhs[r], rhs[piv] = rhs[piv], rhs[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        rhs[r] *= inv
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-                rhs[i] -= f * rhs[r]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(rows)):
-        if rhs[i] != 0:
-            return None
-    for i, c in enumerate(pivots):
-        sol[c] = rhs[i]
-    return sol
 
 
 def _check_contents(rank, roots, coroots, simple):
@@ -109,7 +80,6 @@ class RootDatum:
         self._validate_pairing()
         self._compute_expansions()
         self._compute_components()
-        self._validate_reflections()
 
     # -- construction-time checks --------------------------------------------
 
@@ -122,20 +92,18 @@ class RootDatum:
                 raise ValueError("root system is not reduced")
 
     def _compute_expansions(self):
-        simple_vecs = [self.roots[i] for i in self.simple]
-        exps = []
-        for v in self.roots:
-            sol = _solve_expansion(simple_vecs, v)
-            if sol is None or any(x.denominator != 1 for x in sol):
-                raise ValueError(f"root {v} is not an integral combination of the base")
-            coeffs = tuple(int(x) for x in sol)
+        pairs = list(zip(self.roots, self.coroots))
+        exps = _close([pairs[i] for i in self.simple], set(pairs))
+        if len(exps) != len(pairs):
+            missed = next(a for a, ac in pairs if (a, ac) not in exps)
+            raise ValueError(f"root {missed} is not reached from the simple roots")
+        self.expansions = [exps[p] for p in pairs]
+        for v, coeffs in zip(self.roots, self.expansions):
             if not (all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)):
                 raise ValueError(f"root {v} has mixed-sign expansion {coeffs}")
-            exps.append(coeffs)
-        self.expansions = exps
         # A root is positive when its expansion has a positive coefficient;
         # read by every length, descent and positivity test.
-        self.positive = tuple(any(c > 0 for c in exp) for exp in exps)
+        self.positive = tuple(any(c > 0 for c in exp) for exp in self.expansions)
 
     def _compute_components(self):
         ns = len(self.simple)
@@ -166,13 +134,6 @@ class RootDatum:
             component_of.append(comps.pop())
         self.component_of = component_of
 
-    def _validate_reflections(self):
-        for a, ac in zip(self.roots, self.coroots):
-            for b in self.roots:
-                img = tuple(x - dot(ac, b) * y for x, y in zip(b, a))
-                if img not in self._index:
-                    raise ValueError("reflections do not permute the root set")
-
     # -- queries ---------------------------------------------------------------
 
     def root_index(self, vector) -> int:
@@ -194,27 +155,22 @@ class RootDatum:
         ]
 
     def minimal_roots(self):
-        """Per component, the unique root m with m <= beta for every root
-        beta of that component (the negative of the highest root), found by
-        exhaustive comparison of simple-root expansions."""
+        """Per component, its lowest root (the negative of the highest
+        root): the unique root of least height, the sum of its simple-root
+        expansion."""
         out = []
         for c in range(self.ncomp):
-            members = [i for i in range(len(self.roots)) if self.component_of[i] == c]
-            minimal = [
-                i
-                for i in members
-                if all(
-                    all(x >= 0 for x in self._diff(j, i))
-                    for j in members
-                )
-            ]
+            heights = {
+                i: sum(exp)
+                for i, exp in enumerate(self.expansions)
+                if self.component_of[i] == c
+            }
+            low = min(heights.values())
+            minimal = [i for i, h in heights.items() if h == low]
             if len(minimal) != 1:
                 raise DataIntegrityError(f"component {c} has {len(minimal)} minimal roots")
             out.append(minimal[0])
         return out
-
-    def _diff(self, j, i):
-        return tuple(a - b for a, b in zip(self.expansions[j], self.expansions[i]))
 
     # -- affine layer ------------------------------------------------------------
 
@@ -260,31 +216,43 @@ class RootDatum:
         return f"RootDatum({tag}, {len(self.roots)} roots)"
 
 
-def _generate(rank, simple_roots, simple_coroots, name):
-    """Close the base under all simple reflections, producing the full
-    (root, coroot) list; simple roots come first, in the given order."""
-    simple_roots = [tuple(v) for v in simple_roots]
-    simple_coroots = [tuple(v) for v in simple_coroots]
-    pairs = list(zip(simple_roots, simple_coroots))
-    seen = set(pairs)
-    frontier = list(pairs)
+def _close(simple, listed=None):
+    """Walk the simple (root, coroot) pairs under the simple reflections,
+    returning each reached pair's simple-root expansion.  s_j sends beta to
+    beta - <beta, alpha_j-check> alpha_j, so it sends beta's expansion e to
+    e - <beta, alpha_j-check> e_j.  Given an explicit datum's listed pairs,
+    the walk stops at the first pair outside them, so it ends even on an
+    affine Cartan matrix."""
+    n = len(simple)
+    exps = {p: tuple(int(i == j) for i in range(n)) for j, p in enumerate(simple)}
+    frontier = list(exps)
     while frontier:
         nxt = []
         for a, ac in frontier:
-            for b, bc in zip(simple_roots, simple_coroots):
-                n = dot(bc, a)
-                img = tuple(x - n * y for x, y in zip(a, b))
-                img_c = tuple(x - dot(ac, b) * y for x, y in zip(ac, bc))
-                if (img, img_c) not in seen:
-                    seen.add((img, img_c))
-                    nxt.append((img, img_c))
-        pairs.extend(nxt)
+            e = exps[a, ac]
+            for j, (b, bc) in enumerate(simple):
+                k = dot(bc, a)
+                img = (tuple(x - k * y for x, y in zip(a, b)),
+                       tuple(x - dot(ac, b) * y for x, y in zip(ac, bc)))
+                img_e = e[:j] + (e[j] - k,) + e[j + 1:]
+                if img not in exps:
+                    if listed is not None and img not in listed:
+                        raise ValueError(f"reflections reach the pair {img}, which is not listed")
+                    exps[img] = img_e
+                    nxt.append(img)
+                elif exps[img] != img_e:
+                    raise ValueError(f"simple roots are linearly dependent: {img[0]} has "
+                                     f"expansions {exps[img]} and {img_e}")
         frontier = nxt
-    rest = sorted(p for p in pairs if p not in set(zip(simple_roots, simple_coroots)))
-    ordered = list(zip(simple_roots, simple_coroots)) + rest
-    roots = [p[0] for p in ordered]
-    coroots = [p[1] for p in ordered]
-    return RootDatum(rank, roots, coroots, list(range(len(simple_roots))), name=name)
+    return exps
+
+
+def _generate(rank, simple_roots, simple_coroots, name):
+    """The datum whose (root, coroot) pairs are the closure of the simple
+    pairs; simple roots come first, in the given order."""
+    simple = [(tuple(a), tuple(ac)) for a, ac in zip(simple_roots, simple_coroots)]
+    roots, coroots = zip(*simple + sorted(p for p in _close(simple) if p not in simple))
+    return RootDatum(rank, roots, coroots, list(range(len(simple))), name=name)
 
 
 _PRESET_DATA = {

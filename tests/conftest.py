@@ -37,6 +37,16 @@ EXPLICIT_GROUPS = {
     },
 }
 
+# GL3 with the coroots of +-(e1 - e3) shifted by +-(1, 1, 1).  Each pair
+# still has <coroot, root> = 2 and reflects the roots as before, but the
+# simple reflections send the coroots elsewhere, so this is no root datum.
+GL3_SHIFTED_COROOTS = {
+    "rank": 3,
+    "roots": [[1, -1, 0], [0, 1, -1], [1, 0, -1], [-1, 1, 0], [0, -1, 1], [-1, 0, 1]],
+    "coroots": [[1, -1, 0], [0, 1, -1], [2, 1, 0], [-1, 1, 0], [0, -1, 1], [-2, -1, 0]],
+    "simple": [0, 1],
+}
+
 
 def get_context(group, p, f=1, m=None):
     key = (group, p, f, m)

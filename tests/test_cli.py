@@ -11,6 +11,8 @@ from prophecke import cli
 from prophecke.cli import main
 from prophecke.rootdata import _generate
 
+from conftest import GL3_SHIFTED_COROOTS
+
 SL2_CFG = {"group": {"preset": "SL2"}, "field": {"p": 3, "f": 1, "m": 1}, "seed": 0}
 # Simply connected A4: |W0| = 120, past the bound on the finite Weyl group.
 A4_SC = _generate(
@@ -159,6 +161,9 @@ def test_malformed_field_exits_2_naming_it(tmp_path, capsys, field, name):
                     "simple": [0]}}, "group roots"),
         ({"group": {"rank": 5, "roots": [], "coroots": [], "simple": []}}, "group rank"),
         ({"group": A4_SC}, "Weyl group"),
+        ({"group": GL3_SHIFTED_COROOTS}, "not listed"),
+        ({"group": {"rank": 1, "roots": [[2], [-2]], "coroots": [[1], [-1]],
+                    "simple": [0, 1]}}, "linearly dependent"),
     ],
 )
 def test_malformed_config_exits_2_naming_it(tmp_path, capsys, monkeypatch, config, name):

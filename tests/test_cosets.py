@@ -5,9 +5,9 @@ import pytest
 from prophecke import cosets
 from prophecke.errors import GroupMismatchError
 from prophecke.propweyl import ProPElt, basis_elements
-from prophecke.rootdata import AffineRoot
+from prophecke.rootdata import PRESET_NAMES, AffineRoot, dot
 
-from conftest import get_context
+from conftest import EXPLICIT_GROUPS, get_context, get_explicit_context
 
 
 def test_support_additive_lengths(sl2_q3):
@@ -58,6 +58,28 @@ def test_g_profile_identity_and_reflection(sl2_q3):
         assert gid[i] == (0 if rd.is_positive_root(i) else 1)
     gs = cosets.g_profile(G.weyl.simple_reflection(0)).values
     assert all(v == 1 for v in gs.values())
+
+
+def g_profile_scan(w):
+    """Oracle: per root, scan m upward from a bound below both conditions
+    until (alpha, m) and its w-preimage are positive affine roots."""
+    rd = w.group.rd
+    winv = w.inv()
+    values = {}
+    for i in range(len(rd.roots)):
+        m = min(0, dot(winv.mu, rd.roots[i])) - 1
+        while not (rd.is_positive_affine(AffineRoot(i, m))
+                   and rd.is_positive_affine(winv.act_affine(AffineRoot(i, m)))):
+            m += 1
+        values[i] = m
+    return values
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES + tuple(EXPLICIT_GROUPS))
+def test_g_profile_matches_scan(name):
+    ctx = get_context(name, 3) if name in PRESET_NAMES else get_explicit_context(name)
+    for w in ctx.weyl.elements_up_to_length(4):
+        assert cosets.g_profile(w).values == g_profile_scan(w)
 
 
 def test_g_profile_sum_rule(sl3_q3):

@@ -2,6 +2,9 @@
 python -O strips assert statements."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import prophecke
@@ -66,3 +69,14 @@ def test_no_unreferenced_definitions():
         unread += [f"{path.name}:{line} {name}" for name, line in _definitions(tree)
                    if name not in loaded]
     assert not unread, unread
+
+
+def test_import_loads_no_exact_rationals():
+    """The package does integer arithmetic only: importing it (with the CLI
+    and the suites) loads neither fractions nor decimal."""
+    code = ("import sys, prophecke, prophecke.cli, prophecke.verify; "
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    src = str(Path(prophecke.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "[]"

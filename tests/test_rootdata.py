@@ -4,7 +4,7 @@ import pytest
 
 from prophecke.rootdata import PRESET_NAMES, AffineRoot, RootDatum, dot, preset
 
-from conftest import EXPLICIT_GROUPS
+from conftest import EXPLICIT_GROUPS, GL3_SHIFTED_COROOTS
 
 
 def orbit_generate(simple_roots, simple_coroots):
@@ -85,11 +85,20 @@ def test_reflections_permute_roots():
 
 
 def test_minimal_roots_unique_per_component():
-    for name in ("SL2", "SL3", "Sp4", "G2sc", "SL2xSL2", "GL3"):
-        rd = preset(name)
+    data = [preset(n) for n in ("SL2", "SL3", "Sp4", "G2sc", "SL2xSL2", "GL3")]
+    data += [RootDatum.from_json(d) for d in EXPLICIT_GROUPS.values()]
+    for rd in data:
         mins = rd.minimal_roots()
         assert len(mins) == rd.ncomp
         assert len(rd.pi_aff()) == len(rd.simple) + rd.ncomp
+        # oracle: m <= beta coordinatewise for every root beta of m's component
+        for c, m in enumerate(mins):
+            members = [i for i in range(len(rd.roots)) if rd.component_of[i] == c]
+            assert [
+                i for i in members
+                if all(x <= y for j in members
+                       for x, y in zip(rd.expansions[i], rd.expansions[j]))
+            ] == [m]
 
 
 def test_positive_affine():
@@ -143,6 +152,16 @@ def test_invalid_data_rejected():
     with pytest.raises(ValueError):
         # non-reduced: contains alpha and 2 alpha (both with valid coroots)
         RootDatum(1, [(1,), (-1,), (2,), (-2,)], [(2,), (-2,), (1,), (-1,)], [0])
+    with pytest.raises(ValueError, match="not listed"):
+        # GL3 with the coroots of +-(e1 - e3) shifted by +-(1, 1, 1): the
+        # pairing and the reflections of the roots are unchanged
+        RootDatum.from_json(GL3_SHIFTED_COROOTS)
+    with pytest.raises(ValueError, match="linearly dependent"):
+        # SL2 with both alpha and -alpha simple
+        RootDatum(1, [(2,), (-2,)], [(1,), (-1,)], [0, 1])
+    with pytest.raises(ValueError, match="not listed"):
+        # affine A1: the closure would run on without end
+        RootDatum(2, [(1, 0), (0, 1)], [(2, -2), (-2, 2)], [0, 1])
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES + tuple(EXPLICIT_GROUPS))
@@ -153,6 +172,10 @@ def test_positivity_follows_expansion_signs(name):
     assert rd.positive_roots() == [i for i, p in enumerate(signs) if p]
     for i, exp in enumerate(rd.expansions):
         assert rd.is_positive_root(i) == all(c >= 0 for c in exp)
+        assert tuple(
+            sum(c * v[k] for c, v in zip(exp, (rd.roots[j] for j in rd.simple)))
+            for k in range(rd.rank)
+        ) == rd.roots[i]
         assert rd.is_positive_root(i) != rd.is_positive_root(rd.neg_index(i))
         for h in (-1, 0, 1):
             assert rd.is_positive_affine(AffineRoot(i, h)) == (h > 0 or (h == 0 and signs[i]))
