@@ -29,6 +29,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SUBSET = [
     "tests/test_weyl.py::test_omega_groups",
     "tests/test_weyl.py::test_omega_is_exact",
+    "tests/test_weyl.py::test_omega_is_exact_after_a_row_repivot",
+    "tests/test_weyl.py::test_smith_normal_form_repivots",
     "tests/test_hecke.py::test_elements_own_their_terms",
     "tests/test_object_oracle.py",
     "tests/test_topmod.py::test_bimodule_catches_broken_actions",
@@ -104,6 +106,18 @@ MUTANTS = [
     ("lowest root by greatest height", "rootdata.py",
      "low = min(heights.values())",
      "low = max(heights.values())"),
+    ("smith form drops the row re-pivot flag", "weyl.py",
+     "                    if A[i][c]:\n                        clean = False\n",
+     ""),
+    ("smith form drops the column re-pivot flag", "weyl.py",
+     "                    if A[r][j]:\n                        clean = False\n",
+     ""),
+    ("words0 by the max tie", "weyl.py",
+     "self.elt(i).reduced_word()[1]",
+     "self.elt(i).reduced_word(\"max\")[1]"),
+    ("components are all supports", "rootdata.py",
+     "{s for s in supports if not any(s < t for t in supports)}",
+     "set(supports)"),
 ]
 
 

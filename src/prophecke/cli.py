@@ -14,12 +14,6 @@ import sys
 from itertools import product as iproduct
 
 from . import __version__
-from .errors import (
-    DataIntegrityError,
-    DecompositionUnavailableError,
-    GroupMismatchError,
-    UnsupportedFieldError,
-)
 from .hecke import AffineCharacter
 from .propweyl import ProPElt, basis_elements
 from .serial import canonical_json, elt_from_json
@@ -173,8 +167,7 @@ def _export_payload(ctx, what: str, max_len: int):
 
 def cmd_export(args) -> int:
     ctx = _context_from_args(args)
-    max_len = args.max_len if args.max_len is not None else ctx.max_len
-    payload = _export_payload(ctx, args.what, max_len)
+    payload = _export_payload(ctx, args.what, ctx.max_len)
     payload["config"] = ctx.config
     payload["version"] = __version__
     payload["what"] = args.what
@@ -265,15 +258,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (
-        ValueError,
-        OSError,
-        json.JSONDecodeError,
-        GroupMismatchError,
-        UnsupportedFieldError,
-        DataIntegrityError,
-        DecompositionUnavailableError,
-    ) as exc:
+    except (ValueError, OSError) as exc:
+        # json.JSONDecodeError and the package's input errors are
+        # ValueErrors; a TheoremViolationError propagates.
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -58,6 +58,8 @@ finite Weyl element, filled on first use, so the memo holds at most
 
 from __future__ import annotations
 
+from itertools import product
+
 from .errors import DataIntegrityError, GroupMismatchError, TheoremViolationError
 from .rootdata import AffineRoot, dot
 from .weyl import ExtAffWeylElt, WeylGroup, _int_vector, _mat_vec
@@ -79,6 +81,7 @@ class ProPWeyl:
         # exponent of -1 in F_q^x (0 when q is even, since then -1 = 1)
         self.neg_one_exp = (q - 1) // 2 if q % 2 == 1 else 0
         self.zero_t = (0,) * self.rank
+        self._torus_elements = None  # all of T_q, listed on first use
         # per finite Weyl index: torus vector -> its image, filled on demand
         self._torus_actions = [{} for _ in range(weyl.order)]
         self._cocycle = self._build_cocycle()
@@ -101,10 +104,13 @@ class ProPWeyl:
             raise ValueError(f"torus vector must have length {self.rank}")
         return exps
 
-    def torus_elements(self):
-        from itertools import product as iproduct
-
-        return list(iproduct(range(self.qm1), repeat=self.rank))
+    def torus_elements(self) -> tuple:
+        """All (q-1)^rank torus vectors, built on the first call and kept.
+        Not built with the group: it is large for a big field, and
+        products, lifts and most suites never list it."""
+        if self._torus_elements is None:
+            self._torus_elements = tuple(product(range(self.qm1), repeat=self.rank))
+        return self._torus_elements
 
     def torus_action(self, w0: int, t) -> tuple:
         """Action on T_q of the finite Weyl element with index w0, on a

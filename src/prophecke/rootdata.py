@@ -9,7 +9,8 @@ itself.  The isogeny type is carried entirely by the coroot coordinates
 One walk, _close, closes the simple (root, coroot) pairs under the simple
 reflections and carries each root's simple-root expansion.  A preset is
 the pairs it reaches; an explicit datum must list exactly those pairs.
-Positivity, components and the lowest roots are read off the expansions.
+Positivity and the lowest roots are read off the expansions, and the
+Dynkin components off their supports: a component is a maximal support.
 """
 
 from __future__ import annotations
@@ -106,33 +107,18 @@ class RootDatum:
         self.positive = tuple(any(c > 0 for c in exp) for exp in self.expansions)
 
     def _compute_components(self):
-        ns = len(self.simple)
-        adj = {i: set() for i in range(ns)}
-        for i in range(ns):
-            for j in range(ns):
-                if i != j and dot(self.coroots[self.simple[i]], self.roots[self.simple[j]]) != 0:
-                    adj[i].add(j)
-        comp_of_simple = [-1] * ns
-        comp = 0
-        for i in range(ns):
-            if comp_of_simple[i] >= 0:
-                continue
-            stack = [i]
-            while stack:
-                a = stack.pop()
-                if comp_of_simple[a] >= 0:
-                    continue
-                comp_of_simple[a] = comp
-                stack.extend(adj[a])
-            comp += 1
-        self.ncomp = comp
-        component_of = []
-        for exp in self.expansions:
-            comps = {comp_of_simple[i] for i, c in enumerate(exp) if c != 0}
-            if len(comps) != 1:
+        """The components are the maximal supports of the expansions (a
+        component's highest root is supported on all of it), numbered by
+        their least simple index; a root's is the one holding its support."""
+        supports = [frozenset(i for i, c in enumerate(exp) if c) for exp in self.expansions]
+        comps = sorted({s for s in supports if not any(s < t for t in supports)}, key=min)
+        self.ncomp = len(comps)
+        self.component_of = []
+        for s in supports:
+            owners = [c for c, comp in enumerate(comps) if s <= comp]
+            if len(owners) != 1:
                 raise DataIntegrityError("root supported on several components")
-            component_of.append(comps.pop())
-        self.component_of = component_of
+            self.component_of.append(owners[0])
 
     # -- queries ---------------------------------------------------------------
 

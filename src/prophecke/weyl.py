@@ -6,6 +6,8 @@ cocharacter lattice first, then the finite part.  Products, the action
 on affine roots, the length function, reduced words over the affine
 simple reflections, the length-zero subgroup Omega, and the parity
 invariant coupling negation-stable root orbits to length all live here.
+One rule strips every reduced word: a finite element has no affine
+descent, so its canonical word words0 is its affine reduced word.
 
 Omega is computed exactly, with no search: it is isomorphic to
 Lambda/Q-check, whose invariants and generator lifts come from the
@@ -88,24 +90,17 @@ class WeylGroup:
         ident = _identity_matrix(rd.rank)
         elements = [ident]
         index = {ident: 0}
-        words = {0: ()}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for ei in frontier:
-                for gi, g in enumerate(gens):
-                    M = _mat_mul(elements[ei], g)  # right multiplication
-                    if M not in index:
-                        index[M] = len(elements)
-                        elements.append(M)
-                        words[index[M]] = words[ei] + (gi,)
-                        nxt.append(index[M])
-                        if len(elements) > _MAX_W0_ORDER:
-                            raise ValueError(
-                                f"finite Weyl group has more than {_MAX_W0_ORDER} "
-                                f"elements; exceeds desk scale"
-                            )
-            frontier = nxt
+        for M in elements:  # grows while walked, so breadth first
+            for g in gens:
+                P = _mat_mul(M, g)  # right multiplication
+                if P not in index:
+                    index[P] = len(elements)
+                    elements.append(P)
+                    if len(elements) > _MAX_W0_ORDER:
+                        raise ValueError(
+                            f"finite Weyl group has more than {_MAX_W0_ORDER} "
+                            f"elements; exceeds desk scale"
+                        )
         self.elements = elements
         self.index = index
         self.order = len(elements)
@@ -124,43 +119,20 @@ class WeylGroup:
         self.mult = [
             [index[_mat_mul(A, B)] for B in elements] for A in elements
         ]
-        self.inv0 = [0] * self.order
-        for i in range(self.order):
-            for j in range(self.order):
-                if self.mult[i][j] == 0:
-                    self.inv0[i] = j
-                    break
-        positive, pos = rd.positive, rd.positive_roots()
-        self.length0 = [
-            sum(1 for j in pos if not positive[perm[j]]) for perm in self.root_perm
-        ]
-        # canonical finite reduced words by smallest-descent stripping
-        self.words0 = [self._canonical_word0(i) for i in range(self.order)]
+        self.inv0 = [row.index(0) for row in self.mult]
 
         self.s_aff = rd.pi_aff()
         self._aff_gen = [self.affine_reflection(A) for A in self.s_aff]
         self._len_cache = {}
         self._word_cache = {}
         self._omega = None
+        # (w0, 0) sends each (m_c, 1) to (w0 m_c, 1), so it has no affine
+        # descent and its canonical word is a word in the finite generators.
+        self.words0 = [self.elt(i).reduced_word()[1] for i in range(self.order)]
+        self.length0 = [len(w) for w in self.words0]
         self._sanity_check_length()
 
-    # -- finite words ---------------------------------------------------------
-
-    def _canonical_word0(self, ei):
-        word = []
-        positive = self.rd.positive
-        cur = ei
-        while self.length0[cur] > 0:
-            for gi, si in enumerate(self.gen_index):
-                # right descent: cur sends alpha_gi negative
-                root = self.rd.simple[gi]
-                if not positive[self.root_perm[cur][root]]:
-                    word.insert(0, gi)
-                    cur = self.mult[cur][si]
-                    break
-            else:
-                raise TheoremViolationError("positive finite length without a descent")
-        return tuple(word)
+    # -- construction-time check ------------------------------------------------
 
     def _sanity_check_length(self):
         box = [-2, -1, 0, 1, 2] if self.rank <= 2 else [-1, 0, 1]
@@ -365,7 +337,10 @@ class ExtAffWeylElt:
             word.insert(0, i)
             cur = cur * g._aff_gen[i]
         if len(word) != self.length():
-            raise TheoremViolationError(f"descent stripping of {self!r} is not reduced")
+            # (w0, mu), not repr: words0 is built by this method
+            raise TheoremViolationError(
+                f"descent stripping of {(self.w0, self.mu)} is not reduced"
+            )
         result = (cur, tuple(word))
         self._words[tie] = g._word_cache[key] = result
         return result

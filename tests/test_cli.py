@@ -9,6 +9,7 @@ import pytest
 
 from prophecke import cli
 from prophecke.cli import main
+from prophecke.errors import TheoremViolationError
 from prophecke.rootdata import _generate
 
 from conftest import GL3_SHIFTED_COROOTS
@@ -296,6 +297,30 @@ def test_internal_error_is_not_exit_2(cfg, monkeypatch):
     monkeypatch.setattr(cli, "_export_payload", broken)
     with pytest.raises(KeyError):
         main(["export", "omega", "--config", cfg])
+
+
+def test_theorem_violation_is_not_exit_2(cfg, monkeypatch):
+    def broken(ctx, what, max_len):
+        raise TheoremViolationError("identity fails")
+
+    monkeypatch.setattr(cli, "_export_payload", broken)
+    with pytest.raises(TheoremViolationError):
+        main(["export", "omega", "--config", cfg])
+
+
+def test_malformed_config_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text("{")
+    assert main(["export", "omega", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_export_reads_max_len_from_config(tmp_path, cfg):
+    from_config = _write(tmp_path, "cfg1.json", {**SL2_CFG, "max_len": 1})
+    a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    assert main(["export", "hecke_table", "--config", from_config, "--out", a]) == 0
+    assert main(["export", "hecke_table", "--config", cfg, "--max-len", "1", "--out", b]) == 0
+    assert open(a).read() == open(b).read()
 
 
 def test_unknown_suite_usage_error(cfg):

@@ -400,3 +400,19 @@ def test_torus_action_memo(name, q):
             assert first == tuple(e % G.qm1 for e in _mat_vec(M, t)), (w0, t)
             assert G.torus_action(w0, t) is first
     assert sum(map(len, G._torus_actions)) <= G.weyl.order * G.qm1 ** G.rank
+
+
+# -- the torus list -----------------------------------------------------------------------
+
+
+def test_torus_list_built_on_first_use():
+    """GL3 over GF(2^8) has a torus of 255^3 (about 16.6M) vectors: building
+    the context leaves it unlisted, and the first listing is kept."""
+    from prophecke.verify import build_context
+
+    big = build_context({"group": "GL3", "field": {"p": 2, "f": 8}}).group
+    assert big._torus_elements is None
+    G = grp("SL3", 5)
+    ts = G.torus_elements()
+    assert ts == tuple(sorted(set(ts))) and len(ts) == G.qm1 ** G.rank
+    assert G.torus_elements() is ts

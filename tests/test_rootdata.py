@@ -2,6 +2,7 @@
 
 import pytest
 
+from prophecke.errors import DataIntegrityError
 from prophecke.rootdata import PRESET_NAMES, AffineRoot, RootDatum, dot, preset
 
 from conftest import EXPLICIT_GROUPS, GL3_SHIFTED_COROOTS
@@ -99,6 +100,51 @@ def test_minimal_roots_unique_per_component():
                 if all(x <= y for j in members
                        for x, y in zip(rd.expansions[i], rd.expansions[j]))
             ] == [m]
+
+
+def _components_by_adjacency(rd):
+    """Components as first written: connected pieces of the Dynkin diagram,
+    numbered in order of their least simple index, and each root's read
+    off the simple roots in its expansion."""
+    ns = len(rd.simple)
+    adj = {i: set() for i in range(ns)}
+    for i in range(ns):
+        for j in range(ns):
+            if i != j and dot(rd.coroots[rd.simple[i]], rd.roots[rd.simple[j]]) != 0:
+                adj[i].add(j)
+    comp_of_simple = [-1] * ns
+    comp = 0
+    for i in range(ns):
+        if comp_of_simple[i] >= 0:
+            continue
+        stack = [i]
+        while stack:
+            a = stack.pop()
+            if comp_of_simple[a] >= 0:
+                continue
+            comp_of_simple[a] = comp
+            stack.extend(adj[a])
+        comp += 1
+    component_of = []
+    for exp in rd.expansions:
+        comps = {comp_of_simple[i] for i, c in enumerate(exp) if c != 0}
+        assert len(comps) == 1
+        component_of.append(comps.pop())
+    return comp, component_of
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES + tuple(EXPLICIT_GROUPS))
+def test_components_match_dynkin_diagram(name):
+    rd = preset(name) if name in PRESET_NAMES else RootDatum.from_json(EXPLICIT_GROUPS[name])
+    assert (rd.ncomp, rd.component_of) == _components_by_adjacency(rd)
+
+
+def test_overlapping_supports_rejected():
+    rd = preset("GL3")
+    # supports {0, 1} and {1, 2} are both maximal and share simple root 1
+    rd.expansions = [(1, 1, 0), (0, 1, 1), (0, 1, 0)]
+    with pytest.raises(DataIntegrityError, match="several components"):
+        rd._compute_components()
 
 
 def test_positive_affine():

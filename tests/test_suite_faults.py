@@ -4,7 +4,9 @@ Each case breaks one piece of the library by monkeypatch on a fresh
 context and pins (cases, number of failures, SHA-256 of the canonical
 JSON of the whole report).  The pins were recorded before the suites'
 bookkeeping moved into one tally, so they show that the case counts,
-the failure strings and their order did not change with it.
+the failure strings and their order did not change with it.  The
+matsumoto lift fault and the supersingular eigencheck fault reach
+failure branches that no other fault does.
 """
 
 import hashlib
@@ -15,7 +17,7 @@ import pytest
 from prophecke import cosets, make_context, verify
 from prophecke.gf import FieldElt
 from prophecke.hecke import HeckeAlgebra, SparseComb
-from prophecke.propweyl import basis_elements
+from prophecke.propweyl import ProPWeyl, basis_elements
 from prophecke.serial import canonical_json
 
 
@@ -41,6 +43,22 @@ def _assoc_fault(mp, ctx):
     _elements_unequal(mp, ctx)
     orig = verify._scaled_combine
     mp.setattr(verify, "_scaled_combine", lambda H, d, other, side: orig(H, d, other, "left"))
+
+
+def _lift_times_coroot_torus(mp, ctx):
+    """Every canonical lift gains the torus factor alpha_0-check(zeta), so
+    it differs from the product along each reduced word."""
+    orig = ProPWeyl.lift_w
+
+    def lift_w(self, w):
+        return self.mul(orig(self, w), self.torus_elt(self.coroot_torus(self.rd.simple[0])))
+
+    mp.setattr(ProPWeyl, "lift_w", lift_w)
+
+
+def _grade_part_zero(mp, ctx):
+    """Every graded part reads as zero, so each eigencheck fails."""
+    mp.setattr(HeckeAlgebra, "grade_part", lambda self, x, n: self.zero())
 
 
 def _all_unsupersingular(mp, ctx):
@@ -95,6 +113,9 @@ FAULTS = {
     ("matsumoto", "elements"): (
         "SL3", {"max_len": 2}, _elements_unequal,
         (20, 50, "45dd6d29942f82ae10ede8478f5948781189a1656fb4ac7cb4ed67ab37e78f76")),
+    ("matsumoto", "lift-times-torus"): (
+        "SL3", {"max_len": 2}, _lift_times_coroot_torus,
+        (20, 24, "1866e9f2df77d84f0bbce410c2b213c0a2889d6066555f0efdc475b549e17f11")),
     ("involutions", "elements"): (
         "SL2", {"max_len": 1, "rand_len": 2, "samples": 5}, _elements_unequal,
         (140, 130, "96b9b32701b797018864d0612963bffcf08ab737cc42636ab80c699d9f5518ac")),
@@ -119,6 +140,9 @@ FAULTS = {
     ("supersingular", "verdicts"): (
         "SL2", {"max_len": 1}, _all_unsupersingular,
         (10, 10, "5b667809a6355561bbc4b0efdc3057b9c364a21beb39c88144681ad21e2aa29e")),
+    ("supersingular", "eigencheck-zero-grade"): (
+        "SL2", {"max_len": 1}, _grade_part_zero,
+        (10, 10, "2a626debe1bcc504d219410b72ff0ab633407858f2468fdcc20149b34720d2b7")),
     ("cosets", "stray-class"): (
         "SL2", {"max_len": 1}, _support_with_stray,
         (36, 72, "e70ff12ff2eba4e97067fc4fa8fea245f32dcefc43d7f70579e0793bf8e5aae9")),

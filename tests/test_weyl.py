@@ -136,12 +136,32 @@ def _det(m):
     )
 
 
+# X_* = Z^2 with the one simple coroot (2, 3): its coroot matrix [[2], [3]]
+# needs a second pivot on the row side, which no preset or explicit datum
+# does, and Omega = Z^2 / Z(2, 3) is Z.
+ROW_REPIVOT = {"rank": 2, "roots": [[1, 0], [-1, 0]], "coroots": [[2, 3], [-2, -3]],
+               "simple": [0]}
+
+
 @pytest.mark.parametrize("name", PRESET_NAMES + tuple(EXPLICIT_GROUPS))
 def test_omega_is_exact(name):
-    g = wg(name) if name in PRESET_NAMES else get_explicit_context(name).weyl
+    _check_omega_exact(wg(name) if name in PRESET_NAMES else get_explicit_context(name).weyl)
+
+
+def test_omega_is_exact_after_a_row_repivot():
+    g = WeylGroup(RootDatum.from_json(ROW_REPIVOT))
+    assert g.omega().invariants == (1, 0) and not g.omega().finite
+    # the prefix of t_(1, 0) is the cube of the one generator
+    _check_omega_exact(g, width=3)
+
+
+def _check_omega_exact(g, width=2):
+    """Omega's elements have length zero, the unit translations' prefixes
+    lie in its window of the given width, and the Smith form's lifts are
+    sound."""
     om = g.omega()
     assert all(w.length() == 0 for w in om.elements + om.generators)
-    window = om.window(2)
+    window = om.window(width)
     if om.finite:
         assert window == om.elements
         assert len(set(om.elements)) == len(om.elements) == math.prod(om.invariants)
@@ -156,6 +176,57 @@ def test_omega_is_exact(name):
     # d_i times the i-th generator's lift lies in the coroot lattice
     for i, d in enumerate(diag):
         assert g.translation([d * row[i] for row in uinv]).is_affine()
+
+
+def _invariant_factors(mat):
+    """Nonzero invariant factors from the determinantal divisors: g_k is the
+    gcd of the k x k minors, and the k-th factor is g_k / g_(k-1)."""
+    rows, cols = len(mat), len(mat[0])
+    out, prev = [], 1
+    for k in range(1, min(rows, cols) + 1):
+        g = math.gcd(*(
+            _det([[mat[i][j] for j in cs] for i in rs])
+            for rs in itertools.combinations(range(rows), k)
+            for cs in itertools.combinations(range(cols), k)
+        ))
+        if g == 0:
+            break
+        out.append(g // prev)
+        prev = g
+    return out
+
+
+def _check_smith(mat):
+    diag, uinv = _smith_normal_form(mat)
+    assert all(diag)
+    # the same group Z^rows / (columns of mat), whether or not the
+    # diagonal is in divisibility order
+    assert _invariant_factors([[d * (i == j) for j in range(len(diag))]
+                               for i, d in enumerate(diag)] or [[0]]) == _invariant_factors(mat)
+    n = len(uinv)
+    det = _det(uinv)
+    assert abs(det) == 1
+    # U = adj(U^-1) / det; row i of U mat is d_i times an integer row
+    u = [[(-1) ** (i + j) * det * _det([r[:i] + r[i + 1:] for k, r in enumerate(uinv) if k != j])
+          for j in range(n)] for i in range(n)]
+    umat = [[sum(a * b for a, b in zip(row, col)) for col in zip(*mat)] for row in u]
+    for i, row in enumerate(umat):
+        d = diag[i] if i < len(diag) else 0
+        assert all(x % d == 0 for x in row) if d else not any(row), (mat, diag, umat)
+
+
+def test_smith_normal_form_repivots():
+    assert _smith_normal_form([[2], [3]])[0] == [1]  # the row side
+    assert _smith_normal_form([[2, 3]])[0] == [1]  # the column side
+    _check_smith([[2], [3]])
+    _check_smith([[2, 3]])
+
+
+def test_smith_normal_form_on_random_matrices():
+    rng = random.Random(15)
+    for _ in range(400):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        _check_smith([[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)])
 
 
 def test_length_constant_on_omega_double_cosets():
@@ -404,4 +475,67 @@ def test_construction_check_catches_one_wrong_length(monkeypatch, name, last):
 
     monkeypatch.setattr(ExtAffWeylElt, "length", off_by_one)
     with pytest.raises(TheoremViolationError, match="disagrees with scan"):
+        WeylGroup(rd)
+
+
+# -- reference for the finite words ------------------------------------------------
+
+
+def _canonical_word0(g, ei):
+    """The finite word as first written: strip the smallest-index right
+    descent by the multiplication table until the finite length is 0."""
+    word = []
+    cur = ei
+    while g.length0[cur] > 0:
+        for gi, si in enumerate(g.gen_index):
+            if not g.rd.positive[g.root_perm[cur][g.rd.simple[gi]]]:
+                word.insert(0, gi)
+                cur = g.mult[cur][si]
+                break
+        else:
+            raise TheoremViolationError("positive finite length without a descent")
+    return tuple(word)
+
+
+def _frontier_walk(g):
+    """The finite Weyl group's matrices, walked level by level."""
+    gens = [g.elements[i] for i in g.gen_index]
+    elements, frontier = [g.elements[0]], [g.elements[0]]
+    while frontier:
+        nxt = []
+        for M in frontier:
+            for s in gens:
+                P = _mat_mul(M, s)
+                if P not in elements:
+                    elements.append(P)
+                    nxt.append(P)
+        frontier = nxt
+    return elements
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES + tuple(EXPLICIT_GROUPS))
+def test_finite_tables_match_reference(name):
+    g = WeylGroup(_datum(name))
+    assert g.elements == _frontier_walk(g)
+    pos = g.rd.positive_roots()
+    assert g.length0 == [
+        sum(1 for j in pos if not g.rd.positive[perm[j]]) for perm in g.root_perm
+    ]
+    assert g.inv0 == [next(j for j in range(g.order) if g.mult[i][j] == 0)
+                      for i in range(g.order)]
+    assert g.words0 == [_canonical_word0(g, i) for i in range(g.order)]
+
+
+def test_construction_check_catches_a_wrong_finite_length(monkeypatch):
+    """A length off by one on a finite element fails the build while its
+    canonical word is stripped, before words0 exists."""
+    rd = preset("SL3")
+    last = WeylGroup(rd).order - 1
+    length = ExtAffWeylElt.length
+
+    def off_by_one(w):
+        return length(w) + ((w.w0, w.mu) == (last, (0, 0)))
+
+    monkeypatch.setattr(ExtAffWeylElt, "length", off_by_one)
+    with pytest.raises(TheoremViolationError, match="is not reduced"):
         WeylGroup(rd)
