@@ -32,11 +32,15 @@ SUBSET = [
     "tests/test_weyl.py::test_omega_is_exact_after_a_row_repivot",
     "tests/test_weyl.py::test_smith_normal_form_repivots",
     "tests/test_hecke.py::test_elements_own_their_terms",
+    "tests/test_hecke.py::test_classify_character",
+    "tests/test_hecke.py::test_affine_character_invariant",
+    "tests/test_hecke.py::test_classify_per_component",
     "tests/test_object_oracle.py",
     "tests/test_topmod.py::test_bimodule_catches_broken_actions",
     "tests/test_topmod.py::test_bimodule_on_pgl2xpgl2",
     "tests/test_suite_faults.py",
     "tests/test_table_digests.py::test_explicit_datum_digest",
+    "tests/test_table_digests.py::test_export_digest",
 ]
 
 # (name, module under src/prophecke, exact text, replacement)
@@ -118,6 +122,12 @@ MUTANTS = [
     ("components are all supports", "rootdata.py",
      "{s for s in supports if not any(s < t for t in supports)}",
      "set(supports)"),
+    ("twisted trivial ignores the torus character", "hecke.py",
+     "self._lam_trivial_on_image(lam, j)",
+     "True"),
+    ("validity accepts eps = -1 on a nontrivial coroot image", "hecke.py",
+     "v == 0 or v == -1 and self._lam_trivial_on_image(lam, A.root)",
+     "v == 0 or v == -1"),
 ]
 
 

@@ -21,7 +21,7 @@ from .errors import (
     UnsupportedFieldError,
 )
 from .gf import FieldElt, FieldSpec
-from .hecke import AffineCharacter, CharacterClass, HeckeAlgebra, HeckeElt
+from .hecke import HeckeAlgebra, HeckeElt
 from .propweyl import ProPElt, ProPWeyl, basis_elements
 from .rootdata import AffineRoot, RootDatum, preset
 from .topmod import TopElt, TopModule
@@ -29,9 +29,7 @@ from .verify import Context, SUITES, build_context, make_context, run_suite
 from .weyl import ExtAffWeylElt, OmegaGroup, WeylGroup, lemma_even, omega_group
 
 __all__ = [
-    "AffineCharacter",
     "AffineRoot",
-    "CharacterClass",
     "Context",
     "DataIntegrityError",
     "DecompositionUnavailableError",

@@ -13,8 +13,7 @@ import os
 import sys
 from itertools import product as iproduct
 
-from . import __version__
-from .hecke import AffineCharacter
+from . import __version__, cosets
 from .propweyl import ProPElt, basis_elements
 from .serial import canonical_json, elt_from_json
 from .verify import SUITES, build_context, run_suite
@@ -54,9 +53,9 @@ def _context_from_args(args):
         raise ValueError(f"config must be a JSON object, got {config!r}")
     seed, seed_source = _resolve_seed(args, config)
     config["seed"] = seed
-    if getattr(args, "max_len", None) is not None:
+    if args.max_len is not None:
         config["max_len"] = args.max_len
-    if getattr(args, "samples", None) is not None:
+    if args.samples is not None:
         config["samples"] = args.samples
     ctx = build_context(config)
     ctx.config["seed_source"] = seed_source
@@ -155,12 +154,9 @@ def _export_payload(ctx, what: str, max_len: int):
         rows = []
         for lam in lams:
             for eps in iproduct((0, -1), repeat=n_aff):
-                try:
-                    char = AffineCharacter(H, lam, eps)
-                except ValueError:
-                    continue
-                cls = H.classify_character(char)
-                rows.append({**char.to_json(), "class": cls.to_json()})
+                if H.is_character(lam, eps):
+                    rows.append({"lambda": list(lam), "eps": list(eps),
+                                 "class": H.classify_character(lam, eps)})
         return {"rows": rows, "torus_characters": len(lams)}
     raise ValueError(f"unknown export {what!r}")
 
@@ -176,8 +172,6 @@ def cmd_export(args) -> int:
 
 
 def cmd_coset(args) -> int:
-    from . import cosets
-
     ctx = _context_from_args(args)
     if args.action == "support":
         if args.b is None:
@@ -193,9 +187,8 @@ def cmd_coset(args) -> int:
         }
     else:  # profile
         w = ExtAffWeylElt.from_json(ctx.weyl, _load_json(args.a))
-        profile = cosets.g_profile(w)
         payload = {
-            **profile.to_json(ctx.rd),
+            "g": {str(list(ctx.rd.roots[i])): g for i, g in cosets.g_profile(w).items()},
             "length": w.length(),
             "sum_check": cosets.g_profile_sum_check(w),
         }

@@ -26,8 +26,6 @@ m >= delta(w0' alpha) + <mu', alpha>, so g_w is their maximum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import GroupMismatchError
 from .propweyl import ProPElt, ProPWeyl
 from .rootdata import dot
@@ -61,40 +59,24 @@ def index(group: ProPWeyl, w) -> int:
     return group.q**ln
 
 
-@dataclass
-class GProfile:
-    """Map root index -> g_w(alpha)."""
-
-    values: dict
-
-    def to_json(self, rd):
-        return {
-            "g": {str(list(rd.roots[i])): v for i, v in sorted(self.values.items())}
-        }
-
-
-def g_profile(w: ExtAffWeylElt) -> GProfile:
-    """Per root alpha, the least m such that (alpha, m) is a positive affine
+def g_profile(w: ExtAffWeylElt) -> dict:
+    """Root index -> the least m such that (alpha, m) is a positive affine
     root whose w-preimage is also positive:
     max(delta(alpha), delta(w0' alpha) + <mu', alpha>) for w^{-1} = (w0', mu')."""
     g = w.group
     winv = w.inv()
     perm, mu = g.root_perm[winv.w0], winv.mu
     neg = [1 - p for p in g.rd.positive]  # delta, as positive holds bools
-    return GProfile({i: max(neg[i], neg[perm[i]] + dot(mu, alpha))
-                     for i, alpha in enumerate(g.rd.roots)})
+    return {i: max(neg[i], neg[perm[i]] + dot(mu, alpha))
+            for i, alpha in enumerate(g.rd.roots)}
 
 
-def g_profile_identity(rd) -> GProfile:
-    return GProfile(
-        {i: 0 if rd.is_positive_root(i) else 1 for i in range(len(rd.roots))}
-    )
+def g_profile_identity(rd) -> dict:
+    return {i: 0 if rd.is_positive_root(i) else 1 for i in range(len(rd.roots))}
 
 
 def g_profile_sum_check(w: ExtAffWeylElt) -> bool:
     """Sum over roots of g_w - g_id equals length(w): the coset index
     q^length counted one unipotent step at a time."""
-    rd = w.group.rd
-    gw = g_profile(w).values
-    gid = g_profile_identity(rd).values
+    gw, gid = g_profile(w), g_profile_identity(w.group.rd)
     return sum(gw[i] - gid[i] for i in gw) == w.length()

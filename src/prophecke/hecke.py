@@ -44,12 +44,16 @@ classifier for characters of the affine subalgebra (twisted trivial,
 twisted sign, supersingular).  A character of T_q is its exponent
 vector lam against the fixed order-(q-1) generator of k^x, lam(t) =
 zeta^<lam, t>; the vectors are the tuples ProPWeyl.torus_elements
-lists, so the character group is iterated as the torus is.
+lists, so the character group is iterated as the torus is, and every
+method taking one reduces it through ProPWeyl.torus, which rejects a
+wrong length.  A character of the affine subalgebra is the pair (lam,
+eps), eps a tuple of values in {0, -1} at the affine simple
+reflections; is_character says whether the pair is consistent, and
+classify_character returns its verdict as the dict the characters
+export prints.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import GroupMismatchError, TheoremViolationError
 from .gf import FieldElt, FieldSpec
@@ -300,7 +304,7 @@ class HeckeAlgebra:
 
     def chi_lambda(self, lam, t) -> FieldElt:
         """Value of the torus character with exponent vector lam at t."""
-        e = dot(lam, t) % self.group.qm1
+        e = dot(self.group.torus(lam), t) % self.group.qm1
         return self._zeta_pow[e]
 
     def e_lambda(self, lam) -> HeckeElt:
@@ -310,7 +314,7 @@ class HeckeAlgebra:
         odd rank this is the classical minus sign in front of the sum.
         Needs F_q inside k, which FieldSpec guarantees via f | m."""
         g = self.group
-        lam = tuple(e % g.qm1 for e in lam)
+        lam = g.torus(lam)
         sign = self.field.from_int((-1) ** g.rank)
         terms = {}
         for t in g.torus_elements():
@@ -327,6 +331,7 @@ class HeckeAlgebra:
     def conj_char(self, w: ExtAffWeylElt, lam):
         """Exponent vector of the conjugated character lambda o w^{-1}."""
         g = self.group
+        lam = g.torus(lam)
         Minv = g.weyl.elements[g.weyl.inv0[w.w0]]
         return tuple(
             sum(Minv[i][j] * lam[i] for i in range(g.rank)) % g.qm1
@@ -407,26 +412,26 @@ class HeckeAlgebra:
             self, {g: c for g, c in x.terms.items() if elts[g].w.length() == n}
         )
 
-    def graded_support_char(self, lam, w: ProPElt, side: str) -> "AffineCharacter":
+    def graded_support_char(self, lam, w: ProPElt, side: str) -> tuple:
         """Eigencharacter of the graded class of e_lambda tau_w (left side)
-        or tau_w e_lambda (right side) in the length filtration.
+        or tau_w e_lambda (right side) in the length filtration, as its
+        eps tuple; on the torus it is lambda.
 
         The character sends tau_t to lambda(t) and tau_{n_s} to -1 exactly
         when s shortens w on the given side and lambda is trivial on the
         coroot image of s, else to 0.  The claim is verified numerically
-        against the actual graded action of every generator before the
-        character is returned."""
+        against the actual graded action of every generator before eps
+        is returned."""
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
         g = self.group
-        lam = tuple(e % g.qm1 for e in lam)
+        lam = g.torus(lam)
         m = w.w.length()
         descents = set(w.w.descents(side))
-        eps = []
-        for i, A in enumerate(g.weyl.s_aff):
-            trivial = self._lam_trivial_on_image(lam, A.root)
-            eps.append(-1 if (i in descents and trivial) else 0)
-        char = AffineCharacter(self, lam, tuple(eps))
+        eps = tuple(
+            -1 if i in descents and self._lam_trivial_on_image(lam, A.root) else 0
+            for i, A in enumerate(g.weyl.s_aff)
+        )
 
         ew = self.mul(self.e_lambda(lam), self.tau(w)) if side == "left" else self.mul(
             self.tau(w), self.e_lambda(lam)
@@ -451,93 +456,47 @@ class HeckeAlgebra:
                 raise TheoremViolationError(
                     f"graded reflection eigenvalue fails at s={i}, lam={lam}, w={w!r}"
                 )
-        return char
+        return eps
 
     def _lam_trivial_on_image(self, lam, root_index: int) -> bool:
         return dot(lam, self.group.rd.coroots[root_index]) % self.group.qm1 == 0
 
     # -- classification of affine characters ----------------------------------------
 
-    def classify_character(self, char: "AffineCharacter") -> "CharacterClass":
-        """Per irreducible component: is the restriction the twisted sign
-        character, the twisted trivial character, or neither; supersingular
-        means neither, on every component."""
-        g = self.group
-        rd = g.rd
-        ncomp = rd.ncomp
-        s_comp = [rd.component_of[A.root] for A in g.weyl.s_aff]
-        twisted_sign = []
-        twisted_trivial = []
-        for comp in range(ncomp):
-            idxs = [i for i, c in enumerate(s_comp) if c == comp]
-            sign_c = all(char.eps[i] == -1 for i in idxs)
-            triv_c = all(char.eps[i] == 0 for i in idxs) and all(
-                self._lam_trivial_on_image(char.lam, j)
+    def is_character(self, lam, eps) -> bool:
+        """Whether (lam, eps) is a character of the affine subalgebra: eps
+        is 0 or -1 at every affine simple reflection, and -1 only where lam
+        is trivial on the coroot image (quadratic relation consistency)."""
+        lam = self.group.torus(lam)
+        s_aff = self.group.weyl.s_aff
+        return len(eps) == len(s_aff) and all(
+            v == 0 or v == -1 and self._lam_trivial_on_image(lam, A.root)
+            for v, A in zip(eps, s_aff)
+        )
+
+    def classify_character(self, lam, eps) -> dict:
+        """Per irreducible component: is the restriction of the character
+        (lam, eps) the twisted sign character, the twisted trivial
+        character, or neither; supersingular means neither, on every
+        component."""
+        if not self.is_character(lam, eps):
+            raise ValueError(
+                f"lambda {list(lam)} with eps {list(eps)} is not a character of "
+                "the affine subalgebra"
+            )
+        rd = self.group.rd
+        s_comp = [rd.component_of[A.root] for A in self.group.weyl.s_aff]
+        twisted_sign, twisted_trivial = [], []
+        for comp in range(rd.ncomp):
+            values = [v for v, c in zip(eps, s_comp) if c == comp]
+            twisted_sign.append(all(v == -1 for v in values))
+            twisted_trivial.append(not any(values) and all(
+                self._lam_trivial_on_image(lam, j)
                 for j in rd.simple
                 if rd.component_of[j] == comp
-            )
-            twisted_sign.append(sign_c)
-            twisted_trivial.append(triv_c)
-        ss = all(
-            not twisted_sign[c] and not twisted_trivial[c] for c in range(ncomp)
-        )
-        return CharacterClass(tuple(twisted_sign), tuple(twisted_trivial), ss)
-
-
-class AffineCharacter:
-    """Character datum of the affine subalgebra: a torus character plus a
-    value in {0, -1} at each affine simple reflection."""
-
-    __slots__ = ("algebra", "lam", "eps")
-
-    def __init__(self, algebra: HeckeAlgebra, lam, eps):
-        self.algebra = algebra
-        self.lam = tuple(e % algebra.group.qm1 for e in lam)
-        self.eps = tuple(eps)
-        self.validate()
-
-    def validate(self):
-        g = self.algebra.group
-        if len(self.eps) != len(g.weyl.s_aff):
-            raise ValueError("eps must assign a value to every affine reflection")
-        for i, v in enumerate(self.eps):
-            if v not in (0, -1):
-                raise ValueError("character values at tau_{n_s} must be 0 or -1")
-            if v == -1 and not self.algebra._lam_trivial_on_image(
-                self.lam, g.weyl.s_aff[i].root
-            ):
-                raise ValueError(
-                    "eps = -1 forces the torus character to be trivial on the "
-                    "coroot image (quadratic relation consistency)"
-                )
-
-    def to_json(self):
-        return {"lambda": list(self.lam), "eps": list(self.eps)}
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AffineCharacter)
-            and self.algebra is other.algebra
-            and self.lam == other.lam
-            and self.eps == other.eps
-        )
-
-    def __hash__(self):
-        return hash((self.lam, self.eps))
-
-    def __repr__(self):
-        return f"AffChar(lam={list(self.lam)}, eps={list(self.eps)})"
-
-
-@dataclass(frozen=True)
-class CharacterClass:
-    twisted_sign: tuple
-    twisted_trivial: tuple
-    is_supersingular: bool
-
-    def to_json(self):
+            ))
         return {
-            "twisted_sign": list(self.twisted_sign),
-            "twisted_trivial": list(self.twisted_trivial),
-            "supersingular": self.is_supersingular,
+            "twisted_sign": twisted_sign,
+            "twisted_trivial": twisted_trivial,
+            "supersingular": not any(twisted_sign) and not any(twisted_trivial),
         }

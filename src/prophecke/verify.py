@@ -414,9 +414,9 @@ def suite_supersingular(ctx: Context, max_len: int | None = None):
                 for side in ("left", "right"):
                     entry = {"m": m, "lambda": list(lam), "w": w.to_json(), "side": side}
                     try:
-                        char = H.graded_support_char(lam, lift, side)
-                        ss = H.classify_character(char).is_supersingular
-                        entry["eps"] = list(char.eps)
+                        eps = H.graded_support_char(lam, lift, side)
+                        ss = H.classify_character(lam, eps)["supersingular"]
+                        entry["eps"] = list(eps)
                         entry["verdict"] = "supersingular" if ss else "NOT-supersingular"
                     except TheoremViolationError as exc:
                         entry["verdict"] = f"eigencheck-failed: {exc}"
@@ -460,10 +460,10 @@ def suite_gprofile(ctx: Context, max_len: int | None = None):
     G, wg = ctx.group, ctx.weyl
     max_len = ctx.max_len if max_len is None else max_len
     t = _Tally(ctx, "gprofile", max_len=max_len)
-    gid = cosets_mod.g_profile_identity(G.rd).values
-    t.check(cosets_mod.g_profile(wg.identity()).values == gid, "identity profile wrong")
+    gid = cosets_mod.g_profile_identity(G.rd)
+    t.check(cosets_mod.g_profile(wg.identity()) == gid, "identity profile wrong")
     ws = wg.elements_up_to_length(max_len)
-    profiles = {w: cosets_mod.g_profile(w).values for w in ws}
+    profiles = {w: cosets_mod.g_profile(w) for w in ws}
 
     for w in ws:
         t.check(sum(profiles[w][i] - gid[i] for i in gid) == w.length(),
@@ -473,7 +473,7 @@ def suite_gprofile(ctx: Context, max_len: int | None = None):
             vw = v * w
             if vw.length() != v.length() + w.length() or vw.length() > max_len:
                 continue
-            pv, pvw = profiles[v], profiles.get(vw) or cosets_mod.g_profile(vw).values
+            pv, pvw = profiles[v], profiles.get(vw) or cosets_mod.g_profile(vw)
             t.check(not any(pvw[i] < pv[i] for i in pv), "monotonicity fails at ({!r},{!r})", v, w)
     for w in ws:
         for si, A in enumerate(wg.s_aff):
@@ -481,7 +481,7 @@ def suite_gprofile(ctx: Context, max_len: int | None = None):
             if ws_elt.length() != w.length() + 1:
                 continue
             B = w.act_affine(A)
-            pw, pws = profiles[w], profiles.get(ws_elt) or cosets_mod.g_profile(ws_elt).values
+            pw, pws = profiles[w], profiles.get(ws_elt) or cosets_mod.g_profile(ws_elt)
             t.check(all(pws[i] == (pw[i] + 1 if i == B.root else pw[i]) for i in pw),
                     "one-step growth fails at ({!r},s={})", w, si)
     return t.report()

@@ -373,6 +373,7 @@ STDOUT_SHA256 = {
     "topmod_table": "9b2feaf813e1cb7da47187b2fc9ae2fecb317674b73ac33b992a87804fcd9629",
     "verify_assoc": "bd12f5f9be0adca35193753f5e69b23fa0b120fb4738cd3505eb1356d54da2bd",
     "coset_support": "9fb1823af8a9d784d740c83a5738ae457bd8122f4d309754bc58005f099534e6",
+    "coset_profile": "c20cb3f5992cd792ca1f0c8c39a49f1623612eae049abdf1d7777f3c940c48f1",
     "hecke_table_gf9": "0e85a2bc36a8962fca0683c6146cbfe82a407f5a3d7f901b52f8472e7175b681",
 }
 
@@ -382,12 +383,14 @@ def test_stdout_bytes_are_stable(tmp_path, cfg, capsys, monkeypatch):
     cfg9 = _write(tmp_path, "sl2_gf9.json", {**SL2_CFG, "field": {"p": 3, "f": 1, "m": 2}})
     taus = _write(tmp_path, "taus.json", TAUS)
     ns = _write(tmp_path, "ns.json", {"torus": [0], "w": {"w0_word": [0], "mu": [0]}})
+    w = _write(tmp_path, "w.json", {"w0_word": [0], "mu": [1]})
     commands = {
         "mul": ["mul", "--config", cfg, taus, taus],
         "hecke_table": ["export", "hecke_table", "--config", cfg, "--max-len", "2"],
         "topmod_table": ["export", "topmod_table", "--config", cfg, "--max-len", "2"],
         "verify_assoc": ["verify", "assoc", "--config", cfg, "--json", "--max-len", "2"],
         "coset_support": ["coset", "support", "--config", cfg, ns, ns],
+        "coset_profile": ["coset", "profile", "--config", cfg, w],
         "hecke_table_gf9": ["export", "hecke_table", "--config", cfg9, "--max-len", "1"],
     }
     for name, argv in commands.items():

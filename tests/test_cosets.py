@@ -53,10 +53,10 @@ def test_index(sl2_q3):
 def test_g_profile_identity_and_reflection(sl2_q3):
     G = sl2_q3.group
     rd = G.rd
-    gid = cosets.g_profile(G.weyl.identity()).values
+    gid = cosets.g_profile(G.weyl.identity())
     for i in range(len(rd.roots)):
         assert gid[i] == (0 if rd.is_positive_root(i) else 1)
-    gs = cosets.g_profile(G.weyl.simple_reflection(0)).values
+    gs = cosets.g_profile(G.weyl.simple_reflection(0))
     assert all(v == 1 for v in gs.values())
 
 
@@ -79,7 +79,7 @@ def g_profile_scan(w):
 def test_g_profile_matches_scan(name):
     ctx = get_context(name, 3) if name in PRESET_NAMES else get_explicit_context(name)
     for w in ctx.weyl.elements_up_to_length(4):
-        assert cosets.g_profile(w).values == g_profile_scan(w)
+        assert cosets.g_profile(w) == g_profile_scan(w)
 
 
 def test_g_profile_sum_rule(sl3_q3):
@@ -91,15 +91,15 @@ def test_g_profile_sum_rule(sl3_q3):
 def test_g_profile_monotone_and_growth(sp4_q3):
     wg = sp4_q3.weyl
     ws = wg.elements_up_to_length(3)
-    profiles = {w: cosets.g_profile(w).values for w in ws}
-    gid = cosets.g_profile_identity(wg.rd).values
+    profiles = {w: cosets.g_profile(w) for w in ws}
+    gid = cosets.g_profile_identity(wg.rd)
     for w in ws:
         assert sum(profiles[w][i] - gid[i] for i in gid) == w.length()
     for v in ws:
         for w in ws:
             vw = v * w
             if vw.length() == v.length() + w.length():
-                pvw = profiles.get(vw) or cosets.g_profile(vw).values
+                pvw = profiles.get(vw) or cosets.g_profile(vw)
                 assert all(pvw[i] >= profiles[v][i] for i in profiles[v])
     for w in ws:
         for si, A in enumerate(wg.s_aff):
@@ -107,7 +107,7 @@ def test_g_profile_monotone_and_growth(sp4_q3):
             if ws_elt.length() != w.length() + 1:
                 continue
             B = w.act_affine(A)
-            pws = profiles.get(ws_elt) or cosets.g_profile(ws_elt).values
+            pws = profiles.get(ws_elt) or cosets.g_profile(ws_elt)
             for i in profiles[w]:
                 want = profiles[w][i] + (1 if i == B.root else 0)
                 assert pws[i] == want
@@ -128,7 +128,7 @@ def test_gprofile_torus_part_irrelevant(sl2_q3):
     # calculus upstairs sees torus parts, the profile does not
     G = sl2_q3.group
     w = G.weyl.translation((1,)) * G.weyl.simple_reflection(0)
-    p1 = cosets.g_profile(w).values
+    p1 = cosets.g_profile(w)
     assert sum(p1.values()) >= 0  # well-defined integers
     A = AffineRoot(G.rd.simple[0], 0)
     assert w.act_affine(A) is not None

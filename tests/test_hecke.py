@@ -6,7 +6,6 @@ import random
 import pytest
 
 from prophecke.errors import GroupMismatchError, TheoremViolationError
-from prophecke.hecke import AffineCharacter
 from prophecke.propweyl import basis_elements
 from prophecke.rootdata import PRESET_NAMES
 
@@ -208,32 +207,34 @@ def test_characters(sl2_q3):
 
 def test_classify_character(sl2_q3):
     H = sl2_q3.hecke
-    triv = H.classify_character(AffineCharacter(H, (0,), (0, 0)))
-    assert triv.twisted_trivial == (True,) and not triv.is_supersingular
-    sign = H.classify_character(AffineCharacter(H, (0,), (-1, -1)))
-    assert sign.twisted_sign == (True,) and not sign.is_supersingular
-    ss = H.classify_character(AffineCharacter(H, (1,), (0, 0)))
-    assert ss.is_supersingular
+    triv = H.classify_character((0,), (0, 0))
+    assert triv == {"twisted_sign": [False], "twisted_trivial": [True],
+                    "supersingular": False}
+    sign = H.classify_character((0,), (-1, -1))
+    assert sign["twisted_sign"] == [True] and not sign["supersingular"]
+    ss = H.classify_character((1,), (0, 0))
+    assert ss["supersingular"]
 
 
 def test_affine_character_invariant():
     H = get_context("SL2", 3).hecke
     # eps = -1 with lambda nontrivial on the coroot image is inconsistent
+    assert H.is_character((1,), (0, 0)) and not H.is_character((1,), (-1, 0))
     with pytest.raises(ValueError):
-        AffineCharacter(H, (1,), (-1, 0))
+        H.classify_character((1,), (-1, 0))
 
 
 def test_classify_per_component():
     ctx = get_context("SL2xSL2", 3)
     H = ctx.hecke
     # sign on the first factor, trivial on the second: not supersingular
-    cls = H.classify_character(AffineCharacter(H, (0, 0), (-1, 0, -1, 0)))
-    assert cls.twisted_sign == (True, False)
-    assert cls.twisted_trivial == (False, True)
-    assert not cls.is_supersingular
+    cls = H.classify_character((0, 0), (-1, 0, -1, 0))
+    assert cls["twisted_sign"] == [True, False]
+    assert cls["twisted_trivial"] == [False, True]
+    assert not cls["supersingular"]
     # nontrivial torus character on both factors, eps = 0: supersingular
-    cls2 = H.classify_character(AffineCharacter(H, (1, 1), (0, 0, 0, 0)))
-    assert cls2.is_supersingular
+    cls2 = H.classify_character((1, 1), (0, 0, 0, 0))
+    assert cls2["supersingular"]
 
 
 def test_filtration_project(sl2_q3):
@@ -249,15 +250,15 @@ def test_graded_support_char_examples(sl2_q3):
     s0 = G.lift_s(0)
     # trivial character, length 1: eps = -1 exactly at the descent
     ch = H.graded_support_char((0,), s0, "left")
-    assert ch.eps == (-1, 0)
+    assert ch == (-1, 0)
     # nontrivial character: no -1 anywhere (image nontrivial at q=3)
     ch2 = H.graded_support_char((1,), s0, "left")
-    assert ch2.eps == (0, 0)
+    assert ch2 == (0, 0)
     # grade 0 with nontrivial character: torus values lambda, eps = 0
     ch3 = H.graded_support_char((1,), G.identity(), "right")
-    assert ch3.eps == (0, 0) and ch3.lam == (1,)
-    for ch_ in (ch, ch2, ch3):
-        assert H.classify_character(ch_).is_supersingular
+    assert ch3 == (0, 0)
+    for lam, eps in (((0,), ch), ((1,), ch2), ((1,), ch3)):
+        assert H.classify_character(lam, eps)["supersingular"]
 
 
 def test_graded_support_char_sides_mirror(sl3_q3):
@@ -266,8 +267,30 @@ def test_graded_support_char_sides_mirror(sl3_q3):
         lift = G.lift_w(w)
         chl = H.graded_support_char((0, 0), lift, "left")
         chr_ = H.graded_support_char((0, 0), lift, "right")
-        assert [i for i, e in enumerate(chl.eps) if e == -1] == w.descents("left")
-        assert [i for i, e in enumerate(chr_.eps) if e == -1] == w.descents("right")
+        assert [i for i, e in enumerate(chl) if e == -1] == w.descents("left")
+        assert [i for i, e in enumerate(chr_) if e == -1] == w.descents("right")
+
+
+# Each public method taking a character exponent vector, called on SL2.
+CHARACTER_METHODS = {
+    "chi_lambda": lambda H, lam: H.chi_lambda(lam, (1,)),
+    "e_lambda": lambda H, lam: H.e_lambda(lam),
+    "conj_char": lambda H, lam: H.conj_char(H.group.weyl.identity(), lam),
+    "char_orbit": lambda H, lam: H.char_orbit(lam),
+    "graded_support_char": lambda H, lam: H.graded_support_char(
+        lam, H.group.identity(), "left"),
+    "is_character": lambda H, lam: H.is_character(lam, (0, 0)),
+    "classify_character": lambda H, lam: H.classify_character(lam, (0, 0)),
+}
+
+
+@pytest.mark.parametrize("lam", [(), (1, 0), (1, 5, 7)], ids=["len0", "len2", "len3"])
+@pytest.mark.parametrize("method", sorted(CHARACTER_METHODS))
+def test_wrong_length_character_rejected(sl2_q3, method, lam):
+    """A vector of the wrong length is an error, not read up to the
+    shorter of it and the rank."""
+    with pytest.raises(ValueError, match="must have length 1"):
+        CHARACTER_METHODS[method](sl2_q3.hecke, lam)
 
 
 def test_support_containment_and_length_bounds(sl2_q3):
