@@ -39,6 +39,7 @@ SUBSET = [
     "tests/test_topmod.py::test_bimodule_catches_broken_actions",
     "tests/test_topmod.py::test_bimodule_on_pgl2xpgl2",
     "tests/test_suite_faults.py",
+    "tests/test_cosets.py::test_support_memo_holds_only_recursion_pairs",
     "tests/test_table_digests.py::test_explicit_datum_digest",
     "tests/test_table_digests.py::test_export_digest",
 ]
@@ -93,8 +94,14 @@ MUTANTS = [
      "return (g.mul(y, u) if side == \"left\" else g.mul(u, y)).unit",
      "return g.mul(y, u).unit"),
     ("support_mul base case returns w", "cosets.py",
-     "        return frozenset((group.mul(v, w),))\n",
-     "        return frozenset((w,))\n"),
+     "        u = group.mul(v, w)\n",
+     "        u = w\n"),
+    ("support_mul entry call stores its own pair", "cosets.py",
+     "return _support_mul(v, w, tie, False)",
+     "return _support_mul(v, w, tie, True)"),
+    ("shared singleton built from the wrong element", "cosets.py",
+     "u.classes = frozenset((u,))",
+     "u.classes = frozenset((w,))"),
     ("_Tally.check ignores ok", "verify.py",
      "        self.cases += 1\n        if not ok:\n",
      "        self.cases += 1\n        if False:\n"),

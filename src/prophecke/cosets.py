@@ -8,10 +8,15 @@ when s lengthens w, and the branching
 
     I s I . I w I = I s w I u U_t I t w I    (t over the coroot image)
 
-when it shortens w.  A length-zero v is one group product, answered
-without touching the memo, so ProPWeyl._support_cache holds only pairs
-with v of positive length, keyed by (v.index, w.index, tie).  Hecke
-products in characteristic p can only lose classes from this union
+when it shortens w.  A length-zero v is one group product u = v w, and
+its answer is u's shared singleton ProPElt.classes = {u}, built on first
+use and stored nowhere else.  ProPWeyl._support_cache, keyed by
+(v.index, w.index, tie), holds only the pairs the peel recursion reaches
+below an entry call, with v a proper prefix of positive length.  The
+entry call reads the memo but does not store its own pair: the recursion
+only walks to shorter v, so an entry pair is read again only when a
+longer entry call walks down to it, and that call stores it then.
+Hecke products in characteristic p can only lose classes from this union
 (coefficients divisible by q vanish), so containment, not equality, is
 what gets asserted against H.
 
@@ -33,12 +38,25 @@ from .weyl import ExtAffWeylElt
 
 
 def support_mul(v: ProPElt, w: ProPElt, tie: str = "min") -> frozenset:
-    """Classes of the product of the double cosets of v and w."""
-    group = v.group
-    if w.group is not group:
+    """Classes of the product of the double cosets of v and w.
+
+    Memoised for the pairs below the entry, (v', u, tie) with v' a proper
+    prefix of v of positive length, which the recursion reads again; the
+    entry pair itself is read from the memo but not stored.  A
+    length-zero v gives the product's shared singleton."""
+    if w.group is not v.group:
         raise GroupMismatchError("pro-p elements from different groups")
+    return _support_mul(v, w, tie, False)
+
+
+def _support_mul(v: ProPElt, w: ProPElt, tie: str, keep: bool) -> frozenset:
+    """The peel recursion of support_mul; keep stores the pair's result."""
+    group = v.group
     if v.w.length() == 0:
-        return frozenset((group.mul(v, w),))
+        u = group.mul(v, w)
+        if u.classes is None:
+            u.classes = frozenset((u,))
+        return u.classes
     cache = group._support_cache
     key = (v.index, w.index, tie)
     cached = cache.get(key)
@@ -46,10 +64,11 @@ def support_mul(v: ProPElt, w: ProPElt, tie: str = "min") -> frozenset:
         return cached
     s, vp = group.peel(v, tie)
     moved, translates = group.step(s, w)
-    result = support_mul(vp, moved, tie)
+    result = _support_mul(vp, moved, tie, True)
     if translates:
-        result = result.union(*(support_mul(vp, u, tie) for u in translates))
-    cache[key] = result
+        result = result.union(*(_support_mul(vp, u, tie, True) for u in translates))
+    if keep:
+        cache[key] = result
     return result
 
 

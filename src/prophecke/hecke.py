@@ -304,7 +304,10 @@ class HeckeAlgebra:
 
     def chi_lambda(self, lam, t) -> FieldElt:
         """Value of the torus character with exponent vector lam at t."""
-        e = dot(self.group.torus(lam), t) % self.group.qm1
+        g = self.group
+        if len(t) != g.rank:
+            raise ValueError(f"torus vector must have length {g.rank}")
+        e = dot(g.torus(lam), t) % g.qm1
         return self._zeta_pow[e]
 
     def e_lambda(self, lam) -> HeckeElt:

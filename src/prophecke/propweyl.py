@@ -45,10 +45,13 @@ and the key of every term in H and E.  An element's products (keyed by
 the right operand's index, an int that hashes in C) and inverse are
 memoised on it for the lifetime of the group.  Each element also carries
 unit = {index: 1}, its own basis vector as index terms, built once at
-interning and read-only: where a peel recursion of H, E or the coset
-calculus reaches a length-zero factor, the answer is one group product,
-and its unit is returned instead of a fresh dict per pair.  Two ProPWeyl
-built over one WeylGroup share no element.
+interning and read-only: where a peel recursion of H or E reaches a
+length-zero factor, the answer is one group product, and its unit is
+returned instead of a fresh dict per pair.  Beside it sits classes, the
+singleton frozenset({element}) that the coset calculus returns for a
+length-zero factor in the same way; it starts as None and is built on
+the first such use, so a group whose supports are never asked for builds
+none.  Two ProPWeyl built over one WeylGroup share no element.
 
 The action of the finite Weyl group on T_q, which every product and
 inverse computed afresh needs, is memoised per group too: one dict per
@@ -337,12 +340,14 @@ class ProPElt:
     so ProPWeyl.mul and ProPWeyl.inv memoise their results on it, the
     products keyed by the right operand's index.  index is its position
     in group.by_index, and unit = {index: 1} is tau or phi of the element
-    as index terms, built once at interning: the recursions of H, E and
-    the coset calculus answer a length-zero factor with the unit of a
-    group product.  unit is shared and read-only, like every memo value;
-    no element may adopt it."""
+    as index terms, built once at interning: the recursions of H and E
+    answer a length-zero factor with the unit of a group product.
+    classes = frozenset({element}) is the coset calculus's answer for
+    such a factor, None until cosets.support_mul first builds it.  Both
+    are shared and read-only, like every memo value; no element may
+    adopt them."""
 
-    __slots__ = ("group", "t", "w", "index", "unit", "_prods", "_inv")
+    __slots__ = ("group", "t", "w", "index", "unit", "classes", "_prods", "_inv")
 
     def __new__(cls, group: ProPWeyl, t: tuple, w: ExtAffWeylElt):
         key = (t, w.w0, w.mu)
@@ -354,6 +359,7 @@ class ProPElt:
             self.w = w
             self.index = len(group.by_index)
             self.unit = {self.index: 1}
+            self.classes = None
             self._prods = {}  # right operand's index -> product
             self._inv = None
             group._interned[key] = self

@@ -7,6 +7,8 @@ from prophecke.errors import GroupMismatchError
 from prophecke.propweyl import ProPElt, basis_elements
 from prophecke.rootdata import PRESET_NAMES, AffineRoot, dot
 
+from prophecke.verify import build_context, make_context
+
 from conftest import EXPLICIT_GROUPS, get_context, get_explicit_context
 
 
@@ -41,6 +43,73 @@ def test_support_rejects_mixed_groups(sl2_q3, sl3_q3):
                  (sl3_q3.group.lift_s(0), sl2_q3.group.lift_s(0))):
         with pytest.raises(GroupMismatchError):
             cosets.support_mul(v, w)
+
+
+def fresh_context(name):
+    """A context of its own over GF(3): conftest's are shared, and with
+    them their memos."""
+    if name in EXPLICIT_GROUPS:
+        return build_context({"group": EXPLICIT_GROUPS[name], "field": {"p": 3, "f": 1}})
+    return make_context(name, 3)
+
+
+def support_unmemoised(v, w, tie):
+    """Oracle: the peel recursion of support_mul with no memo and a fresh
+    singleton per length-zero base case."""
+    group = v.group
+    if v.w.length() == 0:
+        return frozenset((group.mul(v, w),))
+    s, vp = group.peel(v, tie)
+    moved, translates = group.step(s, w)
+    result = support_unmemoised(vp, moved, tie)
+    for u in translates:
+        result = result | support_unmemoised(vp, u, tie)
+    return result
+
+
+def sample_up_to_length_2(group, size=150):
+    """Every element up to length 2 when there are at most size of them,
+    else an even stride through the canonical order (length first)."""
+    basis = basis_elements(group, 2)
+    return basis[::-(-len(basis) // size)]
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES + tuple(EXPLICIT_GROUPS))
+def test_support_matches_unmemoised_recursion(name):
+    G = fresh_context(name).group
+    elts = sample_up_to_length_2(G)
+    for tie in ("min", "max"):
+        for v in elts:
+            for w in elts:
+                assert cosets.support_mul(v, w, tie) == support_unmemoised(v, w, tie), (v, w, tie)
+
+
+@pytest.mark.parametrize("name", ["SL3", "PGL2xPGL2"])
+def test_support_memo_holds_only_recursion_pairs(name):
+    """A length-zero left factor gives the product's one shared singleton,
+    an entry call stores nothing under its own pair, and every stored pair
+    has a left factor of positive length."""
+    G = fresh_context(name).group
+    cache = G._support_cache
+    elts = sample_up_to_length_2(G)
+    # t other than the identity first, so that no singleton is built as
+    # {u} by the identity row before t u asks for it
+    zero = [x for x in elts if x.length() == 0]
+    for t in zero[1:] + zero[:1]:
+        for u in elts:
+            sup = cosets.support_mul(t, u)
+            assert sup is cosets.support_mul(t, u, tie="max")
+            assert sup == {G.mul(t, u)}
+    assert not cache
+    for tie in ("min", "max"):
+        for v in elts:
+            for w in elts:
+                key = (v.index, w.index, tie)
+                stored = key in cache
+                cosets.support_mul(v, w, tie)
+                assert (key in cache) == stored, key
+    assert cache
+    assert all(G.by_index[v].length() > 0 for v, _, _ in cache)
 
 
 def test_index(sl2_q3):

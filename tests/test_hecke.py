@@ -293,6 +293,16 @@ def test_wrong_length_character_rejected(sl2_q3, method, lam):
         CHARACTER_METHODS[method](sl2_q3.hecke, lam)
 
 
+@pytest.mark.parametrize("t", [(), (1, 0), (1, 5, 7)], ids=["len0", "len2", "len3"])
+def test_chi_lambda_rejects_wrong_length_point(sl2_q3, t):
+    """chi_lambda checks the torus point as well as the character: a
+    wrong-length t is an error, not read up to the shorter vector."""
+    H = sl2_q3.hecke
+    assert H.chi_lambda((1,), (1,)) == H._zeta_pow[1]
+    with pytest.raises(ValueError, match="must have length 1"):
+        H.chi_lambda((1,), t)
+
+
 def test_support_containment_and_length_bounds(sl2_q3):
     from prophecke import cosets
 
