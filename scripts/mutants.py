@@ -34,6 +34,7 @@ SUBSET = [
     "tests/test_hecke.py::test_elements_own_their_terms",
     "tests/test_hecke.py::test_classify_character",
     "tests/test_hecke.py::test_affine_character_invariant",
+    "tests/test_hecke.py::test_foreign_operand_rejected",
     "tests/test_hecke.py::test_classify_per_component",
     "tests/test_object_oracle.py",
     "tests/test_topmod.py::test_bimodule_catches_broken_actions",
@@ -72,9 +73,12 @@ MUTANTS = [
      "            return TopElt(self, self._act_basis("
      "elts[next(iter(tau.terms))], elts[next(iter(x.terms))], side))\n"
      "        for y, cy in tau.terms.items():\n"),
-    ("index_terms keeps zeros", "hecke.py",
-     "        if i:\n            out[g.index] = i\n",
-     "        out[g.index] = i\n"),
+    ("SparseSpace.elt keeps zeros", "hecke.py",
+     "            if i:\n                out[g.index] = i\n",
+     "            out[g.index] = i\n"),
+    ("inverted skips the operand check", "hecke.py",
+     "        self.own(x)\n        elts = self.group.by_index\n        return self.element(",
+     "        elts = self.group.by_index\n        return self.element("),
     ("scale without its zero case", "hecke.py",
      "        if not c:\n            return type(self)(self.space, {})\n        row = ",
      "        row = "),

@@ -186,6 +186,8 @@ def cmd_coset(args) -> int:
             "index_w": cosets.index(ctx.group, w),
         }
     else:  # profile
+        if args.b is not None:
+            raise ValueError(f"coset profile takes one element file, got a second: {args.b}")
         w = ExtAffWeylElt.from_json(ctx.weyl, _load_json(args.a))
         payload = {
             "g": {str(list(ctx.rd.roots[i])): g for i, g in cosets.g_profile(w).items()},

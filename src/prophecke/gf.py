@@ -25,7 +25,7 @@ from __future__ import annotations
 from itertools import chain as _chain, product as _iproduct
 from math import gcd
 
-from .errors import TheoremViolationError, UnsupportedFieldError
+from .errors import GroupMismatchError, TheoremViolationError, UnsupportedFieldError
 
 # The addition and multiplication tables hold n^2 entries each for a field
 # of order n and take O(n^2) integer operations to build; this library
@@ -221,7 +221,6 @@ class FieldSpec:
         self.poly = poly
         self._key = (p, f, m, poly)
         self._build_tables()
-        self._zeta = None
 
     def _build_tables(self):
         p, m, n = self.p, self.m, self.order
@@ -285,18 +284,21 @@ class FieldSpec:
     # -- element constructors ------------------------------------------------
 
     def elt(self, coeffs) -> FieldElt:
+        """The package's one scalar parser: a FieldElt of this field as it
+        is, an integer through Z -> GF(p), or a list of at most m integer
+        coordinates in the power basis, low degree first."""
         if isinstance(coeffs, FieldElt):
             if coeffs.field is not self:
-                raise ValueError("element belongs to a different field")
+                raise GroupMismatchError("element belongs to a different field")
             return coeffs
         if isinstance(coeffs, int):
             return self.from_int(coeffs)
-        cs = list(coeffs)
-        if len(cs) > self.m:
+        if not isinstance(coeffs, (list, tuple)) or not all(map(_is_int, coeffs)):
+            raise TypeError(f"cannot use {coeffs!r} as an element of {self!r}")
+        if len(coeffs) > self.m:
             raise ValueError("too many coefficients")
-        cs += [0] * (self.m - len(cs))
         v = 0
-        for c in reversed(cs):
+        for c in reversed(coeffs):
             v = v * self.p + (c % self.p)
         return self._elts[v]
 
@@ -329,11 +331,10 @@ class FieldSpec:
 
     def zeta_q(self) -> FieldElt:
         """Fixed embedding of a generator of F_q^x into k^x: an element of
-        exact multiplicative order q - 1."""
-        if self._zeta is None:
-            g = self.generator()
-            self._zeta = g ** ((self.order - 1) // (self.q - 1))
-        return self._zeta
+        exact multiplicative order q - 1: g^((n - 1)/(q - 1)) for g the
+        generator and n the order of k, read off the log table."""
+        units = self.order - 1
+        return self._elts[self._exp[(units // (self.q - 1)) % units]]
 
     # -- misc ----------------------------------------------------------------
 

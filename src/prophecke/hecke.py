@@ -17,7 +17,11 @@ nonzero coefficient in the field tables (FieldElt.i); basis_mul and the
 top-module actions return such dicts too, and accumulate adds them up
 through the rows of the field's addition and multiplication tables.  An
 element adopts the dict it is built from, uncopied and unfiltered;
-SparseComb states what that asks of producers and callers.
+SparseComb states what that asks of producers and callers.  H and E are
+both SparseSpaces: the base builds their elements (zero, elt, and basis,
+which H calls tau and E phi), relabels them by inversion (inverted, J on
+H and J_top on E), and rejects, through own, an operand from another
+space, with GroupMismatchError.  Scalars are read by FieldSpec.elt.
 ProPElt and FieldElt appear only at the boundary: the constructors
 (elt, tau, theta, e_lambda), coeff, items, to_json, repr, and the
 scalar-valued functions (chi_eval here, pairing and S_d on E).
@@ -80,29 +84,6 @@ def accumulate(out: dict, terms: dict, c: int, field: FieldSpec) -> None:
                 del out[g]
 
 
-def as_scalar(field: FieldSpec, c) -> FieldElt:
-    if isinstance(c, FieldElt):
-        if c.field is not field:
-            raise GroupMismatchError("scalar from a different field")
-        return c
-    if isinstance(c, int):
-        return field.from_int(c)
-    raise TypeError(f"cannot use {c!r} as a scalar")
-
-
-def index_terms(space, terms: dict) -> dict:
-    """{ProPElt: scalar} to the index form of SparseComb.terms, dropping
-    zero scalars."""
-    out = {}
-    for g, c in terms.items():
-        if g.group is not space.group:
-            raise GroupMismatchError("group element from different group data")
-        i = as_scalar(space.field, c).i
-        if i:
-            out[g.index] = i
-    return out
-
-
 class SparseComb:
     """Finitely supported k-linear combination of basis symbols indexed by
     pro-p Weyl group elements, living in a fixed space (H or E).  terms
@@ -112,7 +93,7 @@ class SparseComb:
     or filtering it: the producer must hold no zero coefficient in it,
     and no one may mutate it afterwards, nor hand in a dict a memo still
     holds or an element's ProPElt.unit.  Every producer here builds a
-    fresh dict; index_terms and scale drop the zeros they can make,
+    fresh dict; SparseSpace.elt and scale drop the zeros they can make,
     accumulate drops cancelled terms, and theta's -|mu| is nonzero
     because |mu| = 2 needs odd q.
 
@@ -143,12 +124,8 @@ class SparseComb:
         for g, c in self.terms.items():
             yield elts[g], coeffs[c]
 
-    def _check(self, other):
-        if type(other) is not type(self) or other.space is not self.space:
-            raise GroupMismatchError(self.mismatch)
-
     def __add__(self, other):
-        self._check(other)
+        self.space.own(other)
         out = dict(self.terms)
         accumulate(out, other.terms, 1, self.space.field)
         return type(self)(self.space, out)
@@ -161,7 +138,9 @@ class SparseComb:
         return type(self)(self.space, {g: neg[c] for g, c in self.terms.items()})
 
     def scale(self, c):
-        c = as_scalar(self.space.field, c).i
+        """c times self, for c a FieldElt of the space's field, an integer
+        or a coefficient list: whatever FieldSpec.elt reads."""
+        c = self.space.field.elt(c).i
         if not c:
             return type(self)(self.space, {})
         row = self.space.field._mul[c]
@@ -215,13 +194,58 @@ class HeckeElt(SparseComb):
         return self.scale(other)
 
 
-class HeckeAlgebra:
+class SparseSpace:
+    """What H and E share: each is the k-span (k = field) of one basis
+    symbol per element of group, and holds its elements as SparseCombs of
+    the subclass element.  H names basis tau and inverted J; E names them
+    phi and J_top."""
+
+    def own(self, x) -> None:
+        """Raise GroupMismatchError unless x is an element of this space."""
+        if getattr(x, "space", None) is not self:
+            raise GroupMismatchError(self.element.mismatch)
+
+    def zero(self):
+        return self.element(self, {})
+
+    def elt(self, terms: dict):
+        """The element sum c g of {ProPElt g: scalar c}, dropping zero
+        scalars; c is a FieldElt of the space's field, an integer or a
+        coefficient list: whatever FieldSpec.elt reads."""
+        out = {}
+        for g, c in terms.items():
+            if g.group is not self.group:
+                raise GroupMismatchError("group element from different group data")
+            i = self.field.elt(c).i
+            if i:
+                out[g.index] = i
+        return self.element(self, out)
+
+    def basis(self, x: ProPElt):
+        """The basis symbol of x."""
+        if x.group is not self.group:
+            raise GroupMismatchError("group element from different group data")
+        return self.element(self, {x.index: 1})
+
+    def inverted(self, x):
+        """The relabelling by inversion, the symbol of g to that of g^{-1}:
+        J on H, J_top on E."""
+        self.own(x)
+        elts = self.group.by_index
+        return self.element(self, {elts[g].inv().index: c for g, c in x.terms.items()})
+
+
+class HeckeAlgebra(SparseSpace):
     """H for a fixed pro-p Weyl group and coefficient field.
 
     The field's q must equal the group's q: the residue size enters both
     the torus quotient and, reduced to k, the coefficients of the
     quadratic relations.
     """
+
+    element = HeckeElt
+    tau = SparseSpace.basis
+    J = SparseSpace.inverted
 
     def __init__(self, group: ProPWeyl, field: FieldSpec, word_tie: str = "min"):
         if field.q != group.q:
@@ -233,23 +257,8 @@ class HeckeAlgebra:
         self.word_tie = word_tie
         self._mul_cache: dict = {}
         self._iota_cache: dict = {}
-        zq1 = field.zeta_q()
-        self._zeta_pow = [field.one()]
-        for _ in range(group.qm1 - 1):
-            self._zeta_pow.append(self._zeta_pow[-1] * zq1)
 
     # -- element constructors ----------------------------------------------------
-
-    def zero(self) -> HeckeElt:
-        return HeckeElt(self, {})
-
-    def elt(self, terms: dict) -> HeckeElt:
-        return HeckeElt(self, index_terms(self, terms))
-
-    def tau(self, x: ProPElt) -> HeckeElt:
-        if x.group is not self.group:
-            raise GroupMismatchError("group element from different group data")
-        return HeckeElt(self, {x.index: 1})
 
     def one(self) -> HeckeElt:
         return self.tau(self.group.identity())
@@ -303,12 +312,13 @@ class HeckeAlgebra:
     # -- torus characters and idempotents ----------------------------------------
 
     def chi_lambda(self, lam, t) -> FieldElt:
-        """Value of the torus character with exponent vector lam at t."""
-        g = self.group
+        """Value of the torus character with exponent vector lam at t:
+        zeta_q^e, read off the field's log table."""
+        g, field = self.group, self.field
         if len(t) != g.rank:
             raise ValueError(f"torus vector must have length {g.rank}")
         e = dot(g.torus(lam), t) % g.qm1
-        return self._zeta_pow[e]
+        return field._elts[field._exp[e * ((field.order - 1) // g.qm1)]]
 
     def e_lambda(self, lam) -> HeckeElt:
         """Torus idempotent attached to a character of T_q.
@@ -353,6 +363,7 @@ class HeckeAlgebra:
         """The involutive algebra automorphism fixing all length-zero basis
         elements and sending tau_{n_s} to -tau_{n_s} - theta_s; on tau_g it
         is iota(tau_{g'}) (-tau_{n_s} - theta_s) with g = g' n_s peeled."""
+        self.own(x)
         elts = self.group.by_index
         out: dict = {}
         for g, c in x.terms.items():
@@ -375,11 +386,6 @@ class HeckeAlgebra:
         self._iota_cache[g.index] = result
         return result
 
-    def J(self, x: HeckeElt) -> HeckeElt:
-        """The anti-involution tau_g |-> tau_{g^{-1}}."""
-        elts = self.group.by_index
-        return HeckeElt(self, {elts[g].inv().index: c for g, c in x.terms.items()})
-
     # -- characters of H ----------------------------------------------------------
 
     def chi_eval(self, which: str, x: HeckeElt) -> FieldElt:
@@ -390,6 +396,7 @@ class HeckeAlgebra:
         length-zero tau to 1."""
         if which not in ("triv", "sign"):
             raise ValueError("which must be 'triv' or 'sign'")
+        self.own(x)
         elts, add, neg = self.group.by_index, self.field._add, self.field._neg
         total = 0
         for g, c in x.terms.items():
@@ -404,12 +411,14 @@ class HeckeAlgebra:
 
     def filtration_project(self, x: HeckeElt, n: int) -> HeckeElt:
         """Projection killing all terms of length < n."""
+        self.own(x)
         elts = self.group.by_index
         return HeckeElt(
             self, {g: c for g, c in x.terms.items() if elts[g].w.length() >= n}
         )
 
     def grade_part(self, x: HeckeElt, n: int) -> HeckeElt:
+        self.own(x)
         elts = self.group.by_index
         return HeckeElt(
             self, {g: c for g, c in x.terms.items() if elts[g].w.length() == n}

@@ -21,10 +21,10 @@ def elt_from_json(space, data):
     Malformed input raises a ValueError naming the field."""
     if not isinstance(data, dict):
         raise ValueError("an element must be a JSON object with a \"terms\" list")
-    zero = space.zero()
-    tag = data.get("basis", zero.symbol)
-    if tag != zero.symbol:
-        raise ValueError(f"element has basis tag {tag!r}, but this space uses {zero.symbol!r}")
+    element = space.element
+    tag = data.get("basis", element.symbol)
+    if tag != element.symbol:
+        raise ValueError(f"element has basis tag {tag!r}, but this space uses {element.symbol!r}")
     items = data.get("terms")
     if not isinstance(items, list):
         raise ValueError(f"element terms must be a list, got {items!r}")
@@ -39,4 +39,4 @@ def elt_from_json(space, data):
             raise ValueError(f"term coeff must be an integer or a list of integers, got {coeff!r}")
         g = ProPElt.from_json(space.group, item["elt"])
         accumulate(terms, {g.index: 1}, space.field.elt(coeff).i, space.field)
-    return type(zero)(space, terms)
+    return element(space, terms)

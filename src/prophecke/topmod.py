@@ -15,16 +15,18 @@ length-zero subgroup is finite of invertible order, the inversion twist,
 and the duality pairing against H.  The supersingularity audit of the
 trace kernel is the verify suite "supersingular".
 
-Elements and action results are index terms, as in H: a dict from
-ProPElt.index to the FieldElt.i of a nonzero coefficient.  pairing and
-S_d return FieldElt.
+E is a SparseSpace like H: phi, zero, elt and the inversion twist J_top
+come from the base, and every method taking an element of E or H
+rejects one from another space.  Elements and action results are index
+terms, as in H: a dict from ProPElt.index to the FieldElt.i of a nonzero
+coefficient.  pairing and S_d return FieldElt.
 """
 
 from __future__ import annotations
 
 from .errors import DecompositionUnavailableError, GroupMismatchError
 from .gf import FieldElt
-from .hecke import HeckeAlgebra, HeckeElt, SparseComb, accumulate, index_terms
+from .hecke import HeckeAlgebra, HeckeElt, SparseComb, SparseSpace, accumulate
 from .propweyl import ProPElt
 
 
@@ -37,8 +39,12 @@ class TopElt(SparseComb):
     mismatch = "elements of different top modules"
 
 
-class TopModule:
+class TopModule(SparseSpace):
     """H-bimodule structure on the span of the phi basis."""
+
+    element = TopElt
+    phi = SparseSpace.basis
+    J_top = SparseSpace.inverted
 
     def __init__(self, algebra: HeckeAlgebra):
         self.hecke = algebra
@@ -46,17 +52,6 @@ class TopModule:
         self.field = algebra.field
         self._act_cache = {}
         self._triv_line = None
-
-    def phi(self, x: ProPElt) -> TopElt:
-        if x.group is not self.group:
-            raise GroupMismatchError("group element from different group data")
-        return TopElt(self, {x.index: 1})
-
-    def zero(self) -> TopElt:
-        return TopElt(self, {})
-
-    def elt(self, terms: dict) -> TopElt:
-        return TopElt(self, index_terms(self, terms))
 
     # -- generator actions -------------------------------------------------------
 
@@ -114,13 +109,10 @@ class TopModule:
 
     # -- dualities ----------------------------------------------------------------
 
-    def J_top(self, x: TopElt) -> TopElt:
-        """Inversion relabeling phi_g |-> phi_{g^{-1}}."""
-        elts = self.group.by_index
-        return TopElt(self, {elts[g].inv().index: c for g, c in x.terms.items()})
-
     def pairing(self, x: TopElt, h: HeckeElt) -> FieldElt:
         """Dual-basis pairing sum_g x_g h_g."""
+        self.own(x)
+        self.hecke.own(h)
         add, mul = self.field._add, self.field._mul
         total = 0
         small, big = (
@@ -135,6 +127,7 @@ class TopModule:
     def S_d(self, x: TopElt) -> FieldElt:
         """Coordinate-sum trace; both H-actions push through it by the
         trivial character."""
+        self.own(x)
         add = self.field._add
         total = 0
         for c in x.terms.values():
@@ -165,6 +158,7 @@ class TopModule:
         character, and the kernel part has vanishing trace.  Available only
         when Omega is finite and the count of length-zero elements is
         nonzero in k, i.e. p does not divide |Omega|."""
+        self.own(x)
         line = self.triv_line()
         c = self.S_d(line)
         if c.is_zero():

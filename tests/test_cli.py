@@ -364,6 +364,15 @@ def test_coset_support_needs_two_files(tmp_path, cfg):
     assert main(["coset", "support", "--config", cfg, w]) == 2
 
 
+def test_coset_profile_rejects_a_second_file(tmp_path, cfg, capsys):
+    w = _write(tmp_path, "w.json", {"w0_word": [0], "mu": [0]})
+    junk = _write(tmp_path, "junk.json", {"w0_word": [0], "mu": [0]})
+    assert main(["coset", "profile", "--config", cfg, w, junk]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "junk.json" in err
+    assert "Traceback" not in err
+
+
 # SHA-256 of the stdout of fixed commands.  The CLI promises byte-identical
 # output for the same config and seed, so a digest may change only with a
 # deliberate change of output format.

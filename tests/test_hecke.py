@@ -298,7 +298,7 @@ def test_chi_lambda_rejects_wrong_length_point(sl2_q3, t):
     """chi_lambda checks the torus point as well as the character: a
     wrong-length t is an error, not read up to the shorter vector."""
     H = sl2_q3.hecke
-    assert H.chi_lambda((1,), (1,)) == H._zeta_pow[1]
+    assert H.chi_lambda((1,), (1,)) == H.field.zeta_q()
     with pytest.raises(ValueError, match="must have length 1"):
         H.chi_lambda((1,), t)
 
@@ -323,6 +323,46 @@ def test_algebra_mismatch_rejected(sl2_q3, sl3_q3):
         sl2_q3.hecke.mul(sl2_q3.hecke.one(), sl3_q3.hecke.one())
     with pytest.raises(GroupMismatchError):
         sl2_q3.hecke.tau(sl3_q3.group.identity())
+
+
+# Each method takes the foreign element h (of H) or x (of E) where it
+# expects an operand of its own space; a is the context it is called on.
+FOREIGN_OPERAND = {
+    "iota": lambda a, h, x: a.hecke.iota(h),
+    "J": lambda a, h, x: a.hecke.J(h),
+    "chi_eval": lambda a, h, x: a.hecke.chi_eval("sign", h),
+    "grade_part": lambda a, h, x: a.hecke.grade_part(h, 1),
+    "filtration_project": lambda a, h, x: a.hecke.filtration_project(h, 1),
+    "J_top": lambda a, h, x: a.top.J_top(x),
+    "S_d": lambda a, h, x: a.top.S_d(x),
+    "decompose": lambda a, h, x: a.top.decompose(x),
+    "pairing, top operand": lambda a, h, x: a.top.pairing(x, a.hecke.one()),
+    "pairing, Hecke operand": lambda a, h, x: a.top.pairing(
+        a.top.phi(a.group.identity()), h),
+}
+
+
+@pytest.fixture(scope="module")
+def foreign_sl2():
+    """SL2 over another field, and a second SL2 context over GF(3) whose
+    indices coincide with those of the shared one."""
+    from prophecke import make_context
+
+    return {"other field": get_context("SL2", 5), "same config": make_context("SL2", 3)}
+
+
+@pytest.mark.parametrize("source", ["other field", "same config"])
+@pytest.mark.parametrize("method", sorted(FOREIGN_OPERAND))
+def test_foreign_operand_rejected(sl2_q3, foreign_sl2, method, source):
+    """An element of another space is an error, not read through this
+    space's index tables into an IndexError or a wrong value."""
+    b = foreign_sl2[source]
+    G = b.group
+    ns, t = G.lift_s(0), G.torus_elt((1,))
+    h = b.hecke.tau(ns) - b.hecke.tau(t)
+    x = b.top.phi(ns) - b.top.phi(t)
+    with pytest.raises(GroupMismatchError):
+        FOREIGN_OPERAND[method](sl2_q3, h, x)
 
 
 def test_field_group_q_mismatch():
