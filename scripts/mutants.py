@@ -36,6 +36,7 @@ SUBSET = [
     "tests/test_hecke.py::test_affine_character_invariant",
     "tests/test_hecke.py::test_foreign_operand_rejected",
     "tests/test_hecke.py::test_classify_per_component",
+    "tests/test_propweyl.py::test_coroot_image_matches_scan",
     "tests/test_object_oracle.py",
     "tests/test_topmod.py::test_bimodule_catches_broken_actions",
     "tests/test_topmod.py::test_bimodule_on_pgl2xpgl2",
@@ -139,6 +140,12 @@ MUTANTS = [
     ("validity accepts eps = -1 on a nontrivial coroot image", "hecke.py",
      "v == 0 or v == -1 and self._lam_trivial_on_image(lam, A.root)",
      "v == 0 or v == -1"),
+    ("|mu| without q - 1", "propweyl.py",
+     "mu_size = gcd(self.qm1, *self.rd.coroots[root_index])",
+     "mu_size = gcd(*self.rd.coroots[root_index])"),
+    ("theta reads |mu| unnegated", "hecke.py",
+     "c = self.field._neg[self.mu_coeff[s]]",
+     "c = self.mu_coeff[s]"),
 ]
 
 

@@ -27,7 +27,12 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _emit(text: str, out: str | None):
+def _emit(ctx, payload: dict, out: str | None):
+    """Every command's JSON output: payload with the context's config and
+    the package version added, as canonical JSON, to the file out or to
+    stdout."""
+    payload.update(config=ctx.config, version=__version__)
+    text = canonical_json(payload)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -74,13 +79,7 @@ def cmd_mul(args) -> int:
         x = ProPElt.from_json(ctx.group, a)
         y = ProPElt.from_json(ctx.group, b)
         result = ctx.group.mul(x, y).to_json()
-    payload = {
-        "algebra": args.algebra,
-        "config": ctx.config,
-        "version": __version__,
-        "result": result,
-    }
-    _emit(canonical_json(payload), args.out)
+    _emit(ctx, {"algebra": args.algebra, "result": result}, args.out)
     return 0
 
 
@@ -92,10 +91,8 @@ def cmd_verify(args) -> int:
     if args.samples is not None:
         params["samples"] = args.samples
     report = run_suite(ctx, args.suite, **params)
-    report["config"] = ctx.config
-    report["version"] = __version__
     if args.json or args.out:
-        _emit(canonical_json(report), args.out)
+        _emit(ctx, report, args.out)
     else:
         status = "PASS" if not report["failures"] else "FAIL"
         sys.stdout.write(
@@ -164,10 +161,8 @@ def _export_payload(ctx, what: str, max_len: int):
 def cmd_export(args) -> int:
     ctx = _context_from_args(args)
     payload = _export_payload(ctx, args.what, ctx.max_len)
-    payload["config"] = ctx.config
-    payload["version"] = __version__
     payload["what"] = args.what
-    _emit(canonical_json(payload), args.out)
+    _emit(ctx, payload, args.out)
     return 0
 
 
@@ -194,9 +189,7 @@ def cmd_coset(args) -> int:
             "length": w.length(),
             "sum_check": cosets.g_profile_sum_check(w),
         }
-    payload["config"] = ctx.config
-    payload["version"] = __version__
-    _emit(canonical_json(payload), args.out)
+    _emit(ctx, payload, args.out)
     return 0
 
 

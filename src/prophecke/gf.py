@@ -100,9 +100,13 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _check_int(name: str, v) -> None:
-    if not _is_int(v):
-        raise ValueError(f"field {name} must be an integer, got {v!r}")
+def _check_int(what: str, v, low: int | None = None) -> int:
+    """v, when it is an integer at least low (when given); a bool, a
+    non-int or a smaller value raises a ValueError naming what."""
+    if not _is_int(v) or (low is not None and v < low):
+        need = "an integer" if low is None else f"an integer >= {low}"
+        raise ValueError(f"{what} must be {need}, got {v!r}")
+    return v
 
 
 class FieldElt:
@@ -186,11 +190,11 @@ class FieldSpec:
     """
 
     def __init__(self, p: int, f: int = 1, m: int | None = None, reduction_poly=None):
-        _check_int("p", p)
-        _check_int("f", f)
+        _check_int("field p", p)
+        _check_int("field f", f)
         if m is None:
             m = f
-        _check_int("m", m)
+        _check_int("field m", m)
         if f < 1:
             raise ValueError("f must be >= 1")
         if m < 1 or m % f != 0:
@@ -291,7 +295,7 @@ class FieldSpec:
             if coeffs.field is not self:
                 raise GroupMismatchError("element belongs to a different field")
             return coeffs
-        if isinstance(coeffs, int):
+        if _is_int(coeffs):
             return self.from_int(coeffs)
         if not isinstance(coeffs, (list, tuple)) or not all(map(_is_int, coeffs)):
             raise TypeError(f"cannot use {coeffs!r} as an element of {self!r}")

@@ -9,7 +9,11 @@ affine simple reflection s attached to the root alpha,
     theta_s = -|mu_alpha| sum_{t in alpha-check(F_q^x)} tau_t,
 
 the characteristic-p degeneration (q = 0 in k) of the classical
-quadratic relation.
+quadratic relation.  Its rank-one data are stated once: ProPWeyl.aff_image
+gives alpha-check(F_q^x) and |mu| for each letter s, and
+HeckeAlgebra.mu_coeff[s] is that |mu| as a field index, built with H.
+The descent branch of basis_mul, theta (negating it) and
+TopModule._apply_gen read it there.
 
 An element of H or E is a SparseComb whose terms are a dict from the
 intern index of a basis element (ProPElt.index) to the index of its
@@ -255,6 +259,10 @@ class HeckeAlgebra(SparseSpace):
         self.group = group
         self.field = field
         self.word_tie = word_tie
+        # per affine simple reflection s: |mu| of its root as a field index,
+        # the coefficient the quadratic relation puts on the translates
+        self.mu_coeff = [field.from_int(group.aff_image(s)[1]).i
+                         for s in range(len(group.weyl.s_aff))]
         self._mul_cache: dict = {}
         self._iota_cache: dict = {}
 
@@ -267,10 +275,10 @@ class HeckeAlgebra(SparseSpace):
 
     def theta(self, s: int) -> HeckeElt:
         """The idempotent -|mu| sum of tau over the coroot image of the
-        root underlying the s-th affine simple reflection."""
-        image, mu_size = self.group.aff_image(s)
-        c = self.field.from_int(-mu_size).i
-        return HeckeElt(self, {t.index: c for t in image})
+        root underlying the s-th affine simple reflection: mu_coeff[s],
+        negated, on every translate."""
+        c = self.field._neg[self.mu_coeff[s]]
+        return HeckeElt(self, {t.index: c for t in self.group.aff_image(s)[0]})
 
     # -- multiplication ---------------------------------------------------------
 
@@ -292,7 +300,7 @@ class HeckeAlgebra(SparseSpace):
                 result = self.basis_mul(xp, moved)
             else:
                 result = {}
-                c = self.field.from_int(g.aff_image(s)[1]).i
+                c = self.mu_coeff[s]
                 for u in translates:
                     accumulate(result, self.basis_mul(xp, u), c, self.field)
         self._mul_cache[key] = result

@@ -32,7 +32,11 @@ not the particular coordinates, are what the algebra relations consume.
 ProPWeyl.step is the one rank-one rule that the Hecke product, both
 actions on the top module and the coset calculus share: n_s y alone
 when s lengthens y, and n_s y plus the coroot-image translates t y when
-s shortens it (mirrored on the right).  ProPWeyl.peel splits the last
+s shortens it (mirrored on the right).  Those translates and |mu| are
+closed forms: alpha-check(zeta^e) is e times the coroot mod q - 1, so
+coroot_image gives |mu| = gcd(q - 1, coroot) and the image as the first
+(q - 1) / |mu| multiples of alpha-check(1), and aff_image(s) holds both
+for each letter, built with the group.  ProPWeyl.peel splits the last
 letter off an element's canonical reduced word for the recursions of the
 Hecke product, iota, both actions on the top module and the coset calculus.
 
@@ -62,8 +66,10 @@ finite Weyl element, filled on first use, so the memo holds at most
 from __future__ import annotations
 
 from itertools import product
+from math import gcd
 
 from .errors import DataIntegrityError, GroupMismatchError, TheoremViolationError
+from .gf import _is_int
 from .rootdata import AffineRoot, dot
 from .weyl import ExtAffWeylElt, WeylGroup, _int_vector, _mat_vec
 
@@ -102,10 +108,14 @@ class ProPWeyl:
     # -- torus helpers -----------------------------------------------------------
 
     def torus(self, exps) -> tuple:
-        exps = tuple(e % self.qm1 for e in exps)
+        """exps reduced mod q - 1; a length other than the rank or an entry
+        that is not an integer raises a ValueError."""
+        exps = tuple(exps)
         if len(exps) != self.rank:
             raise ValueError(f"torus vector must have length {self.rank}")
-        return exps
+        if not all(map(_is_int, exps)):
+            raise ValueError(f"torus vector entries must be integers, got {list(exps)}")
+        return tuple(e % self.qm1 for e in exps)
 
     def torus_elements(self) -> tuple:
         """All (q-1)^rank torus vectors, built on the first call and kept.
@@ -131,21 +141,19 @@ class ProPWeyl:
         return tuple((e * c) % self.qm1 for c in ac)
 
     def coroot_image(self, root_index: int):
-        """The subgroup alpha-check(F_q^x) of T_q together with the size of
-        the kernel of alpha-check on F_q^x, counted directly."""
-        seen = []
-        mu_size = 0
-        for e in range(self.qm1):
-            t = self.coroot_torus(root_index, e)
-            if not any(t):
-                mu_size += 1
-            if t not in seen:
-                seen.append(t)
+        """(alpha-check(F_q^x), |mu|) for the root: the subgroup of T_q that
+        alpha-check maps F_q^x onto, and the size |mu| of the kernel of
+        alpha-check on F_q^x.  alpha-check(zeta^e) is e times the coroot
+        mod q - 1, so the kernel has gcd(q - 1, coroot) elements and the
+        image is e alpha-check(1) for 0 <= e < (q - 1) / |mu|, listed in
+        that order."""
+        mu_size = gcd(self.qm1, *self.rd.coroots[root_index])
         if mu_size not in (1, 2):
             raise DataIntegrityError(
                 f"coroot kernel has size {mu_size}; a reduced datum allows only 1 or 2"
             )
-        return tuple(seen), mu_size
+        image = tuple(self.coroot_torus(root_index, e) for e in range(self.qm1 // mu_size))
+        return image, mu_size
 
     # -- the finite cocycle ---------------------------------------------------------
 
@@ -239,7 +247,7 @@ class ProPWeyl:
 
     def aff_image(self, i: int):
         """(alpha-check(F_q^x) as torus elements, |mu|) for the root of the
-        i-th affine simple reflection."""
+        i-th affine simple reflection: coroot_image, computed once."""
         return self._aff_images[i]
 
     def lift_omega(self, w: ExtAffWeylElt) -> "ProPElt":

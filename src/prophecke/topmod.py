@@ -5,8 +5,9 @@ phi_g of tau_g, with the explicit generator actions
     phi_w . tau_{n_s} = 0                                 if s lengthens w,
     phi_w . tau_{n_s} = phi_{w s} + |mu| sum_t phi_{w t}  if s shortens w,
 
-(and mirrored on the left), extended to every tau_y by peeling the last
-letter off y and recursing, as H's product does.  The recursion bottoms
+(and mirrored on the left), where |mu| is read off the algebra's
+mu_coeff[s].  They extend to every tau_y by peeling the last letter off
+y and recursing, as H's product does.  The recursion bottoms
 out at a length-zero y, whose action is the first line: it returns the
 read-only ProPElt.unit of the group product and memoises nothing, so the
 memo holds only pairs with y of positive length.  The coordinate-sum
@@ -57,12 +58,12 @@ class TopModule(SparseSpace):
 
     def _apply_gen(self, s: int, u: ProPElt, side: str) -> dict:
         """tau_{n_s} acting on phi_u: ascent annihilates; descent gives the
-        reflection translate plus |mu| times the coroot-image translates."""
-        g = self.group
-        moved, translates = g.step(s, u, side)
+        reflection translate plus |mu| (the algebra's mu_coeff[s]) times
+        the coroot-image translates."""
+        moved, translates = self.group.step(s, u, side)
         if not translates:
             return {}
-        mu_c = self.field.from_int(g.aff_image(s)[1]).i
+        mu_c = self.hecke.mu_coeff[s]
         # the torus translates differ from moved in their Weyl part
         return {moved.index: 1, **{t.index: mu_c for t in translates}}
 

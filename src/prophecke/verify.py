@@ -22,7 +22,7 @@ from itertools import product
 
 from . import cosets as cosets_mod
 from .errors import DecompositionUnavailableError, TheoremViolationError
-from .gf import FieldSpec
+from .gf import FieldSpec, _check_int
 from .hecke import HeckeAlgebra, accumulate
 from .propweyl import ProPWeyl, basis_elements
 from .rootdata import RootDatum
@@ -45,20 +45,10 @@ class Context:
     config: dict = dc_field(default_factory=dict)
 
 
-def _config_int(config: dict, name: str, default: int, low: int | None = 0) -> int:
-    """config[name], or default when absent; a bool, a non-int or a value
-    below low (when given) raises a ValueError naming the field."""
-    v = config.get(name, default)
-    if isinstance(v, bool) or not isinstance(v, int) or (low is not None and v < low):
-        need = "an integer" if low is None else f"an integer >= {low}"
-        raise ValueError(f"config {name} must be {need}, got {v!r}")
-    return v
-
-
 def build_context(config: dict) -> Context:
-    seed = _config_int(config, "seed", 0, low=None)
-    max_len = _config_int(config, "max_len", 3)
-    samples = _config_int(config, "samples", 1000)
+    seed = _check_int("config seed", config.get("seed", 0))
+    max_len = _check_int("config max_len", config.get("max_len", 3), 0)
+    samples = _check_int("config samples", config.get("samples", 1000), 0)
     rd = RootDatum.from_json(config.get("group", "SL2"))
     fs = FieldSpec.from_json(config.get("field", {"p": 3, "f": 1}))
     wg = WeylGroup(rd)
@@ -551,7 +541,10 @@ SUITES = tuple(_SUITE_FNS)
 
 def run_suite(ctx: Context, name: str, **params) -> dict:
     """Run one suite; an unknown suite or a parameter the suite does not
-    take raises a ValueError naming it."""
+    take raises a ValueError naming it.  Every suite parameter is a size
+    (a length bound or a draw count), so its value must be an integer
+    >= 0, or None for samples (every combination); any other raises a
+    ValueError naming the parameter."""
     if name not in _SUITE_FNS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
     fn = _SUITE_FNS[name]
@@ -560,4 +553,6 @@ def run_suite(ctx: Context, name: str, **params) -> dict:
         if p not in takes:
             raise ValueError(
                 f"suite {name} takes no parameter {p}; it takes {', '.join(takes) or 'none'}")
+        if params[p] is not None or p != "samples":
+            _check_int(f"suite {name} parameter {p}", params[p], 0)
     return fn(ctx, **params)

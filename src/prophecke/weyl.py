@@ -185,17 +185,15 @@ class WeylGroup:
         return self._omega
 
     def elements_of_length(self, n: int):
-        """All w with length exactly n.  For infinite Omega only the
-        window |coefficients| <= _OMEGA_WINDOW of length-zero prefixes is
-        used, so the result is a finite slice of each length stratum."""
-        return self._strata(n)[n]
+        """All w with length exactly n, none for n < 0.  For infinite
+        Omega only the window |coefficients| <= _OMEGA_WINDOW of length-zero
+        prefixes is used, so the result is a finite slice of each length
+        stratum."""
+        return self._strata(n)[n] if n >= 0 else []
 
     def elements_up_to_length(self, n: int):
-        strata = self._strata(n)
-        out = []
-        for lst in strata:
-            out.extend(lst)
-        return out
+        """All w with length at most n, shortest first; none for n < 0."""
+        return [w for stratum in self._strata(n) for w in stratum] if n >= 0 else []
 
     def _strata(self, n: int):
         zero = self.omega().window(_OMEGA_WINDOW)

@@ -247,8 +247,9 @@ def test_reduction_poly_validation():
         FieldSpec(3, 1, 2, reduction_poly=[2, 0, 1])
 
 
-@pytest.mark.parametrize("bad", [2.5, "1", [1.5], [None], {1: 2}, [True]],
-                         ids=["float", "str", "float list", "None list", "dict", "bool list"])
+@pytest.mark.parametrize("bad", [2.5, "1", [1.5], [None], {1: 2}, [True], True],
+                         ids=["float", "str", "float list", "None list", "dict", "bool list",
+                              "bool"])
 def test_elt_rejects_non_integer_coefficients(bad):
     """FieldSpec.elt, which reads every scalar of H and E, names what it
     cannot read instead of failing inside the digit loop or reading a

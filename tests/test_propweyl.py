@@ -5,10 +5,11 @@ import random
 import pytest
 
 from prophecke.errors import GroupMismatchError
-from prophecke.propweyl import basis_elements
-from prophecke.rootdata import PRESET_NAMES, AffineRoot
+from prophecke.propweyl import ProPWeyl, basis_elements
+from prophecke.rootdata import PRESET_NAMES, AffineRoot, RootDatum, preset
+from prophecke.weyl import WeylGroup
 
-from conftest import get_context
+from conftest import EXPLICIT_GROUPS, get_context
 
 
 def grp(name, p, f=1, m=None):
@@ -81,6 +82,46 @@ def test_coroot_image_examples():
     Gp2 = grp("PGL2", 2)
     image, mu = Gp2.coroot_image(Gp2.rd.simple[0])
     assert mu == 1 and len(image) == 1
+
+
+def _scanned_coroot_image(G, root_index):
+    """The reference for ProPWeyl.coroot_image: alpha-check(zeta^e) for
+    every e in [0, q - 1), each new torus vector kept in order of first
+    appearance, and |mu| the number of e sent to the identity."""
+    seen, mu_size = [], 0
+    for e in range(G.qm1):
+        t = G.coroot_torus(root_index, e)
+        mu_size += not any(t)
+        if t not in seen:
+            seen.append(t)
+    return tuple(seen), mu_size
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES + tuple(EXPLICIT_GROUPS))
+def test_coroot_image_matches_scan(name):
+    """The closed form (|mu| = gcd(q - 1, coroot), the image the first
+    (q - 1) / |mu| multiples of the coroot) against the scan of all of
+    F_q^x, at every root, for odd and even q, primes and prime powers."""
+    rd = preset(name) if name in PRESET_NAMES else RootDatum.from_json(EXPLICIT_GROUPS[name])
+    wg = WeylGroup(rd)
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32):
+        G = ProPWeyl(wg, q)
+        for r in range(len(rd.roots)):
+            assert G.coroot_image(r) == _scanned_coroot_image(G, r), (q, rd.coroots[r])
+
+
+@pytest.mark.parametrize("bad", [(0.5,), (True,), ("1",), (None,)],
+                         ids=["float", "bool", "str", "None"])
+def test_torus_rejects_non_integer_entries(bad):
+    """ProPWeyl.torus, through which elt and torus_elt read a torus
+    vector, rejects an entry that is not an integer, and nothing is
+    interned."""
+    G = grp("SL2", 3)
+    count = len(G.by_index)
+    for read in (G.torus, G.torus_elt, lambda t: G.elt(t, G.weyl.identity())):
+        with pytest.raises(ValueError, match="entries must be integers"):
+            read(bad)
+    assert len(G.by_index) == count
 
 
 def test_lift_examples():

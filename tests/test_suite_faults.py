@@ -19,6 +19,8 @@ from prophecke.hecke import HeckeAlgebra, SparseComb
 from prophecke.propweyl import ProPWeyl, basis_elements
 from prophecke.serial import canonical_json
 
+from conftest import get_context
+
 
 def _never_equal(self, other):
     return False
@@ -181,3 +183,30 @@ def test_suite_reports_forced_fault(monkeypatch, suite, fault):
     got = (report["cases"], len(report["failures"]), digest)
     assert report["failures"]
     assert got == FAULTS[suite, fault][3]
+
+
+@pytest.mark.parametrize("suite,param,value", [
+    ("assoc", "max_len", -1),
+    ("assoc", "max_len", True),
+    ("assoc", "max_len", 1.5),
+    ("assoc", "max_len", None),
+    ("assoc", "samples", "3"),
+    ("duality", "samples", -3),
+    ("duality", "max_len_tau", -1),
+    ("duality", "max_len_phi", 2.0),
+    ("involutions", "rand_len", -1),
+    ("involutions", "samples", False),
+])
+def test_run_suite_rejects_a_bad_size(suite, param, value):
+    """A size parameter must be an integer >= 0 (samples may be None):
+    a bool, a non-integer or a negative value raises a ValueError naming
+    the parameter before the suite runs."""
+    with pytest.raises(ValueError, match=f"suite {suite} parameter {param} must be"):
+        verify.run_suite(get_context("SL2", 3), suite, **{param: value})
+
+
+def test_run_suite_takes_zero_sizes_and_exhaustive_samples():
+    ctx = get_context("SL2", 3)
+    assert verify.run_suite(ctx, "assoc", max_len=0)["cases"] > 0
+    report = verify.run_suite(ctx, "duality", max_len_tau=0, max_len_phi=0, samples=None)
+    assert report["cases"] > 0 and not report["failures"]

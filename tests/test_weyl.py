@@ -396,6 +396,16 @@ def test_mul_inv_match_matrix_reference_random_length_6(name):
     _check_against_reference(g, [(rng.choice(ws), rng.choice(ws)) for _ in range(500)])
 
 
+@pytest.mark.parametrize("name", ["SL2", "PGL2"])
+def test_no_elements_of_negative_length(name):
+    """A negative length selects nothing, not the length-zero stratum read
+    from the end of the strata list."""
+    g = wg(name)
+    for n in (-1, -2):
+        assert g.elements_of_length(n) == [] and g.elements_up_to_length(n) == []
+    assert g.elements_of_length(0) == g.elements_up_to_length(0) != []
+
+
 def test_elements_are_interned():
     g = wg("SL3")
     assert g.elt(2, (1, -1)) is g.elt(2, (1, -1))
