@@ -36,10 +36,15 @@ SUBSET = [
     "tests/test_hecke.py::test_affine_character_invariant",
     "tests/test_hecke.py::test_foreign_operand_rejected",
     "tests/test_hecke.py::test_classify_per_component",
+    "tests/test_hecke.py::test_e_lambda_matches_negated_sum",
+    "tests/test_hecke.py::test_graded_support_char_checks_the_reflections",
     "tests/test_propweyl.py::test_coroot_image_matches_scan",
+    "tests/test_propweyl.py::test_reflection_lift_matches_height_recursion",
+    "tests/test_propweyl.py::test_bad_letter_rejected",
     "tests/test_object_oracle.py",
     "tests/test_topmod.py::test_bimodule_catches_broken_actions",
     "tests/test_topmod.py::test_bimodule_on_pgl2xpgl2",
+    "tests/test_topmod.py::test_triv_line_matches_omega_listing",
     "tests/test_suite_faults.py",
     "tests/test_cosets.py::test_support_memo_holds_only_recursion_pairs",
     "tests/test_table_digests.py::test_explicit_datum_digest",
@@ -146,6 +151,23 @@ MUTANTS = [
     ("theta reads |mu| unnegated", "hecke.py",
      "c = self.field._neg[self.mu_coeff[s]]",
      "c = self.mu_coeff[s]"),
+    ("reflection_lift conjugates through the first generator", "propweyl.py",
+     "beta = wg.root_perm[wg.gen_index[k]][root_index]",
+     "beta = wg.root_perm[wg.gen_index[0]][root_index]"),
+    ("triv_line sums phi up to length 1", "topmod.py",
+     "basis_elements(self.group, 0)",
+     "basis_elements(self.group, 1)"),
+    ("e_lambda multiplies by lambda(t)", "hecke.py",
+     "sign / self.chi_lambda(lam, t)",
+     "sign * self.chi_lambda(lam, t)"),
+    ("letter check off by one", "propweyl.py",
+     "_is_int(s) and 0 <= s < self._letters",
+     "_is_int(s) and 0 <= s <= self._letters"),
+    ("eigencheck drops the reflection probes", "hecke.py",
+     "        probes += [(g.lift_s(i), self.field.from_int(e),"
+     " f\"reflection eigenvalue fails at s={i}\")\n"
+     "                   for i, e in enumerate(eps)]\n",
+     ""),
 ]
 
 

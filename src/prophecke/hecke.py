@@ -276,9 +276,11 @@ class HeckeAlgebra(SparseSpace):
     def theta(self, s: int) -> HeckeElt:
         """The idempotent -|mu| sum of tau over the coroot image of the
         root underlying the s-th affine simple reflection: mu_coeff[s],
-        negated, on every translate."""
+        negated, on every translate.  aff_image rejects a bad letter s
+        before mu_coeff is read."""
+        image, _ = self.group.aff_image(s)
         c = self.field._neg[self.mu_coeff[s]]
-        return HeckeElt(self, {t.index: c for t in self.group.aff_image(s)[0]})
+        return HeckeElt(self, {t.index: c for t in image})
 
     # -- multiplication ---------------------------------------------------------
 
@@ -329,19 +331,16 @@ class HeckeAlgebra(SparseSpace):
         return field._elts[field._exp[e * ((field.order - 1) // g.qm1)]]
 
     def e_lambda(self, lam) -> HeckeElt:
-        """Torus idempotent attached to a character of T_q.
+        """Torus idempotent attached to a character of T_q: the sum of
+        lambda(t)^{-1} tau_t over T_q, times the inverse of |T_q| in k.
 
-        Normalized by the inverse of |T_q| in k, which is (-1)^rank; for
-        odd rank this is the classical minus sign in front of the sum.
-        Needs F_q inside k, which FieldSpec guarantees via f | m."""
+        That inverse is (-1)^rank; for odd rank this is the classical minus
+        sign in front of the sum.  Needs F_q inside k, which FieldSpec
+        guarantees via f | m."""
         g = self.group
-        lam = g.torus(lam)
         sign = self.field.from_int((-1) ** g.rank)
-        terms = {}
-        for t in g.torus_elements():
-            tinv = tuple((-e) % g.qm1 for e in t)
-            terms[g.torus_elt(t)] = sign * self.chi_lambda(lam, tinv)
-        return self.elt(terms)
+        return self.elt({g.torus_elt(t): sign / self.chi_lambda(lam, t)
+                         for t in g.torus_elements()})
 
     def char_orbit(self, lam):
         """Orbit of a torus character exponent vector under the finite Weyl
@@ -462,20 +461,14 @@ class HeckeAlgebra(SparseSpace):
         def act(h):
             return self.mul(h, ew) if side == "left" else self.mul(ew, h)
 
-        for t in g.torus_elements():
-            got = self.grade_part(act(self.tau(g.torus_elt(t))), m)
-            want = ew.scale(self.chi_lambda(lam, t))
-            if got != want:
-                raise TheoremViolationError(
-                    f"graded torus eigenvalue fails at t={t}, lam={lam}, w={w!r}"
-                )
-        for i in range(len(g.weyl.s_aff)):
-            got = self.grade_part(act(self.tau(g.lift_s(i))), m)
-            want = ew.scale(self.field.from_int(eps[i]))
-            if got != want:
-                raise TheoremViolationError(
-                    f"graded reflection eigenvalue fails at s={i}, lam={lam}, w={w!r}"
-                )
+        # (generator, claimed eigenvalue, what a failure names): the torus first
+        probes = [(g.torus_elt(t), self.chi_lambda(lam, t), f"torus eigenvalue fails at t={t}")
+                  for t in g.torus_elements()]
+        probes += [(g.lift_s(i), self.field.from_int(e), f"reflection eigenvalue fails at s={i}")
+                   for i, e in enumerate(eps)]
+        for x, value, label in probes:
+            if self.grade_part(act(self.tau(x)), m) != ew.scale(value):
+                raise TheoremViolationError(f"graded {label}, lam={lam}, w={w!r}")
         return eps
 
     def _lam_trivial_on_image(self, lam, root_index: int) -> bool:

@@ -22,7 +22,9 @@ n_alpha^2 = alpha-check(-1).
 
 The distinguished lift of the reflection at an affine root (alpha, h) is
 the cocharacter lift of h alpha-check times a conjugation-built lift of
-the finite reflection at alpha.  When alpha is (minus) a simple root the
+the finite reflection at alpha: n_k = (0, s_k) for a simple root alpha_k,
+and n_k (lift at s_k(alpha)) n_k^{-1} otherwise, with s_k(alpha) read off
+WeylGroup.root_perm.  When alpha is (minus) a simple root the
 torus part vanishes; in higher rank the affine generator attached to the
 lowest root picks up a 2-torsion torus correction.  Construction
 self-checks that every such lift squares to alpha-check(-1) and
@@ -36,9 +38,12 @@ s shortens it (mirrored on the right).  Those translates and |mu| are
 closed forms: alpha-check(zeta^e) is e times the coroot mod q - 1, so
 coroot_image gives |mu| = gcd(q - 1, coroot) and the image as the first
 (q - 1) / |mu| multiples of alpha-check(1), and aff_image(s) holds both
-for each letter, built with the group.  ProPWeyl.peel splits the last
-letter off an element's canonical reduced word for the recursions of the
-Hecke product, iota, both actions on the top module and the coset calculus.
+for each letter, built with the group.  A letter is an index into
+WeylGroup.s_aff: lift_s and aff_image reject anything else, naming it,
+and step, on the hot path, checks the range only.  ProPWeyl.peel splits
+the last letter off an element's canonical reduced word for the
+recursions of the Hecke product, iota, both actions on the top module
+and the coset calculus.
 
 Elements are hash-consed per group: ProPWeyl._interned maps each normal
 form (t, w0, mu) to its one ProPElt, so equal elements of one group are
@@ -95,6 +100,7 @@ class ProPWeyl:
         self._torus_actions = [{} for _ in range(weyl.order)]
         self._cocycle = self._build_cocycle()
         self._support_cache = {}  # (v.index, w.index, tie) -> frozenset of classes
+        self._letters = len(weyl.s_aff)
         self._aff_lifts = [
             self.lift_affine_reflection(A) for A in self.weyl.s_aff
         ]
@@ -204,31 +210,26 @@ class ProPWeyl:
 
     def reflection_lift(self, root_index: int) -> "ProPElt":
         """Canonical lift of the finite reflection at a root, built from the
-        simple rank-one lifts by conjugation down the height recursion.
+        simple rank-one lifts n_k = (0, s_k) by conjugation down the height
+        recursion.  alpha_k is the first simple root whose coroot pairs
+        positively with the positive root alpha: alpha itself when alpha is
+        simple, whose lift is n_k; otherwise s_k(alpha), read off
+        WeylGroup.root_perm, has smaller height and the lift at alpha is
+        n_k (lift at s_k(alpha)) n_k^{-1}.
 
-        For a simple root this is (0, s_alpha).  In general the element
-        squares exactly to alpha-check(-1) and is pinned modulo the coroot
-        image of alpha, which is all the in-scope relations see."""
-        rd = self.rd
+        The element squares exactly to alpha-check(-1) and is pinned modulo
+        the coroot image of alpha, which is all the in-scope relations see."""
+        rd, wg = self.rd, self.weyl
         if not rd.is_positive_root(root_index):
             return self.reflection_lift(rd.neg_index(root_index))
-        if root_index in rd.simple:
-            return ProPElt(
-                self, self.zero_t, self.weyl.affine_reflection(AffineRoot(root_index, 0))
-            )
         alpha = rd.roots[root_index]
-        # positive non-simple root: some simple pairs positively, and
-        # reflecting there strictly drops the height
-        j = next(i for i in rd.simple if dot(rd.coroots[i], alpha) > 0)
-        beta_vec = tuple(
-            a - dot(rd.coroots[j], alpha) * b
-            for a, b in zip(alpha, rd.roots[j])
-        )
-        beta = rd.root_index(beta_vec)
-        nj = ProPElt(
-            self, self.zero_t, self.weyl.affine_reflection(AffineRoot(j, 0))
-        )
-        return self.mul(self.mul(nj, self.reflection_lift(beta)), self.inv(nj))
+        # simple roots pair non-positively with every other simple coroot
+        k = next(k for k, i in enumerate(rd.simple) if dot(rd.coroots[i], alpha) > 0)
+        nk = ProPElt(self, self.zero_t, wg.simple_reflection(k))
+        if rd.simple[k] == root_index:
+            return nk
+        beta = wg.root_perm[wg.gen_index[k]][root_index]
+        return self.mul(self.mul(nk, self.reflection_lift(beta)), self.inv(nk))
 
     def lift_affine_reflection(self, A: AffineRoot) -> "ProPElt":
         """Lift of the reflection at the affine root (alpha, h): the
@@ -241,14 +242,25 @@ class ProPWeyl:
         )
         return self.mul(trans, self.reflection_lift(A.root))
 
+    def _letter(self, s) -> int:
+        """s, when it is a letter: an integer from 0 to the number of
+        affine simple reflections, exclusive.  A bool, a non-integer or an
+        integer out of range raises a ValueError naming s."""
+        if not (_is_int(s) and 0 <= s < self._letters):
+            raise ValueError(
+                f"letter {s!r} is not an affine simple reflection: "
+                f"there are {self._letters} letters, 0 to {self._letters - 1}"
+            )
+        return s
+
     def lift_s(self, i: int) -> "ProPElt":
         """Lift of the i-th affine simple reflection (indexed along pi_aff)."""
-        return self._aff_lifts[i]
+        return self._aff_lifts[self._letter(i)]
 
     def aff_image(self, i: int):
         """(alpha-check(F_q^x) as torus elements, |mu|) for the root of the
         i-th affine simple reflection: coroot_image, computed once."""
-        return self._aff_images[i]
+        return self._aff_images[self._letter(i)]
 
     def lift_omega(self, w: ExtAffWeylElt) -> "ProPElt":
         if w.length() != 0:
@@ -272,7 +284,10 @@ class ProPWeyl:
         """(moved, translates) for n_s against y on the given side: moved is
         n_s y (y n_s on the right); translates is () when s lengthens y on
         that side, and otherwise the t y (y t) over the coroot image of s,
-        the classes the quadratic relation adds on descent."""
+        the classes the quadratic relation adds on descent.  A letter out
+        of range raises a ValueError; the hot path checks the range only."""
+        if not 0 <= s < self._letters:
+            self._letter(s)  # raises, naming s
         ns = self._aff_lifts[s]
         left = side == "left"
         moved = self.mul(ns, y) if left else self.mul(y, ns)

@@ -10,11 +10,16 @@ mu_coeff[s].  They extend to every tau_y by peeling the last letter off
 y and recursing, as H's product does.  The recursion bottoms
 out at a length-zero y, whose action is the first line: it returns the
 read-only ProPElt.unit of the group product and memoises nothing, so the
-memo holds only pairs with y of positive length.  The coordinate-sum
-trace whose kernel complements the one-dimensional trivial line when the
-length-zero subgroup is finite of invertible order, the inversion twist,
-and the duality pairing against H.  The supersingularity audit of the
-trace kernel is the verify suite "supersingular".
+memo holds only pairs with y of positive length.
+
+Beside the actions sit the coordinate-sum trace S_d, the trivial line,
+the inversion twist and the duality pairing against H.  The trivial
+line, triv_line, is the sum of phi over basis_elements(group, 0), the
+length-zero pro-p elements; it exists when Omega is finite, and the
+trace kernel complements it when their number is invertible in k.  The
+twist J_top carries the left action to the right one:
+phi_u tau_y = J_top(J(tau_y) J_top(phi_u)).  The supersingularity audit
+of the trace kernel is the verify suite "supersingular".
 
 E is a SparseSpace like H: phi, zero, elt and the inversion twist J_top
 come from the base, and every method taking an element of E or H
@@ -28,7 +33,7 @@ from __future__ import annotations
 from .errors import DecompositionUnavailableError, GroupMismatchError
 from .gf import FieldElt
 from .hecke import HeckeAlgebra, HeckeElt, SparseComb, SparseSpace, accumulate
-from .propweyl import ProPElt
+from .propweyl import ProPElt, basis_elements
 
 
 class TopElt(SparseComb):
@@ -137,19 +142,14 @@ class TopModule(SparseSpace):
 
     # -- the trivial line and its complement -----------------------------------------
 
-    def omega_tilde(self):
-        """All length-zero pro-p elements (finite Omega only)."""
-        om = self.group.weyl.omega()
-        if not om.finite:
-            raise DecompositionUnavailableError("Omega is infinite")
-        g = self.group
-        return [
-            g.elt(t, w) for w in om.elements for t in g.torus_elements()
-        ]
-
     def triv_line(self) -> TopElt:
+        """The sum of phi over the length-zero pro-p elements, built on the
+        first call and kept: decompose reads it for every element.  Only
+        for finite Omega; otherwise a DecompositionUnavailableError."""
         if self._triv_line is None:
-            terms = {x.index: 1 for x in self.omega_tilde()}
+            if not self.group.weyl.omega().finite:
+                raise DecompositionUnavailableError("Omega is infinite")
+            terms = {x.index: 1 for x in basis_elements(self.group, 0)}
             self._triv_line = TopElt(self, terms)
         return self._triv_line
 

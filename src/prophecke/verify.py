@@ -543,8 +543,10 @@ def run_suite(ctx: Context, name: str, **params) -> dict:
     """Run one suite; an unknown suite or a parameter the suite does not
     take raises a ValueError naming it.  Every suite parameter is a size
     (a length bound or a draw count), so its value must be an integer
-    >= 0, or None for samples (every combination); any other raises a
-    ValueError naming the parameter."""
+    >= 0, or None for samples; any other raises a ValueError naming the
+    parameter.  samples=None runs every combination, except in
+    involutions, which reads it as the context's samples (1000 unless
+    the config sets it)."""
     if name not in _SUITE_FNS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
     fn = _SUITE_FNS[name]

@@ -6,10 +6,11 @@ import random
 import pytest
 
 from prophecke.errors import GroupMismatchError, TheoremViolationError
+from prophecke.hecke import HeckeAlgebra
 from prophecke.propweyl import basis_elements
 from prophecke.rootdata import PRESET_NAMES
 
-from conftest import get_context
+from conftest import get_context, get_explicit_context
 
 
 def test_tau_unit_and_braid(sl2_q3):
@@ -98,6 +99,27 @@ def test_e_lambda_family(sl2_q3):
     for la, e in es.items():
         trivial = H._lam_trivial_on_image(la, G.weyl.s_aff[0].root)
         assert e * H.theta(0) == (e if trivial else H.zero())
+
+
+def _e_lambda_by_negation(H, lam):
+    """The reference for e_lambda: (-1)^rank lambda(-t) tau_t over T_q,
+    with -t negated entrywise mod q - 1."""
+    G = H.group
+    sign = H.field.from_int((-1) ** G.rank)
+    return H.elt({G.torus_elt(t): sign * H.chi_lambda(lam, tuple((-e) % G.qm1 for e in t))
+                  for t in G.torus_elements()})
+
+
+@pytest.mark.parametrize("which", ["SL2/GF5", "SL3/GF4", "PGL2xPGL2/GF3"])
+def test_e_lambda_matches_negated_sum(which):
+    """e_lambda, which divides by lambda(t), against the sum over the
+    negated torus vectors, for every lambda."""
+    ctx = {"SL2/GF5": lambda: get_context("SL2", 5),
+           "SL3/GF4": lambda: get_context("SL3", 2, 2),
+           "PGL2xPGL2/GF3": lambda: get_explicit_context("PGL2xPGL2")}[which]()
+    H = ctx.hecke
+    for lam in ctx.group.torus_elements():
+        assert H.e_lambda(lam) == _e_lambda_by_negation(H, lam), lam
 
 
 def test_conjugation_rule(sl3_q3):
@@ -269,6 +291,17 @@ def test_graded_support_char_sides_mirror(sl3_q3):
         chr_ = H.graded_support_char((0, 0), lift, "right")
         assert [i for i, e in enumerate(chl) if e == -1] == w.descents("left")
         assert [i for i, e in enumerate(chr_) if e == -1] == w.descents("right")
+
+
+def test_graded_support_char_checks_the_reflections(sl2_q3, monkeypatch):
+    """With lambda taken as trivial on every coroot image, eps claims -1 at
+    the descent of n_0, where lambda = (1,) makes it 0: every torus probe
+    passes, and the reflection probe at s = 0 fails."""
+    H, G = sl2_q3.hecke, sl2_q3.group
+    monkeypatch.setattr(HeckeAlgebra, "_lam_trivial_on_image", lambda self, lam, r: True)
+    with pytest.raises(TheoremViolationError,
+                       match=r"^graded reflection eigenvalue fails at s=0, lam=\(1,\)"):
+        H.graded_support_char((1,), G.lift_s(0), "left")
 
 
 # Each public method taking a character exponent vector, called on SL2.

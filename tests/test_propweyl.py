@@ -1,12 +1,13 @@
 """Pro-p Weyl group: exact multiplication, rank-one lifts, coroot images."""
 
 import random
+import re
 
 import pytest
 
 from prophecke.errors import GroupMismatchError
-from prophecke.propweyl import ProPWeyl, basis_elements
-from prophecke.rootdata import PRESET_NAMES, AffineRoot, RootDatum, preset
+from prophecke.propweyl import ProPElt, ProPWeyl, basis_elements
+from prophecke.rootdata import PRESET_NAMES, AffineRoot, RootDatum, dot, preset
 from prophecke.weyl import WeylGroup
 
 from conftest import EXPLICIT_GROUPS, get_context
@@ -108,6 +109,54 @@ def test_coroot_image_matches_scan(name):
         G = ProPWeyl(wg, q)
         for r in range(len(rd.roots)):
             assert G.coroot_image(r) == _scanned_coroot_image(G, r), (q, rd.coroots[r])
+
+
+def _lift_by_height(G, r):
+    """The reference for ProPWeyl.reflection_lift: the same height
+    recursion in root vectors, s_j(alpha) = alpha - <alpha_j-check, alpha>
+    alpha_j looked up with RootDatum.root_index, and n_j built as the
+    reflection at the affine root (alpha_j, 0)."""
+    rd = G.rd
+    if not rd.is_positive_root(r):
+        return _lift_by_height(G, rd.neg_index(r))
+    if r in rd.simple:
+        return ProPElt(G, G.zero_t, G.weyl.affine_reflection(AffineRoot(r, 0)))
+    alpha = rd.roots[r]
+    j = next(i for i in rd.simple if dot(rd.coroots[i], alpha) > 0)
+    c = dot(rd.coroots[j], alpha)
+    beta = rd.root_index(tuple(a - c * b for a, b in zip(alpha, rd.roots[j])))
+    nj = ProPElt(G, G.zero_t, G.weyl.affine_reflection(AffineRoot(j, 0)))
+    return G.mul(G.mul(nj, _lift_by_height(G, beta)), G.inv(nj))
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES + tuple(EXPLICIT_GROUPS))
+def test_reflection_lift_matches_height_recursion(name):
+    """reflection_lift, which reads s_k(alpha) off WeylGroup.root_perm,
+    returns the very element the vector recursion builds, at every root,
+    for odd and even q, primes and prime powers."""
+    rd = preset(name) if name in PRESET_NAMES else RootDatum.from_json(EXPLICIT_GROUPS[name])
+    wg = WeylGroup(rd)
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        G = ProPWeyl(wg, q)
+        for r in range(len(rd.roots)):
+            assert G.reflection_lift(r) is _lift_by_height(G, r), (q, rd.roots[r])
+
+
+@pytest.mark.parametrize("bad", [-1, 2, 5, True, 1.0, "1", None],
+                         ids=["-1", "2", "5", "bool", "float", "str", "None"])
+def test_bad_letter_rejected(bad):
+    """SL2 has two letters, 0 and 1.  lift_s, aff_image and theta reject
+    anything else with a ValueError naming the letter and the number of
+    letters, where a negative letter used to count from the end; step,
+    on its hot path, checks the range only, so it rejects the integers."""
+    ctx = get_context("SL2", 3)
+    G, H = ctx.group, ctx.hecke
+    calls = [G.lift_s, G.aff_image, H.theta]
+    if type(bad) is int:
+        calls.append(lambda s: G.step(s, G.identity()))
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"letter {re.escape(repr(bad))} .* 2 letters"):
+            call(bad)
 
 
 @pytest.mark.parametrize("bad", [(0.5,), (True,), ("1",), (None,)],

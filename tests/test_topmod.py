@@ -6,6 +6,7 @@ import pytest
 
 from prophecke.errors import DecompositionUnavailableError, GroupMismatchError
 from prophecke.propweyl import basis_elements
+from prophecke.rootdata import PRESET_NAMES
 from prophecke.verify import build_context, run_suite
 
 from conftest import EXPLICIT_GROUPS, get_context, get_explicit_context
@@ -39,6 +40,29 @@ def test_act_left_right_mirror(sl3_q3):
             left = E.act(tns, ph, "left")
             lw = (G.lift_s(s).w * b.w).length()
             assert left.is_zero() == (lw == b.w.length() + 1)
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (2, 2)], ids=["GF3", "GF4"])
+@pytest.mark.parametrize("name", PRESET_NAMES + tuple(EXPLICIT_GROUPS))
+def test_right_action_is_left_action_under_inversion(name, p, f):
+    """The inversion twists intertwine the two actions of H on E:
+    phi_u tau_y = J_top(J(tau_y) J_top(phi_u)).  y and u run over at most
+    40 elements of length at most 1, taken at an even stride so that data
+    with infinite Omega, whose list starts with many length-zero
+    elements, reach length 1 too."""
+    if name in EXPLICIT_GROUPS:
+        ctx = build_context({"group": EXPLICIT_GROUPS[name], "field": {"p": p, "f": f}})
+    else:
+        ctx = get_context(name, p, f)
+    H, E = ctx.hecke, ctx.top
+    els = basis_elements(ctx.group, 1)
+    els = els[::-(-len(els) // 40)]
+    for y in els:
+        h = H.tau(y)
+        Jh = H.J(h)
+        for u in els:
+            x = E.phi(u)
+            assert E.act(h, x, "right") == E.J_top(E.act(Jh, E.J_top(x), "left")), (y, u)
 
 
 def test_J_top(sl2_q3):
@@ -130,6 +154,22 @@ def test_decompose_unavailable():
     pgl2_p2 = get_context("PGL2", 2)
     with pytest.raises(DecompositionUnavailableError):
         pgl2_p2.top.decompose(pgl2_p2.top.phi(pgl2_p2.group.identity()))
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES + tuple(EXPLICIT_GROUPS))
+def test_triv_line_matches_omega_listing(name):
+    """triv_line against the listing it replaced, Omega's elements times
+    the torus, wherever Omega is finite (GF(3)); elsewhere, GL2 among
+    them, it raises."""
+    ctx = get_explicit_context(name) if name in EXPLICIT_GROUPS else get_context(name, 3)
+    G, E = ctx.group, ctx.top
+    om = G.weyl.omega()
+    if not om.finite:
+        with pytest.raises(DecompositionUnavailableError, match="Omega is infinite"):
+            E.triv_line()
+        return
+    want = {G.elt(t, w).index: 1 for w in om.elements for t in G.torus_elements()}
+    assert E.triv_line().terms == want
 
 
 def test_decompose_pgl2_odd_p():
