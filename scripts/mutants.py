@@ -31,6 +31,9 @@ SUBSET = [
     "tests/test_weyl.py::test_omega_is_exact",
     "tests/test_weyl.py::test_omega_is_exact_after_a_row_repivot",
     "tests/test_weyl.py::test_smith_normal_form_repivots",
+    "tests/test_weyl.py::test_scan_root_matches_a_wide_window",
+    "tests/test_weyl.py::test_construction_check_measures_every_box_element",
+    "tests/test_weyl.py::test_construction_check_catches_one_wrong_length",
     "tests/test_hecke.py::test_elements_own_their_terms",
     "tests/test_hecke.py::test_classify_character",
     "tests/test_hecke.py::test_affine_character_invariant",
@@ -168,6 +171,21 @@ MUTANTS = [
      " f\"reflection eigenvalue fails at s={i}\")\n"
      "                   for i, e in enumerate(eps)]\n",
      ""),
+    ("length check memo drops the image's positivity", "weyl.py",
+     "key = (src, img, shift)",
+     "key = (src, shift)"),
+    ("length check flips the shift's sign", "weyl.py",
+     "[-dot(mu, alpha) for alpha in self.rd.roots]",
+     "[dot(mu, alpha) for alpha in self.rd.roots]"),
+    ("length check skips the box's first translation", "weyl.py",
+     "for mu, mu_shifts in shifts:",
+     "for mu, mu_shifts in shifts[1:]:"),
+    ("length check never raises", "weyl.py",
+     "if w.length() != scan:",
+     "if w.length() != scan and False:"),
+    ("root scan window fixed at |h| <= 3", "weyl.py",
+     "bound = abs(shift) + 1",
+     "bound = 3"),
 ]
 
 

@@ -23,9 +23,9 @@ from .gf import _is_int
 
 PRESET_NAMES = ("SL2", "PGL2", "GL2", "SL3", "GL3", "Sp4", "G2sc", "SL2xSL2")
 
-# Constructing the Weyl group checks the closed-form length on 3^rank
-# translations per finite element, so the rank is bounded at desk scale
-# (the presets go up to rank 3).
+# Constructing the Weyl group checks the closed-form length on 5^rank
+# translations per finite element up to rank 2 and 3^rank above, so the
+# rank is bounded at desk scale (the presets go up to rank 3).
 _MAX_RANK = 4
 
 
@@ -121,9 +121,6 @@ class RootDatum:
             self.component_of.append(owners[0])
 
     # -- queries ---------------------------------------------------------------
-
-    def root_index(self, vector) -> int:
-        return self._index[tuple(vector)]
 
     def neg_index(self, i: int) -> int:
         return self._index[tuple(-c for c in self.roots[i])]

@@ -18,7 +18,10 @@ translation t_mu.
 The length of (w0, mu) is computed per root alpha by counting the
 integers h for which (alpha, h) is a positive affine root sent negative;
 the closed form is validated against a brute-force scan at construction
-time and again, much harder, by the length_oracle test suite.
+time and again, much harder, by the length_oracle test suite.  The scan
+of one root, _scan_root, walks |h| <= |<mu, alpha>| + 1 on integers and
+depends only on the two positivity flags and the shift -<mu, alpha>, so
+the construction-time check scans each distinct triple once per build.
 
 Elements are hash-consed per group: WeylGroup._interned maps each normal
 form (w0, mu) to its one ExtAffWeylElt, so equal elements of one group
@@ -135,11 +138,30 @@ class WeylGroup:
     # -- construction-time check ------------------------------------------------
 
     def _sanity_check_length(self):
+        """Check length() on every finite element times the translations
+        in [-2, 2]^rank ([-1, 1]^rank above rank 2) against the sum of
+        _scan_root over the roots, as length_bruteforce sums it.  Root i
+        of (w0, mu) scans (positive[i], positive[perm[i]], -<mu, alpha_i>),
+        and the few distinct triples are scanned once per call."""
         box = [-2, -1, 0, 1, 2] if self.rank <= 2 else [-1, 0, 1]
-        for w0 in range(self.order):
-            for mu in iproduct(box, repeat=self.rank):
+        positive = self.rd.positive
+        shifts = [
+            (mu, [-dot(mu, alpha) for alpha in self.rd.roots])
+            for mu in iproduct(box, repeat=self.rank)
+        ]
+        scans = {}  # (src_positive, img_positive, shift) -> _scan_root count
+        for w0, perm in enumerate(self.root_perm):
+            flags = [(positive[i], positive[j]) for i, j in enumerate(perm)]
+            for mu, mu_shifts in shifts:
                 w = self.elt(w0, mu)
-                if w.length() != length_bruteforce(w):
+                scan = 0
+                for (src, img), shift in zip(flags, mu_shifts):
+                    key = (src, img, shift)
+                    count = scans.get(key)
+                    if count is None:
+                        count = scans[key] = _scan_root(src, img, shift)
+                    scan += count
+                if w.length() != scan:
                     raise TheoremViolationError(
                         f"closed-form length disagrees with scan at {w}"
                     )
@@ -384,28 +406,37 @@ def _int_vector(v, n: int) -> bool:
     return isinstance(v, (list, tuple)) and len(v) == n and all(map(_is_int, v))
 
 
+def _scan_root(src_positive: bool, img_positive: bool, shift: int) -> int:
+    """Number of h for which (alpha, h) is a positive affine root and
+    (beta, h + shift) a negative one, where alpha and beta have the given
+    positivity.  Positivity is tested on plain integers, as
+    RootDatum.is_positive_affine does: h > 0, or h = 0 and the root is
+    positive.  Only 0 <= h <= -shift can count, so the walk over
+    |h| <= |shift| + 1 misses none."""
+    bound = abs(shift) + 1
+    count = 0
+    for h in range(-bound, bound + 1):
+        k = h + shift
+        if (h > 0 or (h == 0 and src_positive)) and not (
+            k > 0 or (k == 0 and img_positive)
+        ):
+            count += 1
+    return count
+
+
 def length_bruteforce(w: ExtAffWeylElt) -> int:
-    """Independent oracle: scan all (alpha, h) with |h| <= max|<mu,alpha>| + 1
-    and count positive affine roots sent negative.
+    """Independent oracle: count the positive affine roots that w sends
+    negative, root by root.
 
     w sends (alpha, h) to (w0(alpha), h + c) with (w0(alpha), c) the image
     of (alpha, 0), so each root's image is taken once through act_affine
-    and the walk over h tests positivity on plain integers, as
-    RootDatum.is_positive_affine does: h > 0, or h = 0 and the root is
-    positive."""
+    and _scan_root walks the h that can flip."""
     positive = w.group.rd.positive
-    images = [w.act_affine(AffineRoot(i, 0)) for i in range(len(positive))]
-    bound = max((abs(B.h) for B in images), default=0) + 1
-    count = 0
-    for i, B in enumerate(images):
-        src_positive, img_positive, shift = positive[i], positive[B.root], B.h
-        for h in range(-bound, bound + 1):
-            k = h + shift
-            if (h > 0 or (h == 0 and src_positive)) and not (
-                k > 0 or (k == 0 and img_positive)
-            ):
-                count += 1
-    return count
+    total = 0
+    for i, src_positive in enumerate(positive):
+        B = w.act_affine(AffineRoot(i, 0))
+        total += _scan_root(src_positive, positive[B.root], B.h)
+    return total
 
 
 @dataclass

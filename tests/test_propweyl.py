@@ -114,9 +114,10 @@ def test_coroot_image_matches_scan(name):
 def _lift_by_height(G, r):
     """The reference for ProPWeyl.reflection_lift: the same height
     recursion in root vectors, s_j(alpha) = alpha - <alpha_j-check, alpha>
-    alpha_j looked up with RootDatum.root_index, and n_j built as the
+    alpha_j looked up in the datum's root list, and n_j built as the
     reflection at the affine root (alpha_j, 0)."""
     rd = G.rd
+    index = {root: i for i, root in enumerate(rd.roots)}
     if not rd.is_positive_root(r):
         return _lift_by_height(G, rd.neg_index(r))
     if r in rd.simple:
@@ -124,7 +125,7 @@ def _lift_by_height(G, r):
     alpha = rd.roots[r]
     j = next(i for i in rd.simple if dot(rd.coroots[i], alpha) > 0)
     c = dot(rd.coroots[j], alpha)
-    beta = rd.root_index(tuple(a - c * b for a, b in zip(alpha, rd.roots[j])))
+    beta = index[tuple(a - c * b for a, b in zip(alpha, rd.roots[j]))]
     nj = ProPElt(G, G.zero_t, G.weyl.affine_reflection(AffineRoot(j, 0)))
     return G.mul(G.mul(nj, _lift_by_height(G, beta)), G.inv(nj))
 

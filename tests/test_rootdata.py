@@ -194,7 +194,7 @@ def test_invalid_data_rejected():
         RootDatum(1, [(1,)], [(1,)], [0])
     with pytest.raises(ValueError):
         # not closed under the reflection
-        RootDatum(2, [(2, 0)], [(1, 0)], [0]).root_index((0, 2))
+        RootDatum(2, [(2, 0)], [(1, 0)], [0])
     with pytest.raises(ValueError):
         # non-reduced: contains alpha and 2 alpha (both with valid coroots)
         RootDatum(1, [(1,), (-1,), (2,), (-2,)], [(2,), (-2,), (1,), (-1,)], [0])

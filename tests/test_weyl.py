@@ -12,6 +12,7 @@ from prophecke.rootdata import PRESET_NAMES, AffineRoot, RootDatum, dot, preset
 from prophecke.weyl import (
     ExtAffWeylElt,
     WeylGroup,
+    _scan_root,
     _smith_normal_form,
     lemma_even,
     length_bruteforce,
@@ -58,8 +59,8 @@ def test_length_examples():
     assert g.identity().length() == 0
     assert g.simple_reflection(0).length() == 1
     t = g.translation((1,))
-    # brute-force oracle over |h| <= 4, frozen by hand: exactly (alpha,0)
-    # and (alpha,1) flip, so the length is 2
+    # brute-force oracle, frozen by hand: <mu, alpha> = 2, and exactly
+    # (alpha,0) and (alpha,1) flip, so the length is 2
     assert length_bruteforce(t) == 2
     assert t.length() == 2
 
@@ -467,6 +468,34 @@ def test_length_bruteforce_matches_object_scan(name):
         for mu in itertools.product(box, repeat=g.rank):
             w = g.elt(w0, mu)
             assert length_bruteforce(w) == _object_scan(w) == w.length(), w
+
+
+@pytest.mark.parametrize("img_positive", [False, True])
+@pytest.mark.parametrize("src_positive", [False, True])
+def test_scan_root_matches_a_wide_window(src_positive, img_positive):
+    """The per-root scan's window |h| <= |shift| + 1 misses no h that a
+    walk over |h| <= 20 counts."""
+    for shift in range(-12, 13):
+        wide = sum(
+            1
+            for h in range(-20, 21)
+            if (h > 0 or (h == 0 and src_positive))
+            and not (h + shift > 0 or (h + shift == 0 and img_positive))
+        )
+        assert _scan_root(src_positive, img_positive, shift) == wide, shift
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES + tuple(EXPLICIT_GROUPS))
+def test_construction_check_measures_every_box_element(name):
+    """The build's length check calls length() on every finite element
+    times every translation of its box, so each has its length memoised."""
+    g = WeylGroup(_datum(name))
+    box = range(-2, 3) if g.rank <= 2 else range(-1, 2)
+    for w0 in range(g.order):
+        for mu in itertools.product(box, repeat=g.rank):
+            w = g._interned.get((w0, mu))
+            assert w is not None and w._len is not None, (w0, mu)
+            assert g._len_cache[(w0, mu)] == w._len
 
 
 @pytest.mark.parametrize(
