@@ -34,6 +34,9 @@ SUBSET = [
     "tests/test_weyl.py::test_scan_root_matches_a_wide_window",
     "tests/test_weyl.py::test_construction_check_measures_every_box_element",
     "tests/test_weyl.py::test_construction_check_catches_one_wrong_length",
+    "tests/test_weyl.py::test_length_and_reduced_word_memoised_on_element",
+    "tests/test_gf.py::test_arithmetic_rejects_a_foreign_field",
+    "tests/test_propweyl.py::test_torus_listing_bounded",
     "tests/test_hecke.py::test_elements_own_their_terms",
     "tests/test_hecke.py::test_classify_character",
     "tests/test_hecke.py::test_affine_character_invariant",
@@ -186,6 +189,15 @@ MUTANTS = [
     ("root scan window fixed at |h| <= 3", "weyl.py",
      "bound = abs(shift) + 1",
      "bound = 3"),
+    ("word memo keyed without the tie", "weyl.py",
+     "key = (self, tie)",
+     "key = self"),
+    ("FieldElt arithmetic skips the field check", "gf.py",
+     "if other.field is not self.field and other.field != self.field:",
+     "if False:"),
+    ("torus bound off by one", "propweyl.py",
+     "if size > _MAX_TORUS:",
+     "if size >= _MAX_TORUS:"),
 ]
 
 

@@ -207,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--max-len", dest="max_len", type=int, default=None)
         sp.add_argument("--samples", type=int, default=None)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--json", action="store_true")
 
     mp = sub.add_parser("mul", help="multiply two elements")
     common(mp)
@@ -218,6 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     vp = sub.add_parser("verify", help="run a verification suite")
     common(vp)
+    vp.add_argument("--json", action="store_true", help="print the report as JSON")
     vp.add_argument("suite", choices=SUITES)
     vp.set_defaults(func=cmd_verify)
 

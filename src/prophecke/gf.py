@@ -13,7 +13,10 @@ multiplication tables hold every pair.
 The algebra kernels of hecke and topmod keep coefficients as bare
 indices and read the tables (_add, _mul, _neg) directly; FieldElt is the
 boundary type, for constructing scalars, returning them from functions
-such as pairings and character values, and printing them.
+such as pairings and character values, and printing them.  Its +, -, *
+and / take an operand of the same field or of an equal one, and raise
+GroupMismatchError for an element of any other field, whose index would
+name a different element or none.
 
 Alongside the field itself we fix the distinguished subfield F_q
 (q = p^f with f | m) and the element zeta of exact multiplicative order
@@ -131,22 +134,31 @@ class FieldElt:
     def is_zero(self) -> bool:
         return self.i == 0
 
+    def _index(self, other) -> int:
+        """other's index in the tables, when other is an element of this
+        field or of an equal one (the rule __eq__ uses); an element of
+        another field raises a GroupMismatchError."""
+        if other.field is not self.field and other.field != self.field:
+            raise GroupMismatchError(f"{other!r} of {other.field!r} used with {self.field!r}")
+        return other.i
+
     def __add__(self, other):
-        return self.field._elts[self.field._add[self.i][other.i]]
+        return self.field._elts[self.field._add[self.i][self._index(other)]]
 
     def __sub__(self, other):
-        return self.field._elts[self.field._add[self.i][self.field._neg[other.i]]]
+        return self.field._elts[self.field._add[self.i][self.field._neg[self._index(other)]]]
 
     def __neg__(self):
         return self.field._elts[self.field._neg[self.i]]
 
     def __mul__(self, other):
-        return self.field._elts[self.field._mul[self.i][other.i]]
+        return self.field._elts[self.field._mul[self.i][self._index(other)]]
 
     def __truediv__(self, other):
-        if other.i == 0:
+        j = self._index(other)
+        if j == 0:
             raise ZeroDivisionError("division by zero in GF(p^m)")
-        return self.field._elts[self.field._mul[self.i][self.field._inv[other.i]]]
+        return self.field._elts[self.field._mul[self.i][self.field._inv[j]]]
 
     def __pow__(self, n: int):
         f = self.field

@@ -46,11 +46,12 @@ recursions of the Hecke product, iota, both actions on the top module
 and the coset calculus.
 
 Elements are hash-consed per group: ProPWeyl._interned maps each normal
-form (t, w0, mu) to its one ProPElt, so equal elements of one group are
-the same object and equality is identity.  Each element carries its
-intern index, ProPElt.index, and ProPWeyl.by_index maps the index back
-to the element; the index is the element's hash (unique in the group)
-and the key of every term in H and E.  An element's products (keyed by
+form (t, w), keyed by the torus vector and the interned Weyl element
+itself, to its one ProPElt, so equal elements of one group are the same
+object and equality is identity.  Each element carries its intern index,
+ProPElt.index, and ProPWeyl.by_index maps the index back to the
+element; the index is the element's hash (unique in the group) and the
+key of every term in H and E.  An element's products (keyed by
 the right operand's index, an int that hashes in C) and inverse are
 memoised on it for the lifetime of the group.  Each element also carries
 unit = {index: 1}, its own basis vector as index terms, built once at
@@ -66,6 +67,14 @@ The action of the finite Weyl group on T_q, which every product and
 inverse computed afresh needs, is memoised per group too: one dict per
 finite Weyl element, filled on first use, so the memo holds at most
 |W0| |T_q| entries (96 for SL3 over GF(5)).
+
+The torus T_q is listed only on the first torus_elements() call, and
+only up to _MAX_TORUS = 64 vectors, the largest torus the test suite
+lists (GL3 at q = 5): a suite that lists T_q does work growing with a
+high power of |T_q|, so a larger torus raises a ValueError naming |T_q|
+and the bound, and the CLI exits 2 instead of running without end.
+Products, lifts and the suites that never list T_q run at every
+accepted field size.
 """
 
 from __future__ import annotations
@@ -78,6 +87,9 @@ from .gf import _is_int
 from .rootdata import AffineRoot, dot
 from .weyl import ExtAffWeylElt, WeylGroup, _int_vector, _mat_vec
 
+# The largest torus T_q that torus_elements() lists.
+_MAX_TORUS = 64
+
 
 class ProPWeyl:
     """Group data for the pro-p Weyl group over a fixed residue size q."""
@@ -85,7 +97,7 @@ class ProPWeyl:
     def __init__(self, weyl: WeylGroup, q: int):
         if q < 2:
             raise ValueError("q must be a prime power >= 2")
-        self._interned = {}  # (t, w0, mu) -> its one ProPElt
+        self._interned = {}  # (t, w) -> its one ProPElt
         self.by_index = []  # intern index -> ProPElt
         self.weyl = weyl
         self.rd = weyl.rd
@@ -126,8 +138,15 @@ class ProPWeyl:
     def torus_elements(self) -> tuple:
         """All (q-1)^rank torus vectors, built on the first call and kept.
         Not built with the group: it is large for a big field, and
-        products, lifts and most suites never list it."""
+        products, lifts and most suites never list it.  A torus of more
+        than _MAX_TORUS vectors raises a ValueError."""
         if self._torus_elements is None:
+            size = self.qm1 ** self.rank
+            if size > _MAX_TORUS:
+                raise ValueError(
+                    f"|T_q| = {size} exceeds the {_MAX_TORUS} torus vectors "
+                    f"listed at desk scale"
+                )
             self._torus_elements = tuple(product(range(self.qm1), repeat=self.rank))
         return self._torus_elements
 
@@ -373,7 +392,7 @@ class ProPElt:
     __slots__ = ("group", "t", "w", "index", "unit", "classes", "_prods", "_inv")
 
     def __new__(cls, group: ProPWeyl, t: tuple, w: ExtAffWeylElt):
-        key = (t, w.w0, w.mu)
+        key = (t, w)
         self = group._interned.get(key)
         if self is None:
             self = object.__new__(cls)

@@ -121,11 +121,8 @@ class TopModule(SparseSpace):
         self.hecke.own(h)
         add, mul = self.field._add, self.field._mul
         total = 0
-        small, big = (
-            (x.terms, h.terms) if len(x.terms) <= len(h.terms) else (h.terms, x.terms)
-        )
-        for g, c in small.items():
-            d = big.get(g)
+        for g, c in x.terms.items():
+            d = h.terms.get(g)
             if d is not None:
                 total = add[total][mul[c][d]]
         return self.field._elts[total]

@@ -25,12 +25,11 @@ the construction-time check scans each distinct triple once per build.
 
 Elements are hash-consed per group: WeylGroup._interned maps each normal
 form (w0, mu) to its one ExtAffWeylElt, so equal elements of one group
-are the same object and equality is identity.  An element's hash is its
-intern index (unique in the group), and its products (keyed by the
-right operand), inverse, length and reduced words (keyed by the tie
-rule) are memoised on it for the lifetime of the group.  The
-group-level _len_cache and _word_cache are still filled on every first
-computation, so their sizes count the distinct elements measured.
+are the same object, and both equality and the hash are identity.  An
+element's products (keyed by the right operand) and inverse are memoised
+on it for the lifetime of the group; its length and reduced words are
+memoised in the group's tables, one memo each: _len_cache keyed by the
+element and _word_cache keyed by (element, tie rule).
 """
 
 from __future__ import annotations
@@ -126,8 +125,8 @@ class WeylGroup:
 
         self.s_aff = rd.pi_aff()
         self._aff_gen = [self.affine_reflection(A) for A in self.s_aff]
-        self._len_cache = {}
-        self._word_cache = {}
+        self._len_cache = {}  # element -> length
+        self._word_cache = {}  # (element, tie) -> reduced_word result
         self._omega = None
         # (w0, 0) sends each (m_c, 1) to (w0 m_c, 1), so it has no affine
         # descent and its canonical word is a word in the finite generators.
@@ -237,10 +236,10 @@ class ExtAffWeylElt:
     """Element w0 . t_mu of the extended affine Weyl group.
 
     Interned: constructing (group, w0, mu) twice returns the same object,
-    so products, the inverse, the length and the reduced words are
-    memoised on the element."""
+    so products and the inverse are memoised on the element, and the
+    length and reduced words in the group's _len_cache and _word_cache."""
 
-    __slots__ = ("group", "w0", "mu", "_hash", "_prods", "_inv", "_len", "_words")
+    __slots__ = ("group", "w0", "mu", "_prods", "_inv")
 
     def __new__(cls, group: WeylGroup, w0: int, mu: tuple):
         key = (w0, mu)
@@ -250,16 +249,10 @@ class ExtAffWeylElt:
             self.group = group
             self.w0 = w0
             self.mu = mu
-            self._hash = len(group._interned)
             self._prods = {}  # right operand -> product
             self._inv = None
-            self._len = None
-            self._words = None  # tie rule -> reduced_word result
             group._interned[key] = self
         return self
-
-    def __hash__(self):
-        return self._hash
 
     def __mul__(self, other: "ExtAffWeylElt") -> "ExtAffWeylElt":
         g = self.group
@@ -301,10 +294,11 @@ class ExtAffWeylElt:
         )
 
     def length(self) -> int:
-        if self._len is not None:
-            return self._len
+        try:
+            return self.group._len_cache[self]
+        except KeyError:
+            pass
         g = self.group
-        key = (self.w0, self.mu)
         positive = g.rd.positive
         perm = g.root_perm[self.w0]
         mu = self.mu
@@ -315,8 +309,7 @@ class ExtAffWeylElt:
             # delta_img - delta_src + <mu, alpha>, when that is positive;
             # delta_img - delta_src is positive[i] - positive[perm[i]].
             total += max(0, positive[i] - positive[perm[i]] + dot(mu, alpha))
-        # The group-level cache is kept filled alongside, for its size.
-        self._len = g._len_cache[key] = total
+        g._len_cache[self] = total
         return total
 
     def descents(self, side: str = "right"):
@@ -340,13 +333,11 @@ class ExtAffWeylElt:
         The word is built right to left by stripping, at every step, the
         smallest-index right descent (largest for tie='max'; any tie rule
         yields a reduced word, by the exchange condition)."""
-        if self._words is None:
-            self._words = {}
-        cached = self._words.get(tie)
+        g = self.group
+        key = (self, tie)
+        cached = g._word_cache.get(key)
         if cached is not None:
             return cached
-        g = self.group
-        key = (self.w0, self.mu, tie)
         word = []
         cur = self
         while True:
@@ -361,8 +352,7 @@ class ExtAffWeylElt:
             raise TheoremViolationError(
                 f"descent stripping of {(self.w0, self.mu)} is not reduced"
             )
-        result = (cur, tuple(word))
-        self._words[tie] = g._word_cache[key] = result
+        result = g._word_cache[key] = (cur, tuple(word))
         return result
 
     def all_reduced_words(self):

@@ -207,6 +207,28 @@ def test_verify_flag_the_suite_does_not_take_exits_2(cfg, capsys, suite, flag, n
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("group,argv,size", [
+    ("SL2", ["idempotents"], 255),
+    ("SL3", ["trace", "--max-len", "0"], 65025),
+    ("SL2", ["bimodule", "--max-len", "0"], 255),
+])
+def test_verify_refuses_a_torus_past_the_bound(tmp_path, capsys, group, argv, size):
+    """Over GF(2^8) these suites would list a torus of 255^rank vectors and
+    run without end; they exit 2 at once, naming |T_q|."""
+    path = _write(tmp_path, "gf256.json", {"group": group, "field": {"p": 2, "f": 8}})
+    start = time.perf_counter()
+    assert main(["verify", *argv, "--config", path]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"|T_q| = {size} " in err
+
+
+def test_export_rejects_json_flag(cfg, capsys):
+    """--json changes only verify's output, so only verify takes it."""
+    assert main(["export", "omega", "--config", cfg, "--json"]) == 2
+    assert "--json" in capsys.readouterr().err
+
+
 def test_verify_json_report(tmp_path, cfg):
     out = str(tmp_path / "report.json")
     rc = main(

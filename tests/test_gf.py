@@ -2,10 +2,12 @@
 order q-1, and reduction-polynomial handling."""
 
 import itertools
+import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prophecke.errors import GroupMismatchError
 from prophecke.gf import FieldSpec, default_reduction_poly, is_prime
 
 
@@ -188,6 +190,23 @@ def test_inverses_and_division():
         k.one() / k.zero()
     with pytest.raises(ZeroDivisionError):
         k.zero() ** (-1)
+
+
+def test_arithmetic_rejects_a_foreign_field():
+    """+, -, * and / take an element of the same field or of an equal one;
+    GF(4)'s x (order 3) is not GF(16)'s x (order 15), and a GF(16) index
+    is past the end of GF(4)'s tables."""
+    big, small = FieldSpec(2, 2, 4), FieldSpec(2, 2, 2)
+    for a, b in [(big.elt([0, 1]), small.elt([0, 1])),
+                 (small.elt([0, 1]), big.elt([0, 0, 1]))]:
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(GroupMismatchError):
+                op(a, b)
+    twin = FieldSpec(2, 2, 4)
+    x, y = big.elt([0, 1]), twin.elt([1, 1])
+    assert x + y == big.elt([1, 0]) and x - y == x + y
+    assert x * y == big.elt([0, 1, 1]) and (x * y) / y == x
+    assert (x + y).field is big
 
 
 def test_zeta_orders():

@@ -507,3 +507,16 @@ def test_torus_list_built_on_first_use():
     ts = G.torus_elements()
     assert ts == tuple(sorted(set(ts))) and len(ts) == G.qm1 ** G.rank
     assert G.torus_elements() is ts
+
+
+def test_torus_listing_bounded():
+    """A torus of 64 vectors, the bound, is listed; a larger one raises a
+    ValueError naming |T_q| and the bound, on every call, listing nothing."""
+    from prophecke.propweyl import _MAX_TORUS
+
+    assert len(grp("GL3", 5).torus_elements()) == _MAX_TORUS == 64
+    G = grp("SL2", 67)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"\|T_q\| = 66 exceeds the 64 "):
+            G.torus_elements()
+    assert G._torus_elements is None

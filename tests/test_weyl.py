@@ -419,18 +419,26 @@ def test_elements_are_interned():
 
 
 def test_length_and_reduced_word_memoised_on_element():
+    """Each element's length and reduced words are memoised once, in the
+    group's _len_cache and _word_cache; a repeat returns the stored object."""
     g = WeylGroup(preset("SL3"))
     w = g.aff_gen(0) * g.aff_gen(1) * g.aff_gen(2) * g.aff_gen(0) * g.aff_gen(1)
-    first = (w.length(), w.reduced_word(), w.reduced_word("max"))
+    t = g.translation((3, -2))  # outside the construction check's box
+    assert t not in g._len_cache and (w, "min") not in g._word_cache
     sizes = (len(g._len_cache), len(g._word_cache))
-    # the group-level dicts are still filled on a miss
-    assert g._len_cache[(w.w0, w.mu)] == first[0] == 5
-    assert g._word_cache[(w.w0, w.mu, "min")] is first[1]
-    assert g._word_cache[(w.w0, w.mu, "max")] is first[2]
-    # ... and the element carries the values itself
-    assert w._len == 5 and w._words == {"min": first[1], "max": first[2]}
-    again = (w.length(), w.reduced_word(), w.reduced_word("max"))
-    assert again[0] == first[0]
+    first = (w.length(), w.reduced_word(), w.reduced_word("max"), t.length())
+    # each miss writes one entry, keyed by the element or (element, tie)
+    assert (len(g._len_cache), len(g._word_cache)) == (sizes[0] + 1, sizes[1] + 2)
+    sizes = (len(g._len_cache), len(g._word_cache))
+    assert g._len_cache[t] == first[3] == length_bruteforce(t)
+    assert g._len_cache[w] == first[0] == 5
+    assert g._word_cache[(w, "min")] is first[1]
+    assert g._word_cache[(w, "max")] is first[2]
+    # ... and they are the only memos: the element carries no value
+    assert not {"_len", "_words", "_hash"} & set(type(w).__slots__)
+    assert "__hash__" not in vars(type(w)) and hash(w) == object.__hash__(w)
+    again = (w.length(), w.reduced_word(), w.reduced_word("max"), t.length())
+    assert again[0] is first[0] and again[3] is first[3]
     assert again[1] is first[1] and again[2] is first[2]
     assert (len(g._len_cache), len(g._word_cache)) == sizes
 
@@ -494,8 +502,8 @@ def test_construction_check_measures_every_box_element(name):
     for w0 in range(g.order):
         for mu in itertools.product(box, repeat=g.rank):
             w = g._interned.get((w0, mu))
-            assert w is not None and w._len is not None, (w0, mu)
-            assert g._len_cache[(w0, mu)] == w._len
+            assert w is not None and w in g._len_cache, (w0, mu)
+            assert g._len_cache[w] == length_bruteforce(w), (w0, mu)
 
 
 @pytest.mark.parametrize(
