@@ -35,7 +35,10 @@ SUBSET = [
     "tests/test_weyl.py::test_construction_check_measures_every_box_element",
     "tests/test_weyl.py::test_construction_check_catches_one_wrong_length",
     "tests/test_weyl.py::test_length_and_reduced_word_memoised_on_element",
+    "tests/test_weyl.py::test_reduced_word_rejects_an_unknown_tie",
     "tests/test_gf.py::test_arithmetic_rejects_a_foreign_field",
+    "tests/test_gf.py::test_elt_takes_an_element_of_an_equal_field",
+    "tests/test_verify.py::test_omitted_sizes_come_from_the_context",
     "tests/test_propweyl.py::test_torus_listing_bounded",
     "tests/test_hecke.py::test_elements_own_their_terms",
     "tests/test_hecke.py::test_classify_character",
@@ -198,6 +201,21 @@ MUTANTS = [
     ("torus bound off by one", "propweyl.py",
      "if size > _MAX_TORUS:",
      "if size >= _MAX_TORUS:"),
+    ("an omitted size read from the class, not the context", "verify.py",
+     "getattr(ctx, p.name)",
+     "getattr(Context, p.name)"),
+    ("involutions' omitted samples run exhaustively", "verify.py",
+     "*, samples: int)",
+     "*, samples: int | None = None)"),
+    ("params echo the caller's sizes", "verify.py",
+     "\"params\": sizes,",
+     "\"params\": params,"),
+    ("reduced_word takes any tie", "weyl.py",
+     "if tie not in (\"min\", \"max\"):",
+     "if False:"),
+    ("FieldSpec.elt reads a foreign field's index", "gf.py",
+     "return self._elts[self.zero()._index(coeffs)]",
+     "return self._elts[coeffs.i]"),
 ]
 
 

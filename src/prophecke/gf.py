@@ -14,9 +14,9 @@ The algebra kernels of hecke and topmod keep coefficients as bare
 indices and read the tables (_add, _mul, _neg) directly; FieldElt is the
 boundary type, for constructing scalars, returning them from functions
 such as pairings and character values, and printing them.  Its +, -, *
-and / take an operand of the same field or of an equal one, and raise
-GroupMismatchError for an element of any other field, whose index would
-name a different element or none.
+and /, and FieldSpec.elt, take an element of the same field or of an
+equal one, and raise GroupMismatchError for an element of any other
+field, whose index would name a different element or none.
 
 Alongside the field itself we fix the distinguished subfield F_q
 (q = p^f with f | m) and the element zeta of exact multiplicative order
@@ -300,13 +300,13 @@ class FieldSpec:
     # -- element constructors ------------------------------------------------
 
     def elt(self, coeffs) -> FieldElt:
-        """The package's one scalar parser: a FieldElt of this field as it
-        is, an integer through Z -> GF(p), or a list of at most m integer
-        coordinates in the power basis, low degree first."""
+        """The package's one scalar parser: a FieldElt of this field or of
+        an equal one as this field's element (another field's raises a
+        GroupMismatchError, as in arithmetic), an integer through
+        Z -> GF(p), or a list of at most m integer coordinates in the
+        power basis, low degree first."""
         if isinstance(coeffs, FieldElt):
-            if coeffs.field is not self:
-                raise GroupMismatchError("element belongs to a different field")
-            return coeffs
+            return self._elts[self.zero()._index(coeffs)]
         if _is_int(coeffs):
             return self.from_int(coeffs)
         if not isinstance(coeffs, (list, tuple)) or not all(map(_is_int, coeffs)):

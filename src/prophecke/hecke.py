@@ -142,8 +142,9 @@ class SparseComb:
         return type(self)(self.space, {g: neg[c] for g, c in self.terms.items()})
 
     def scale(self, c):
-        """c times self, for c a FieldElt of the space's field, an integer
-        or a coefficient list: whatever FieldSpec.elt reads."""
+        """c times self, for c a FieldElt of the space's field or of an
+        equal one, an integer or a coefficient list: whatever FieldSpec.elt
+        reads."""
         c = self.space.field.elt(c).i
         if not c:
             return type(self)(self.space, {})
@@ -214,8 +215,8 @@ class SparseSpace:
 
     def elt(self, terms: dict):
         """The element sum c g of {ProPElt g: scalar c}, dropping zero
-        scalars; c is a FieldElt of the space's field, an integer or a
-        coefficient list: whatever FieldSpec.elt reads."""
+        scalars; c is a FieldElt of the space's field or of an equal one,
+        an integer or a coefficient list: whatever FieldSpec.elt reads."""
         out = {}
         for g, c in terms.items():
             if g.group is not self.group:
@@ -256,6 +257,8 @@ class HeckeAlgebra(SparseSpace):
             raise GroupMismatchError(
                 f"field has q = {field.q} but the group was built with q = {group.q}"
             )
+        if word_tie not in ("min", "max"):
+            raise ValueError(f"word_tie must be 'min' or 'max', got {word_tie!r}")
         self.group = group
         self.field = field
         self.word_tie = word_tie

@@ -1,16 +1,18 @@
 """Property-test suites over a fixed group/field context.
 
-Every suite runs a family of identities and returns a plain report dict
-{"suite", "cases", "failures": [...], ...}; an empty failure list is the
-pass condition.  Suites are deterministic: exhaustive parts iterate in
-canonical order and randomized parts draw from a seeded generator whose
-seed is echoed in the report.
+run_suite runs every suite the same way and returns a plain report dict
+{"suite", "group", "field", "seed", "params", "cases", "failures": [...]};
+an empty failure list is the pass condition.  Suites are deterministic:
+exhaustive parts iterate in canonical order and randomized parts draw
+from a seeded generator whose seed is echoed in the report.
 
-A suite keeps its books in one _Tally(ctx, suite, **params): check(ok,
-msg, *args) counts one case and records msg.format(*args) only when ok
-is false, and report() builds the dict.  Where one case covers several
-checks (matsumoto's reduced words, cosets' products) the suite adds to
-tally.cases itself and records through tally.fail.
+A suite is suite_<name>(ctx, t, **sizes).  run_suite resolves the sizes
+(see there) and hands the suite a fresh _Tally t: t.check(ok, msg,
+*args) counts one case and records msg.format(*args) only when ok is
+false.  Where one case covers several checks (matsumoto's reduced words,
+cosets' products) the suite adds to t.cases itself and records through
+t.fail.  A suite returns None, or a dict of extra report fields
+(supersingular's entries).
 """
 
 from __future__ import annotations
@@ -66,12 +68,11 @@ def make_context(group_name: str, p: int, f: int = 1, m: int | None = None, **kw
 
 
 class _Tally:
-    """Case count and failure list of one suite run, and its report."""
+    """Case count and failure list of one suite run."""
 
-    __slots__ = ("ctx", "suite", "params", "cases", "failures")
+    __slots__ = ("cases", "failures")
 
-    def __init__(self, ctx: Context, suite: str, **params):
-        self.ctx, self.suite, self.params = ctx, suite, params
+    def __init__(self):
         self.cases, self.failures = 0, []
 
     def check(self, ok, msg: str, *args):
@@ -84,12 +85,6 @@ class _Tally:
     def fail(self, msg: str, *args):
         """Record a failure without counting a case."""
         self.failures.append(msg.format(*args))
-
-    def report(self) -> dict:
-        ctx = self.ctx
-        return {"suite": self.suite, "group": ctx.rd.to_json(), "field": ctx.field.to_json(),
-                "seed": ctx.seed, "params": self.params, "cases": self.cases,
-                "failures": self.failures}
 
 
 def _scaled_combine(H, d, other, side):
@@ -122,15 +117,13 @@ def _generators(ctx: Context) -> list:
 # -- algebra suites ------------------------------------------------------------------
 
 
-def suite_assoc(ctx: Context, max_len: int | None = None, samples: int | None = None):
+def suite_assoc(ctx: Context, t: _Tally, max_len: int, samples: int | None = None):
     """Associativity on basis triples, plus the quadratic relations and
     theta idempotence on every affine simple reflection.
 
     samples=None runs the exhaustive triple product over the basis up to
     max_len; an integer runs that many seeded random triples instead."""
     H, G = ctx.hecke, ctx.group
-    max_len = ctx.max_len if max_len is None else max_len
-    t = _Tally(ctx, "assoc", max_len=max_len, samples=samples)
     check = t.check
 
     for s in range(len(G.weyl.s_aff)):
@@ -145,16 +138,13 @@ def suite_assoc(ctx: Context, max_len: int | None = None, samples: int | None = 
         lhs = _scaled_combine(H, H.basis_mul(x, y), z, "right")
         rhs = _scaled_combine(H, H.basis_mul(y, z), x, "left")
         check(lhs == rhs, "assoc fails at ({!r},{!r},{!r})", x, y, z)
-    return t.report()
 
 
-def suite_matsumoto(ctx: Context, max_len: int | None = None):
+def suite_matsumoto(ctx: Context, t: _Tally, max_len: int):
     """Lift, Hecke product, and top-module action along every reduced word
     of every element up to max_len agree with the canonical-word values;
     products are also recomputed with the opposite descent tie-break."""
     G, H, E = ctx.group, ctx.hecke, ctx.top
-    max_len = ctx.max_len if max_len is None else max_len
-    t = _Tally(ctx, "matsumoto", max_len=max_len)
     H_alt = HeckeAlgebra(G, ctx.field, word_tie="max")
     phi_probes = [E.phi(G.identity())]
     if G.qm1 > 1:
@@ -190,18 +180,13 @@ def suite_matsumoto(ctx: Context, max_len: int | None = None):
         # opposite tie-break must give identical structure constants
         t.check(H_alt.basis_mul(ref, ref) == H.basis_mul(ref, ref),
                 "tie-break changes tau_w^2 for {!r}", w)
-    return t.report()
 
 
-def suite_involutions(ctx: Context, max_len: int | None = None, rand_len: int = 6,
-                      samples: int | None = None):
+def suite_involutions(ctx: Context, t: _Tally, max_len: int, rand_len: int = 6, *, samples: int):
     """iota and J are involutive (anti)automorphisms exchanged through the
     trivial/sign characters."""
     G, H = ctx.group, ctx.hecke
     iota, J = H.iota, H.J
-    max_len = ctx.max_len if max_len is None else max_len
-    samples = ctx.samples if samples is None else samples
-    t = _Tally(ctx, "involutions", max_len=max_len, rand_len=rand_len, samples=samples)
     check = t.check
 
     basis = basis_elements(G, max_len)
@@ -227,14 +212,12 @@ def suite_involutions(ctx: Context, max_len: int | None = None, rand_len: int = 
         x = H.tau(a)
         check(H.chi_eval("sign", x) == H.chi_eval("triv", iota(x)),
               "chi_sign != chi_triv o iota at {!r}", a)
-    return t.report()
 
 
-def suite_idempotents(ctx: Context):
+def suite_idempotents(ctx: Context, t: _Tally):
     """The torus idempotent family and its interaction with theta and with
     conjugation by basis elements."""
     G, H = ctx.group, ctx.hecke
-    t = _Tally(ctx, "idempotents")
     lams = G.torus_elements()
     es = {la: H.e_lambda(la) for la in lams}
 
@@ -271,18 +254,15 @@ def suite_idempotents(ctx: Context):
         eg = H.e_gamma(la)
         for x in gens:
             t.check(eg * x == x * eg, "e_gamma not central at orbit of {}", la)
-    return t.report()
 
 
-def suite_bimodule(ctx: Context, max_len: int | None = None):
+def suite_bimodule(ctx: Context, t: _Tally, max_len: int):
     """Top-module bimodule axioms for generator pairs against the phi
     basis, plus the relations-respected checks (quadratic and braid acting
     on the module).  Each generator's left and right action on each phi
     is computed once, before the pairs and the quadratic relations are
     checked."""
     G, E = ctx.group, ctx.top
-    max_len = ctx.max_len if max_len is None else max_len
-    t = _Tally(ctx, "bimodule", max_len=max_len)
     check = t.check
     gens = _generators(ctx)
     phis = [E.phi(b) for b in basis_elements(G, max_len)]
@@ -310,16 +290,13 @@ def suite_bimodule(ctx: Context, max_len: int | None = None):
                   "quadratic relation on module fails at s={}", s)
             check(E.act(tn, right[s][k], "right") == E.act(rel, ph, "right"),
                   "right quadratic relation on module fails at s={}", s)
-    return t.report()
 
 
-def suite_duality(ctx: Context, max_len_tau: int = 2, max_len_phi: int = 3,
+def suite_duality(ctx: Context, t: _Tally, max_len_tau: int = 2, max_len_phi: int = 3,
                   samples: int | None = None):
     """pairing(tau . phi . tau', tau'') = pairing(phi, J(tau) tau'' J(tau''));
     exhaustive when samples is None, else seeded random."""
     G, H, E = ctx.group, ctx.hecke, ctx.top
-    t = _Tally(ctx, "duality", max_len_tau=max_len_tau, max_len_phi=max_len_phi,
-               samples=samples)
     taus = basis_elements(G, max_len_tau)
     phis = basis_elements(G, max_len_phi)
 
@@ -328,15 +305,12 @@ def suite_duality(ctx: Context, max_len_tau: int = 2, max_len_phi: int = 3,
         lhs = E.pairing(E.act(t2, E.act(t1, ph, "left"), "right"), t3)
         t.check(lhs == E.pairing(ph, H.J(t1) * t3 * H.J(t2)), "adjunction fails at {!r}",
                 (a, b, c, d))
-    return t.report()
 
 
-def suite_trace(ctx: Context, max_len: int | None = None):
+def suite_trace(ctx: Context, t: _Tally, max_len: int):
     """Both H-actions push through the coordinate-sum trace by the trivial
     character, and the trace is inversion-invariant."""
     G, H, E = ctx.group, ctx.hecke, ctx.top
-    max_len = ctx.max_len if max_len is None else max_len
-    t = _Tally(ctx, "trace", max_len=max_len)
     gens = _generators(ctx)
     for b in basis_elements(G, max_len):
         ph = E.phi(b)
@@ -347,16 +321,13 @@ def suite_trace(ctx: Context, max_len: int | None = None):
                     "left trace equivariance fails at {!r}", b)
             t.check(E.S_d(E.act(tg, ph, "right")) == want,
                     "right trace equivariance fails at {!r}", b)
-    return t.report()
 
 
-def suite_decompose(ctx: Context, max_len: int | None = None):
+def suite_decompose(ctx: Context, t: _Tally, max_len: int):
     """The trivial/kernel splitting: projection property, H-stability of
     both summands, and vanishing trace on the kernel.  Raises
     DecompositionUnavailableError when the splitting does not exist."""
     G, H, E = ctx.group, ctx.hecke, ctx.top
-    max_len = ctx.max_len if max_len is None else max_len
-    t = _Tally(ctx, "decompose", max_len=max_len)
     line = E.triv_line()  # raises if Omega is infinite
     if E.S_d(line).is_zero():
         raise DecompositionUnavailableError("|Omega| vanishes in k")
@@ -376,10 +347,9 @@ def suite_decompose(ctx: Context, max_len: int | None = None):
         t.check(t2 == triv and k2.is_zero(), "decompose not idempotent at {!r}", b)
         t.check(all(E.S_d(E.act(tg, ker, "left")).is_zero() for tg in simple),
                 "kernel not stable at {!r}", b)
-    return t.report()
 
 
-def suite_supersingular(ctx: Context, max_len: int | None = None):
+def suite_supersingular(ctx: Context, t: _Tally, max_len: int):
     """Supersingularity audit of the trace-kernel grades: for every grade
     m up to max_len, every length-m class w and every torus character
     (only the nontrivial ones at grade 0), verify the graded
@@ -389,11 +359,9 @@ def suite_supersingular(ctx: Context, max_len: int | None = None):
     Requires a semisimple simply connected group with irreducible root
     system, where the trace kernel is exhausted by these classes."""
     G, H = ctx.group, ctx.hecke
-    max_len = ctx.max_len if max_len is None else max_len
     om = G.weyl.omega()
     if G.rd.ncomp != 1 or not om.finite or om.order != 1:
         raise ValueError("audit requires a simply connected group with irreducible root system")
-    t = _Tally(ctx, "supersingular", max_len=max_len)
     entries = []
     for m in range(max_len + 1):
         for w in G.weyl.elements_of_length(m):
@@ -413,19 +381,17 @@ def suite_supersingular(ctx: Context, max_len: int | None = None):
                         ss = False
                     t.check(ss, "{}", entry)
                     entries.append(entry)
-    return dict(t.report(), entries=entries)
+    return {"entries": entries}
 
 
 # -- combinatorial suites ----------------------------------------------------------
 
 
-def suite_cosets(ctx: Context, max_len: int | None = None):
+def suite_cosets(ctx: Context, t: _Tally, max_len: int):
     """Support containment of Hecke products in the symbolic coset union,
     the length bounds on that union, and independence of the driving
     reduced word."""
     G, H = ctx.group, ctx.hecke
-    max_len = ctx.max_len if max_len is None else max_len
-    t = _Tally(ctx, "cosets", max_len=max_len)
     basis = basis_elements(G, max_len)
     for v in basis:
         for w in basis:
@@ -441,15 +407,12 @@ def suite_cosets(ctx: Context, max_len: int | None = None):
                     t.fail("length bound fails at ({!r},{!r},{!r})", v, w, u)
             if cosets_mod.support_mul(v, w, tie="max") != sup:
                 t.fail("support depends on word choice at ({!r},{!r})", v, w)
-    return t.report()
 
 
-def suite_gprofile(ctx: Context, max_len: int | None = None):
+def suite_gprofile(ctx: Context, t: _Tally, max_len: int):
     """Root-filtration profiles: identity baseline, index sum rule,
     monotonicity along length-additive products, one-step growth."""
     G, wg = ctx.group, ctx.weyl
-    max_len = ctx.max_len if max_len is None else max_len
-    t = _Tally(ctx, "gprofile", max_len=max_len)
     gid = cosets_mod.g_profile_identity(G.rd)
     t.check(cosets_mod.g_profile(wg.identity()) == gid, "identity profile wrong")
     ws = wg.elements_up_to_length(max_len)
@@ -474,10 +437,9 @@ def suite_gprofile(ctx: Context, max_len: int | None = None):
             pw, pws = profiles[w], profiles.get(ws_elt) or cosets_mod.g_profile(ws_elt)
             t.check(all(pws[i] == (pw[i] + 1 if i == B.root else pw[i]) for i in pw),
                     "one-step growth fails at ({!r},s={})", w, si)
-    return t.report()
 
 
-def suite_lemma_even(ctx: Context, max_len: int = 4):
+def suite_lemma_even(ctx: Context, t: _Tally, max_len: int = 4):
     """Negation-stable orbit count plus length is even, over the finite
     Weyl group and over all elements up to max_len.
 
@@ -489,7 +451,6 @@ def suite_lemma_even(ctx: Context, max_len: int = 4):
     checks the sharp statement: parity holds exactly when the defect is
     trivial."""
     wg = ctx.weyl
-    t = _Tally(ctx, "lemma_even", max_len=max_len)
     for w0 in range(wg.order):
         w = wg.elt(w0)
         N, ok = lemma_even(w)
@@ -500,15 +461,13 @@ def suite_lemma_even(ctx: Context, max_len: int = 4):
         defect_free = wg.length0[omega.w0] % 2 == 0
         t.check(ok == defect_free, "parity/defect mismatch at {!r} (N={}, defect-free={})",
                 w, N, defect_free)
-    return t.report()
 
 
-def suite_length_oracle(ctx: Context, max_len: int = 6):
+def suite_length_oracle(ctx: Context, t: _Tally, max_len: int = 6):
     """Closed-form length against the brute-force affine-root scan, length
     of inverses, and constancy on double cosets of the length-zero
     subgroup."""
     wg = ctx.weyl
-    t = _Tally(ctx, "length_oracle", max_len=max_len)
     ws = wg.elements_up_to_length(max_len)
     for w in ws:
         t.check(w.length() == length_bruteforce(w), "closed form != scan at {!r}", w)
@@ -518,7 +477,6 @@ def suite_length_oracle(ctx: Context, max_len: int = 6):
         for o1, o2 in product(omega_elts, repeat=2):
             t.check((o1 * w * o2).length() == w.length(),
                     "length not Omega-bi-invariant at {!r}", w)
-    return t.report()
 
 
 _SUITE_FNS = {
@@ -540,21 +498,37 @@ SUITES = tuple(_SUITE_FNS)
 
 
 def run_suite(ctx: Context, name: str, **params) -> dict:
-    """Run one suite; an unknown suite or a parameter the suite does not
-    take raises a ValueError naming it.  Every suite parameter is a size
-    (a length bound or a draw count), so its value must be an integer
-    >= 0, or None for samples; any other raises a ValueError naming the
-    parameter.  samples=None runs every combination, except in
-    involutions, which reads it as the context's samples (1000 unless
-    the config sets it)."""
+    """Run one suite and build its report.
+
+    An unknown suite or a parameter the suite does not take raises a
+    ValueError naming it.  Every suite parameter is a size (a length
+    bound or a draw count), so its value must be an integer >= 0, or
+    None for samples; any other raises a ValueError naming the
+    parameter.  A size the caller omits or passes as None takes the
+    suite's default, and a size with no default (max_len, and samples in
+    involutions) takes the context's value of that name, which the
+    config sets.  samples=None therefore runs every combination, except
+    in involutions.  The report's params are the sizes the suite ran
+    with."""
     if name not in _SUITE_FNS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
     fn = _SUITE_FNS[name]
-    takes = tuple(inspect.signature(fn).parameters)[1:]
+    takes = tuple(inspect.signature(fn).parameters.values())[2:]
+    names = [p.name for p in takes]
     for p in params:
-        if p not in takes:
+        if p not in names:
             raise ValueError(
-                f"suite {name} takes no parameter {p}; it takes {', '.join(takes) or 'none'}")
+                f"suite {name} takes no parameter {p}; it takes {', '.join(names) or 'none'}")
         if params[p] is not None or p != "samples":
             _check_int(f"suite {name} parameter {p}", params[p], 0)
-    return fn(ctx, **params)
+    sizes = {}
+    for p in takes:
+        value = params.get(p.name)
+        if value is None:
+            value = getattr(ctx, p.name) if p.default is p.empty else p.default
+        sizes[p.name] = value
+    t = _Tally()
+    extra = fn(ctx, t, **sizes)
+    return {"suite": name, "group": ctx.rd.to_json(), "field": ctx.field.to_json(),
+            "seed": ctx.seed, "params": sizes, "cases": t.cases, "failures": t.failures,
+            **(extra or {})}

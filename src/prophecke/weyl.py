@@ -332,12 +332,16 @@ class ExtAffWeylElt:
 
         The word is built right to left by stripping, at every step, the
         smallest-index right descent (largest for tie='max'; any tie rule
-        yields a reduced word, by the exchange condition)."""
+        yields a reduced word, by the exchange condition).  Any other tie
+        raises a ValueError; it never hits the memo, so the check is made
+        on a miss only."""
         g = self.group
         key = (self, tie)
         cached = g._word_cache.get(key)
         if cached is not None:
             return cached
+        if tie not in ("min", "max"):
+            raise ValueError(f"tie must be 'min' or 'max', got {tie!r}")
         word = []
         cur = self
         while True:

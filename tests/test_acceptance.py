@@ -42,11 +42,11 @@ def test_criterion_01_hecke_associativity():
     t0 = time.monotonic()
     cases, failures = 0, []
     for args in EXHAUSTIVE_CONTEXTS:
-        r = verify.suite_assoc(get_context(*args), max_len=3, samples=None)
+        r = verify.run_suite(get_context(*args), "assoc", max_len=3, samples=None)
         cases += r["cases"]
         failures += [f"{args}: {f}" for f in r["failures"]]
     for args in RANDOM_CONTEXTS:
-        r = verify.suite_assoc(get_context(*args), max_len=6, samples=1000)
+        r = verify.run_suite(get_context(*args), "assoc", max_len=6, samples=1000)
         cases += r["cases"]
         failures += [f"{args}: {f}" for f in r["failures"]]
     elapsed = time.monotonic() - t0
@@ -76,7 +76,7 @@ def test_criterion_03_matsumoto_independence():
     t0 = time.monotonic()
     cases, failures = 0, []
     for name in ("SL2", "SL3", "PGL2", "Sp4"):
-        r = verify.suite_matsumoto(get_context(name, 3), max_len=6)
+        r = verify.run_suite(get_context(name, 3), "matsumoto", max_len=6)
         cases += r["cases"]
         failures += [f"{name}: {f}" for f in r["failures"]]
     _announce(3, "matsumoto-independence", cases, failures, time.monotonic() - t0)
@@ -86,8 +86,8 @@ def test_criterion_04_involutions():
     t0 = time.monotonic()
     cases, failures = 0, []
     for args in EXHAUSTIVE_CONTEXTS + RANDOM_CONTEXTS:
-        r = verify.suite_involutions(
-            get_context(*args), max_len=3, rand_len=6, samples=300
+        r = verify.run_suite(
+            get_context(*args), "involutions", max_len=3, rand_len=6, samples=300
         )
         cases += r["cases"]
         failures += [f"{args}: {f}" for f in r["failures"]]
@@ -98,7 +98,7 @@ def test_criterion_05_idempotent_calculus():
     t0 = time.monotonic()
     cases, failures = 0, []
     for args in [("SL2", 3, 1, 1), ("SL2", 5, 1, 1), ("SL3", 3, 1, 1)]:
-        r = verify.suite_idempotents(get_context(*args))
+        r = verify.run_suite(get_context(*args), "idempotents")
         cases += r["cases"]
         failures += [f"{args}: {f}" for f in r["failures"]]
     _announce(5, "idempotent-calculus", cases, failures, time.monotonic() - t0)
@@ -108,7 +108,7 @@ def test_criterion_06_top_module_bimodule():
     t0 = time.monotonic()
     cases, failures = 0, []
     for args in EXHAUSTIVE_CONTEXTS + [("Sp4", 3, 1, 1)]:
-        r = verify.suite_bimodule(get_context(*args), max_len=3)
+        r = verify.run_suite(get_context(*args), "bimodule", max_len=3)
         cases += r["cases"]
         failures += [f"{args}: {f}" for f in r["failures"]]
     _announce(6, "top-module-bimodule", cases, failures, time.monotonic() - t0)
@@ -117,14 +117,14 @@ def test_criterion_06_top_module_bimodule():
 def test_criterion_07_duality_adjunction():
     t0 = time.monotonic()
     cases, failures = 0, []
-    r = verify.suite_duality(
-        get_context("SL2", 3), max_len_tau=2, max_len_phi=3, samples=None
+    r = verify.run_suite(
+        get_context("SL2", 3), "duality", max_len_tau=2, max_len_phi=3, samples=None
     )
     cases += r["cases"]
     failures += [f"SL2: {f}" for f in r["failures"]]
     for name in ("SL3", "Sp4"):
-        r = verify.suite_duality(
-            get_context(name, 3), max_len_tau=2, max_len_phi=3, samples=500
+        r = verify.run_suite(
+            get_context(name, 3), "duality", max_len_tau=2, max_len_phi=3, samples=500
         )
         cases += r["cases"]
         failures += [f"{name}: {f}" for f in r["failures"]]
@@ -145,7 +145,7 @@ def test_criterion_08_trace_equivariance():
         ("SL2xSL2", 3, 1, 1),
     ]
     for args in presets:
-        r = verify.suite_trace(get_context(*args), max_len=3)
+        r = verify.run_suite(get_context(*args), "trace", max_len=3)
         cases += r["cases"]
         failures += [f"{args}: {f}" for f in r["failures"]]
     _announce(8, "trace-equivariance", cases, failures, time.monotonic() - t0)
@@ -155,7 +155,7 @@ def test_criterion_09_splitting():
     t0 = time.monotonic()
     cases, failures = 0, []
     for name in ("SL2", "SL3", "Sp4"):
-        r = verify.suite_decompose(get_context(name, 3), max_len=3)
+        r = verify.run_suite(get_context(name, 3), "decompose", max_len=3)
         cases += r["cases"]
         failures += [f"{name}: {f}" for f in r["failures"]]
     # |Omega| = 2 is not invertible in characteristic 2: must refuse
@@ -173,7 +173,7 @@ def test_criterion_10_supersingular_audit():
     t0 = time.monotonic()
     cases, failures = 0, []
     for args in [("SL2", 3, 1, 1), ("SL2", 5, 1, 1), ("SL3", 3, 1, 1), ("Sp4", 3, 1, 1)]:
-        r = verify.suite_supersingular(get_context(*args), max_len=4)
+        r = verify.run_suite(get_context(*args), "supersingular", max_len=4)
         cases += r["cases"]
         failures += [f"{args}: {f}" for f in r["failures"]]
     elapsed = time.monotonic() - t0
@@ -188,13 +188,13 @@ def test_criterion_11_coset_calculus():
              ("SL2xSL2", 3, 1, 1), ("G2sc", 2, 1, 1)]
     for args in rank2:
         ctx = get_context(*args)
-        for suite in (verify.suite_cosets, verify.suite_gprofile):
-            r = suite(ctx, max_len=4)
+        for suite in ("cosets", "gprofile"):
+            r = verify.run_suite(ctx, suite, max_len=4)
             cases += r["cases"]
             failures += [f"{args}/{r['suite']}: {f}" for f in r["failures"]]
     ctx = get_context("Sp4", 3)
-    for suite in (verify.suite_cosets, verify.suite_gprofile):
-        r = suite(ctx, max_len=3)
+    for suite in ("cosets", "gprofile"):
+        r = verify.run_suite(ctx, suite, max_len=3)
         cases += r["cases"]
         failures += [f"Sp4/{r['suite']}: {f}" for f in r["failures"]]
     _announce(11, "coset-calculus", cases, failures, time.monotonic() - t0)
@@ -206,10 +206,10 @@ def test_criterion_12_length_oracle_and_parity():
     presets = ["SL2", "PGL2", "GL2", "SL3", "GL3", "Sp4", "G2sc", "SL2xSL2"]
     for name in presets:
         ctx = get_context(name, 3)
-        r = verify.suite_length_oracle(ctx, max_len=6)
+        r = verify.run_suite(ctx, "length_oracle", max_len=6)
         cases += r["cases"]
         failures += [f"{name}: {f}" for f in r["failures"]]
-        r = verify.suite_lemma_even(ctx, max_len=4)
+        r = verify.run_suite(ctx, "lemma_even", max_len=4)
         cases += r["cases"]
         failures += [f"{name}: {f}" for f in r["failures"]]
     _announce(12, "length-oracle-and-parity", cases, failures, time.monotonic() - t0)

@@ -188,6 +188,13 @@ def test_verify_assoc_pass(cfg, capsys):
 def test_verify_decompose_refuses_on_gl2(tmp_path, capsys):
     cfg = _write(tmp_path, "gl2.json", {"group": "GL2", "field": {"p": 3}})
     assert main(["verify", "decompose", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "error: Omega is infinite\n"
+
+
+def test_verify_decompose_refuses_on_pgl2_in_characteristic_2(tmp_path, capsys):
+    cfg = _write(tmp_path, "pgl2.json", {"group": "PGL2", "field": {"p": 2}})
+    assert main(["verify", "decompose", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "error: |Omega| vanishes in k\n"
 
 
 def test_verify_supersingular_requires_sc(tmp_path, capsys):

@@ -209,6 +209,19 @@ def test_arithmetic_rejects_a_foreign_field():
     assert (x + y).field is big
 
 
+def test_elt_takes_an_element_of_an_equal_field():
+    """FieldSpec.elt follows the arithmetic's rule: an element of the same
+    field or of an equal one is read as this field's element, and an
+    element of any other field raises."""
+    a, b = FieldSpec(3), FieldSpec(3)
+    assert a.elt(b.one()) is a.one() and a.elt(a.one()) is a.one()
+    assert b.elt(a.from_int(2)).field is b
+    big, small = FieldSpec(2, 2, 4), FieldSpec(2, 2, 2)
+    for k, x in [(big, small.elt([0, 1])), (small, big.elt([0, 0, 1]))]:
+        with pytest.raises(GroupMismatchError):
+            k.elt(x)
+
+
 def test_zeta_orders():
     # q = 3: the unique element of order 2
     assert FieldSpec(3).zeta_q() == FieldSpec(3).from_int(2)

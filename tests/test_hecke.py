@@ -71,10 +71,10 @@ def test_quadratic_relations_everywhere(name, p, f, m):
 @pytest.mark.parametrize("p,f,m", [(2, 2, 2), (5, 1, 1), (3, 2, 2)])
 def test_assoc_random_other_residue_sizes(p, f, m):
     # q = 4, 5, 9: seeded random triples at length <= 6
-    from prophecke.verify import suite_assoc
+    from prophecke.verify import run_suite
 
     ctx = get_context("SL2", p, f, m)
-    report = suite_assoc(ctx, max_len=6, samples=1000)
+    report = run_suite(ctx, "assoc", max_len=6, samples=1000)
     assert report["failures"] == []
     assert report["cases"] >= 1000
 
@@ -372,6 +372,12 @@ FOREIGN_OPERAND = {
     "pairing, top operand": lambda a, h, x: a.top.pairing(x, a.hecke.one()),
     "pairing, Hecke operand": lambda a, h, x: a.top.pairing(
         a.top.phi(a.group.identity()), h),
+    "act left, Hecke operand": lambda a, h, x: a.top.act(
+        h, a.top.phi(a.group.identity()), "left"),
+    "act right, Hecke operand": lambda a, h, x: a.top.act(
+        h, a.top.phi(a.group.identity()), "right"),
+    "act left, top operand": lambda a, h, x: a.top.act(a.hecke.one(), x, "left"),
+    "act right, top operand": lambda a, h, x: a.top.act(a.hecke.one(), x, "right"),
 }
 
 
@@ -396,6 +402,43 @@ def test_foreign_operand_rejected(sl2_q3, foreign_sl2, method, source):
     x = b.top.phi(ns) - b.top.phi(t)
     with pytest.raises(GroupMismatchError):
         FOREIGN_OPERAND[method](sl2_q3, h, x)
+
+
+BAD_CHOICE = {
+    "act": lambda c: c.top.act(c.hecke.one(), c.top.phi(c.group.identity()), "up"),
+    "graded_support_char": lambda c: c.hecke.graded_support_char(
+        (1,), c.group.lift_s(0), "up"),
+    "chi_eval": lambda c: c.hecke.chi_eval("bogus", c.hecke.one()),
+    "word_tie": lambda c: HeckeAlgebra(c.group, c.field, word_tie="bogus"),
+}
+
+
+@pytest.mark.parametrize("method", sorted(BAD_CHOICE))
+def test_bad_choice_rejected(sl2_q3, method):
+    """A side other than left/right, a character other than triv/sign or
+    a word tie other than min/max raises a ValueError naming the parameter."""
+    with pytest.raises(ValueError, match="(side|which|word_tie) must be '"):
+        BAD_CHOICE[method](sl2_q3)
+
+
+def test_scalar_of_an_equal_field_accepted(sl2_q3):
+    """elt and scale read a scalar of an equal field built again, and
+    still refuse one of another field: GF(4)'s x in a GF(16) space."""
+    from prophecke.gf import FieldSpec
+
+    H, E, G = sl2_q3.hecke, sl2_q3.top, sl2_q3.group
+    twin = FieldSpec(3)
+    assert twin == H.field and twin is not H.field
+    ns, two = G.lift_s(0), twin.from_int(2)
+    assert H.elt({ns: two}) == H.tau(ns).scale(2) == H.tau(ns).scale(two)
+    assert E.elt({ns: two}) == E.phi(ns).scale(2) == E.phi(ns).scale(two)
+    gf16 = get_context("SL2", 2, 2, 4)
+    x = FieldSpec(2, 2, 2).elt([0, 1])
+    ns16 = gf16.group.lift_s(0)
+    for call in (lambda: gf16.hecke.elt({ns16: x}), lambda: gf16.hecke.tau(ns16).scale(x),
+                 lambda: gf16.top.phi(ns16).scale(x)):
+        with pytest.raises(GroupMismatchError):
+            call()
 
 
 def test_field_group_q_mismatch():

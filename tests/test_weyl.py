@@ -443,6 +443,29 @@ def test_length_and_reduced_word_memoised_on_element():
     assert (len(g._len_cache), len(g._word_cache)) == sizes
 
 
+def test_reduced_word_rejects_an_unknown_tie():
+    """A tie other than "min" or "max" raises a ValueError naming it, also
+    through peel and support_mul, and writes no memo entry."""
+    from prophecke import cosets, make_context
+
+    ctx = make_context("SL3", 3)
+    g, G = ctx.weyl, ctx.group
+    w = g.aff_gen(0) * g.aff_gen(1)
+    v = G.lift_w(w)
+    sizes = (len(g._word_cache), len(G._support_cache))
+    for call in (lambda: w.reduced_word("bogus"), lambda: G.peel(v, "bogus"),
+                 lambda: cosets.support_mul(v, v, tie="bogus")):
+        with pytest.raises(ValueError, match="tie must be 'min' or 'max', got 'bogus'"):
+            call()
+    assert (len(g._word_cache), len(G._support_cache)) == sizes
+    assert (w, "bogus") not in g._word_cache
+
+
+def test_descents_rejects_an_unknown_side():
+    with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+        wg("SL2").aff_gen(0).descents("up")
+
+
 def _datum(name):
     if name in PRESET_NAMES:
         return preset(name)
