@@ -38,6 +38,11 @@ SUBSET = [
     "tests/test_weyl.py::test_reduced_word_rejects_an_unknown_tie",
     "tests/test_gf.py::test_arithmetic_rejects_a_foreign_field",
     "tests/test_gf.py::test_elt_takes_an_element_of_an_equal_field",
+    "tests/test_gf.py::test_tables_match_polynomial_oracle[5-1-None]",
+    "tests/test_gf.py::test_tables_match_polynomial_oracle[3-2-None]",
+    "tests/test_gf.py::test_tables_match_polynomial_oracle[2-4-None]",
+    "tests/test_gf.py::test_is_irreducible_at_degrees_one_and_two",
+    "tests/test_cosets.py::test_support_rejects_an_unknown_tie",
     "tests/test_verify.py::test_omitted_sizes_come_from_the_context",
     "tests/test_propweyl.py::test_torus_listing_bounded",
     "tests/test_hecke.py::test_elements_own_their_terms",
@@ -216,6 +221,21 @@ MUTANTS = [
     ("FieldSpec.elt reads a foreign field's index", "gf.py",
      "return self._elts[self.zero()._index(coeffs)]",
      "return self._elts[coeffs.i]"),
+    ("addition gathers through the next digit's step row", "gf.py",
+     "else y + s for y in range(n)))",
+     "else y + s for y in range(n) for s in [p ** ((j + 1) % m)]))"),
+    ("multiplication walk stores each row one power late", "gf.py",
+     "row = mul[e] = list(times_g(row))",
+     "mul[e], row = row, list(times_g(row))"),
+    ("negation reads the row of 1", "gf.py",
+     "self._neg = mul[p - 1]",
+     "self._neg = mul[1]"),
+    ("zero-constant rule fires at degree 1", "gf.py",
+     "if deg >= 2 and poly[0] == 0:",
+     "if deg >= 1 and poly[0] == 0:"),
+    ("support_mul takes any tie", "cosets.py",
+     "if tie not in (\"min\", \"max\"):",
+     "if False:"),
 ]
 
 

@@ -43,9 +43,12 @@ def support_mul(v: ProPElt, w: ProPElt, tie: str = "min") -> frozenset:
     Memoised for the pairs below the entry, (v', u, tie) with v' a proper
     prefix of v of positive length, which the recursion reads again; the
     entry pair itself is read from the memo but not stored.  A
-    length-zero v gives the product's shared singleton."""
+    length-zero v gives the product's shared singleton.  A tie other than
+    'min' or 'max' raises a ValueError, whatever the length of v."""
     if w.group is not v.group:
         raise GroupMismatchError("pro-p elements from different groups")
+    if tie not in ("min", "max"):
+        raise ValueError(f"tie must be 'min' or 'max', got {tie!r}")
     return _support_mul(v, w, tie, False)
 
 

@@ -4,11 +4,15 @@ An element is stored as an integer index 0 <= i < p^m whose base-p
 digits (least significant first) are the coordinates in the power basis
 of the reduction polynomial.  All field operations are table lookups;
 the tables are built once per FieldSpec, which keeps the desk-scale
-algebra kernels cheap.  The build is O(n^2) integer operations for
-n = p^m: addition adds base-p digits, one digit at a time, and
-multiplication adds discrete logarithms over the log/antilog tables of
-a generator of k^x.  Memory stays quadratic, since the addition and
-multiplication tables hold every pair.
+algebra kernels cheap.  For n = p^m the build makes 2n row gathers,
+each one C-level operator.itemgetter call over an earlier row, and O(n)
+Python-level steps per digit and per generator candidate.  Row x of the
+addition table is row x - p^j read through the fixed row that steps
+digit j up by one, for j the lowest nonzero base-p digit of x, and row
+g^k of the multiplication table is row g^(k-1) read through the row of
+the generator g of k^x.  Every entry is an int object of the identity
+row.  Memory stays quadratic, since the addition and multiplication
+tables hold every pair.
 
 The algebra kernels of hecke and topmod keep coefficients as bare
 indices and read the tables (_add, _mul, _neg) directly; FieldElt is the
@@ -25,8 +29,9 @@ q - 1 used as the value generator for torus characters.
 
 from __future__ import annotations
 
-from itertools import chain as _chain, product as _iproduct
+from itertools import product as _iproduct
 from math import gcd
+from operator import itemgetter as _getter
 
 from .errors import GroupMismatchError, TheoremViolationError, UnsupportedFieldError
 
@@ -70,12 +75,16 @@ def _poly_mod(a, b, p):
 
 def is_irreducible(poly, p: int) -> bool:
     """Exhaustive trial division by every monic polynomial of degree
-    1..deg/2 over GF(p).  Only sensible for the small degrees used here."""
+    1..deg/2 over GF(p).  Only sensible for the small degrees used here.
+    From degree 2 on, a zero constant term means x divides poly, which is
+    refused before any division; x itself is irreducible."""
     poly = [c % p for c in poly]
     deg = len(_poly_trim(poly)) - 1
     if deg <= 0:
         return False
     if poly[-1] % p == 0:
+        return False
+    if deg >= 2 and poly[0] == 0:
         return False
     for d in range(1, deg // 2 + 1):
         for tail in _iproduct(range(p), repeat=d):
@@ -161,20 +170,16 @@ class FieldElt:
         return self.field._elts[self.field._mul[self.i][self.field._inv[j]]]
 
     def __pow__(self, n: int):
+        """self ** n read off the log table: g^(log(self) * n mod (order - 1));
+        0 ** 0 is 1, 0 ** n is 0 for n > 0, and a negative n raises
+        ZeroDivisionError on 0."""
         f = self.field
-        if n < 0:
-            if self.i == 0:
+        _check_int("exponent", n)
+        if self.i == 0:
+            if n < 0:
                 raise ZeroDivisionError("0 has no inverse")
-            base, n = f._elts[f._inv[self.i]], -n
-        else:
-            base = self
-        acc = f.one()
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+            return f._elts[0 if n else 1]
+        return f._elts[f._exp[f._log[self.i] * n % (f.order - 1)]]
 
     def __eq__(self, other):
         return (
@@ -243,24 +248,18 @@ class FieldSpec:
         digits = range(p)
         self._elts = [FieldElt(self, i) for i in range(n)]
 
-        # Addition and negation act on each base-p digit separately: extend
-        # the tables of GF(p)^d to GF(p)^(d+1) by a new lowest digit.  Row
-        # lo + p * hi of the new table strings together, for each entry s of
-        # the old row hi, the block of the p indices p * s + (lo + d) % p;
-        # the blocks are built once, so equal entries share one int object.
-        add, neg = [[0]], [0]
-        for _ in range(m):
-            blocks = [
-                [[p * s + (lo + d) % p for d in digits] for s in range(len(neg))]
-                for lo in digits
-            ]
-            add = [
-                list(_chain.from_iterable(map(blocks[lo].__getitem__, prev)))
-                for prev in add
-                for lo in digits
-            ]
-            neg = [p * s + (-lo) % p for s in neg for lo in digits]
-        self._add, self._neg = add, neg
+        # x + y = (x - p^j) + (y + p^j) for j the lowest nonzero base-p digit
+        # of x, where y + p^j steps digit j of y up by one, mod p: row x is
+        # row x - p^j gathered through the step row of digit j in one C-level
+        # call.  Taking j from the top down builds row x - p^j first.  Every
+        # entry is an int object of row 0.
+        add = self._add = [list(range(n))] + [None] * (n - 1)
+        for j in reversed(range(m)):
+            s = p**j
+            step = _getter(*(y - (p - 1) * s if y // s % p == p - 1 else y + s for y in range(n)))
+            for x in range(s, n, s):
+                if x // s % p:
+                    add[x] = list(step(add[x - s]))
 
         # x * i shifts the digits of i up one place; the carried top digit t
         # re-enters as t * x^m = -t * (poly[0] + ... + poly[m-1] x^(m-1)).
@@ -291,11 +290,15 @@ class FieldSpec:
             log[e] = k
         self._exp, self._log = exp, log
 
-        exp2, logs = exp + exp, log[1:]
-        self._mul = [[0] * n] + [
-            [0, *map(exp2[la : la + n - 1].__getitem__, logs)] for la in logs
-        ]
-        self._inv = [0] + [exp[-la % (n - 1)] for la in logs]
+        # g^k * y = g^(k-1) * (g * y): row g^k is row g^(k-1) gathered
+        # through times_g, walking exp from the identity row.
+        mul = self._mul = [[0] * n] + [None] * (n - 1)
+        row = mul[1] = add[0][:]
+        times_g = _getter(*times_g)
+        for e in exp[1:]:
+            row = mul[e] = list(times_g(row))
+        self._neg = mul[p - 1]  # the row of -1
+        self._inv = [0] + [exp[-la % (n - 1)] for la in log[1:]]
 
     # -- element constructors ------------------------------------------------
 

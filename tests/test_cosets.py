@@ -45,6 +45,19 @@ def test_support_rejects_mixed_groups(sl2_q3, sl3_q3):
             cosets.support_mul(v, w)
 
 
+def test_support_rejects_an_unknown_tie(sl2_q3):
+    """The tie is checked on entry, so a length-zero v, which never
+    reaches peel, refuses it as a v of positive length does, and nothing
+    is built or stored."""
+    G = sl2_q3.group
+    cache = G._support_cache
+    before = dict(cache)
+    for v in (G.identity(), G.lift_s(0)):
+        with pytest.raises(ValueError, match="tie must be 'min' or 'max', got 'bogus'"):
+            cosets.support_mul(v, G.lift_s(0), tie="bogus")
+    assert cache == before
+
+
 def fresh_context(name):
     """A context of its own over GF(3): conftest's are shared, and with
     them their memos."""

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prophecke.errors import GroupMismatchError
-from prophecke.gf import FieldSpec, default_reduction_poly, is_prime
+from prophecke.gf import FieldSpec, default_reduction_poly, is_irreducible, is_prime
 
 
 def poly_mod(a, b, p):
@@ -111,6 +111,69 @@ def test_tables_match_polynomial_oracle(p, m, poly):
         assert FieldSpec(p, f, m, poly).zeta_q().i == z
 
 
+def blockwise_tables(p, m, poly):
+    """Second oracle, fast enough for fields past ORACLE_FIELDS' cap:
+    addition extended by one base-p digit at a time from digit blocks,
+    and multiplication as exp[log a + log b] over the powers of the
+    smallest generator by index (any generator gives the same table)."""
+    n, digits = p**m, range(p)
+    add, neg = [[0]], [0]
+    for _ in range(m):
+        blocks = [
+            [[p * s + (lo + d) % p for d in digits] for s in range(len(neg))]
+            for lo in digits
+        ]
+        add = [
+            list(itertools.chain.from_iterable(map(blocks[lo].__getitem__, prev)))
+            for prev in add
+            for lo in digits
+        ]
+        neg = [p * s + (-lo) % p for s in neg for lo in digits]
+    top = n // p
+    carry = [sum((-t * c) % p * p**k for k, c in enumerate(poly[:m])) for t in digits]
+    times_x = [add[p * (i % top)][carry[i // top]] for i in range(n)]
+    for g in range(1, n):
+        times_g = [0]
+        for a in range(1, n):
+            times_g.append(add[times_g[-1]][g] if a % p else times_x[times_g[a // p]])
+        exp, cur = [1], g
+        while cur != 1:
+            exp.append(cur)
+            cur = times_g[cur]
+        if len(exp) == n - 1:
+            break
+    log = [0] * n
+    for k, e in enumerate(exp):
+        log[e] = k
+    exp2, logs = exp + exp, log[1:]
+    mul = [[0] * n] + [[0, *map(exp2[la : la + n - 1].__getitem__, logs)] for la in logs]
+    inv = [0] + [exp[-la % (n - 1)] for la in logs]
+    return add, neg, mul, inv
+
+
+@pytest.mark.parametrize("p,m", [(2, 9), (2, 10), (3, 6), (5, 4), (7, 3)])
+def test_tables_match_blockwise_oracle(p, m):
+    """Fields above ORACLE_FIELDS' cap, where the build gathers through
+    more step rows and walks longer powers of the generator."""
+    k = FieldSpec(p, 1, m)
+    add, neg, mul, inv = blockwise_tables(p, m, k.poly)
+    assert k._add == add
+    assert k._neg == neg
+    assert k._mul == mul
+    assert k._inv == inv
+
+
+def test_is_irreducible_at_degrees_one_and_two():
+    """x is irreducible, so GF(p) keeps the polynomial x; at degree 2 and
+    up a zero constant term means x divides the polynomial."""
+    for p in (2, 3, 5):
+        assert is_irreducible([0, 1], p)
+        assert default_reduction_poly(p, 1) == (0, 1)
+    assert not is_irreducible([0, 1, 1], 2)
+    assert not is_irreducible([0, 0, 1], 3)
+    assert is_irreducible([1, 1, 1], 2)
+
+
 def test_gf3_two_times_two():
     k = FieldSpec(3)
     assert k.from_int(2) * k.from_int(2) == k.one()
@@ -192,6 +255,30 @@ def test_inverses_and_division():
         k.zero() ** (-1)
 
 
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (3, 2), (2, 4), (7, 1)])
+def test_pow_matches_repeated_multiplication(p, m):
+    """a ** n for n in -6..13 against n factors of a (of a^-1 when n < 0);
+    0 ** 0 is 1, 0 ** n is 0 for n > 0, and 0 ** n raises for n < 0."""
+    k = FieldSpec(p, 1, m)
+    for a in k.elements():
+        for n in range(-6, 14):
+            if a.is_zero() and n < 0:
+                with pytest.raises(ZeroDivisionError):
+                    a**n
+                continue
+            base = a if n >= 0 else k.one() / a
+            acc = k.one()
+            for _ in range(abs(n)):
+                acc = acc * base
+            assert a**n is acc, (a, n)
+
+
+@pytest.mark.parametrize("n", [True, False, 1.5, 2.0, "2", None])
+def test_pow_rejects_a_non_integer_exponent(n):
+    with pytest.raises(ValueError, match="exponent must be an integer"):
+        FieldSpec(3, 1, 2).one() ** n
+
+
 def test_arithmetic_rejects_a_foreign_field():
     """+, -, * and / take an element of the same field or of an equal one;
     GF(4)'s x (order 3) is not GF(16)'s x (order 15), and a GF(16) index
@@ -254,7 +341,7 @@ def test_zeta_exact_order(p, f, m):
 
 def test_default_poly_is_lex_smallest_irreducible():
     # every smaller coefficient tuple must be reducible, by the oracle
-    for p, m in [(2, 2), (3, 2), (2, 3), (5, 2)]:
+    for p, m in [(p, m) for p in (2, 3, 5, 7, 11, 13) for m in range(2, 9) if p**m <= 256]:
         poly = default_reduction_poly(p, m)
         assert brute_force_irreducible(poly, p)
         tail = poly[:-1]
