@@ -55,6 +55,12 @@ SUBSET = [
     "tests/test_propweyl.py::test_coroot_image_matches_scan",
     "tests/test_propweyl.py::test_reflection_lift_matches_height_recursion",
     "tests/test_propweyl.py::test_bad_letter_rejected",
+    "tests/test_propweyl.py::test_step_and_peel_match_definition[SL3]",
+    "tests/test_propweyl.py::test_step_and_peel_repeat_from_the_tables",
+    "tests/test_propweyl.py::test_memo_hit_checks_the_group",
+    "tests/test_propweyl.py::test_step_rejects_what_a_miss_rejects",
+    "tests/test_propweyl.py::test_peel_rejects_length_zero",
+    "tests/test_gf.py::test_is_irreducible_trims_trailing_zeros",
     "tests/test_object_oracle.py",
     "tests/test_topmod.py::test_bimodule_catches_broken_actions",
     "tests/test_topmod.py::test_bimodule_on_pgl2xpgl2",
@@ -236,6 +242,30 @@ MUTANTS = [
     ("support_mul takes any tie", "cosets.py",
      "if tie not in (\"min\", \"max\"):",
      "if False:"),
+    ("step memo read without the side", "propweyl.py",
+     "hit = self._steps[side][s][y.index]",
+     "hit = self._steps[\"left\"][s][y.index]"),
+    ("peel memo read without the tie", "propweyl.py",
+     "hit = self._peels[tie][x.index]",
+     "hit = self._peels[\"min\"][x.index]"),
+    ("step hit skips the group check", "propweyl.py",
+     "            if y.group is self:\n                return hit\n",
+     "            return hit\n"),
+    ("peel hit skips the group check", "propweyl.py",
+     "            if x.group is self:\n                return hit\n",
+     "            return hit\n"),
+    ("step stores a descent as an ascent", "propweyl.py",
+     "self._steps[side][s][y.index] = result\n",
+     "self._steps[side][s][y.index] = result[0], ()\n"),
+    ("step takes any side", "propweyl.py",
+     "if side not in (\"left\", \"right\"):",
+     "if False:"),
+    ("peel takes a length-zero element", "propweyl.py",
+     "        if not word:\n",
+     "        if False:\n"),
+    ("is_irreducible reads the untrimmed degree", "gf.py",
+     "poly = _poly_trim(c % p for c in poly)",
+     "poly = [c % p for c in poly]"),
 ]
 
 

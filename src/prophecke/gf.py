@@ -76,13 +76,13 @@ def _poly_mod(a, b, p):
 def is_irreducible(poly, p: int) -> bool:
     """Exhaustive trial division by every monic polynomial of degree
     1..deg/2 over GF(p).  Only sensible for the small degrees used here.
+    Coefficients are reduced mod p and trailing zeros trimmed first, so
+    [1, 1, 0] is x + 1.
     From degree 2 on, a zero constant term means x divides poly, which is
     refused before any division; x itself is irreducible."""
-    poly = [c % p for c in poly]
-    deg = len(_poly_trim(poly)) - 1
+    poly = _poly_trim(c % p for c in poly)
+    deg = len(poly) - 1
     if deg <= 0:
-        return False
-    if poly[-1] % p == 0:
         return False
     if deg >= 2 and poly[0] == 0:
         return False

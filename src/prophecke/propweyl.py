@@ -40,10 +40,20 @@ coroot_image gives |mu| = gcd(q - 1, coroot) and the image as the first
 (q - 1) / |mu| multiples of alpha-check(1), and aff_image(s) holds both
 for each letter, built with the group.  A letter is an index into
 WeylGroup.s_aff: lift_s and aff_image reject anything else, naming it,
-and step, on the hot path, checks the range only.  ProPWeyl.peel splits
-the last letter off an element's canonical reduced word for the
-recursions of the Hecke product, iota, both actions on the top module
-and the coset calculus.
+and step checks the range, naming an integer out of it, before its
+table is read.  ProPWeyl.peel splits the last letter off an element's
+canonical reduced word for the recursions of the Hecke product, iota,
+both actions on the top module and the coset calculus.
+
+Both are memoised per group, beside the coset supports: _steps holds,
+per side and letter, y.index -> (moved, translates), and _peels, per
+tie, x.index -> (s, x n_s^{-1}), each stored on first computation.  A
+hit answers only for an element of this group, so an element of
+another group with the same index still raises GroupMismatchError; an
+unknown side or tie, or a length-zero x for peel, finds no table entry
+and raises a ValueError on the miss path.  A pass over the coset
+calculus asks step and peel tens of thousands of times for a few
+hundred distinct answers.
 
 Elements are hash-consed per group: ProPWeyl._interned maps each normal
 form (t, w), keyed by the torus vector and the interned Weyl element
@@ -113,6 +123,10 @@ class ProPWeyl:
         self._cocycle = self._build_cocycle()
         self._support_cache = {}  # (v.index, w.index, tie) -> frozenset of classes
         self._letters = len(weyl.s_aff)
+        # step: side -> per letter, y.index -> (moved, translates)
+        self._steps = {side: [{} for _ in range(self._letters)]
+                       for side in ("left", "right")}
+        self._peels = {"min": {}, "max": {}}  # tie -> x.index -> (s, x n_s^{-1})
         self._aff_lifts = [
             self.lift_affine_reflection(A) for A in self.weyl.s_aff
         ]
@@ -303,23 +317,52 @@ class ProPWeyl:
         """(moved, translates) for n_s against y on the given side: moved is
         n_s y (y n_s on the right); translates is () when s lengthens y on
         that side, and otherwise the t y (y t) over the coroot image of s,
-        the classes the quadratic relation adds on descent.  A letter out
-        of range raises a ValueError; the hot path checks the range only."""
+        the classes the quadratic relation adds on descent.
+
+        Memoised per letter and side, keyed by y's index, and answered
+        from the table only for an element of this group.  A letter out of
+        range raises _letter's ValueError before the table is read, and a
+        side other than 'left' or 'right' raises a ValueError; it never
+        hits the table, so that check is made on a miss only."""
         if not 0 <= s < self._letters:
             self._letter(s)  # raises, naming s
+        try:
+            hit = self._steps[side][s][y.index]
+            if y.group is self:
+                return hit
+        except KeyError:
+            if side not in ("left", "right"):
+                raise ValueError(f"side must be 'left' or 'right', got {side!r}") from None
         ns = self._aff_lifts[s]
         left = side == "left"
         moved = self.mul(ns, y) if left else self.mul(y, ns)
         if moved.w.length() == y.w.length() + 1:
-            return moved, ()
-        image, _ = self._aff_images[s]
-        return moved, tuple(self.mul(t, y) if left else self.mul(y, t) for t in image)
+            result = moved, ()
+        else:
+            image, _ = self._aff_images[s]
+            result = moved, tuple(self.mul(t, y) if left else self.mul(y, t)
+                                  for t in image)
+        self._steps[side][s][y.index] = result
+        return result
 
     def peel(self, x: "ProPElt", tie: str = "min"):
         """(s, x n_s^{-1}) for the last letter s of the canonical reduced
-        word of x's Weyl part; x must have positive length."""
-        s = x.w.reduced_word(tie)[1][-1]
-        return s, self.mul(x, self.inv(self._aff_lifts[s]))
+        word of x's Weyl part.  Memoised per tie, keyed by x's index, and
+        answered from the table only for an element of this group; a tie
+        other than 'min' or 'max' and an x of length zero are never
+        stored, and raise a ValueError on the miss path."""
+        try:
+            hit = self._peels[tie][x.index]
+            if x.group is self:
+                return hit
+        except KeyError:
+            pass
+        word = x.w.reduced_word(tie)[1]  # raises on an unknown tie
+        if not word:
+            raise ValueError("peel needs x of positive length, got length 0")
+        s = word[-1]
+        result = self._peels[tie][x.index] = s, self.mul(x, self.inv(self._aff_lifts[s]))
+        return result
 
     # -- group law ---------------------------------------------------------------
 

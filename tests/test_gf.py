@@ -174,6 +174,20 @@ def test_is_irreducible_at_degrees_one_and_two():
     assert is_irreducible([1, 1, 1], 2)
 
 
+def test_is_irreducible_trims_trailing_zeros():
+    """Trailing zero coefficients do not change the polynomial: the degree
+    and the leading coefficient are both read after trimming."""
+    assert is_irreducible([1, 1, 0], 2)  # x + 1
+    assert is_irreducible([0, 1, 0], 3)  # x
+    assert is_irreducible([1, 1, 1, 0, 0], 2)  # x^2 + x + 1
+    assert is_irreducible([1, 0, 1, 3], 3)  # x^2 + 1, once 3 is reduced
+    assert not is_irreducible([1, 0, 1, 0], 2)  # (x + 1)^2
+    assert not is_irreducible([0, 1, 1, 0], 2)  # x (x + 1)
+    assert not is_irreducible([0, 0], 5) and not is_irreducible([2, 5], 5)
+    for poly, p in [([1, 1, 1], 2), ([1, 0, 1], 3), ([2, 1, 1], 5)]:
+        assert is_irreducible(poly + [0, 0], p) == is_irreducible(poly, p)
+
+
 def test_gf3_two_times_two():
     k = FieldSpec(3)
     assert k.from_int(2) * k.from_int(2) == k.one()

@@ -384,37 +384,124 @@ def test_mul_inv_match_reference_random_length_6(name):
 # -- the rank-one step and peel --------------------------------------------------------
 
 
+def _memos(G):
+    """Copies of the step and peel tables, to compare before and after."""
+    return ({side: [dict(d) for d in tables] for side, tables in G._steps.items()},
+            {tie: dict(d) for tie, d in G._peels.items()})
+
+
+def _memo_size(G):
+    steps, peels = _memos(G)
+    return (sum(len(d) for tables in steps.values() for d in tables),
+            sum(map(len, peels.values())))
+
+
 @pytest.mark.parametrize("name", ["SL2", "PGL2", "GL2", "SL3", "GL3", "Sp4", "G2sc",
                                   "SL2xSL2"])
 def test_step_and_peel_match_definition(name):
-    G = grp(name, 3)
+    """Two passes over a cold group: the first fills the step and peel
+    tables, the second is answered from them and checked the same way."""
+    G = _fresh(name)
     els = basis_elements(G, 1 if name == "GL3" else 2)
-    for i, A in enumerate(G.weyl.s_aff):
-        ns = G.lift_s(i)
-        image = [G.torus_elt(t) for t in G.coroot_image(A.root)[0]]
-        for y in els:
-            for side in ("left", "right"):
-                moved, translates = G.step(i, y, side)
-                if side == "left":
-                    assert moved == G.mul(ns, y)
-                    want = {G.mul(t, y) for t in image}
-                else:
-                    assert moved == G.mul(y, ns)
-                    want = {G.mul(y, t) for t in image}
-                ascent = moved.w.length() == y.w.length() + 1
-                assert ascent == (i not in y.w.descents(side))
-                assert (translates == ()) == ascent
-                if not ascent:
-                    assert len(translates) == len(set(translates)) == len(image)
-                    assert set(translates) == want
-    for x in els:
-        if x.w.length() == 0:
-            continue
-        for tie in ("min", "max"):
-            s, xp = G.peel(x, tie)
-            assert s == x.w.reduced_word(tie)[1][-1]
-            assert G.mul(xp, G.lift_s(s)) == x
-            assert xp.w.length() == x.w.length() - 1
+    for sweep in range(2):
+        if sweep:
+            filled = _memo_size(G)
+            assert all(filled)
+        for i, A in enumerate(G.weyl.s_aff):
+            ns = G.lift_s(i)
+            image = [G.torus_elt(t) for t in G.coroot_image(A.root)[0]]
+            for y in els:
+                for side in ("left", "right"):
+                    moved, translates = G.step(i, y, side)
+                    if side == "left":
+                        assert moved == G.mul(ns, y)
+                        want = {G.mul(t, y) for t in image}
+                    else:
+                        assert moved == G.mul(y, ns)
+                        want = {G.mul(y, t) for t in image}
+                    ascent = moved.w.length() == y.w.length() + 1
+                    assert ascent == (i not in y.w.descents(side))
+                    assert (translates == ()) == ascent
+                    if not ascent:
+                        assert len(translates) == len(set(translates)) == len(image)
+                        assert set(translates) == want
+        for x in els:
+            if x.w.length() == 0:
+                continue
+            for tie in ("min", "max"):
+                s, xp = G.peel(x, tie)
+                assert s == x.w.reduced_word(tie)[1][-1]
+                assert G.mul(xp, G.lift_s(s)) == x
+                assert xp.w.length() == x.w.length() - 1
+        if sweep:
+            assert _memo_size(G) == filled
+
+
+def test_step_and_peel_repeat_from_the_tables():
+    G = _fresh("SL3")
+    x = G.mul(G.lift_s(1), G.lift_s(0))
+    for side in ("left", "right"):
+        first = G.step(0, x, side)
+        size = _memo_size(G)
+        assert G.step(0, x, side) is first
+        assert _memo_size(G) == size
+    for tie in ("min", "max"):
+        first = G.peel(x, tie)
+        size = _memo_size(G)
+        assert G.peel(x, tie) is first
+        assert _memo_size(G) == size
+
+
+def test_memo_hit_checks_the_group():
+    """A second SL2/GF(3) group interns the same normal forms under the
+    same indices; the first group's tables must not answer for them."""
+    from prophecke import make_context
+
+    G1, G2 = make_context("SL2", 3).group, make_context("SL2", 3).group
+    x1 = G1.mul(G1.lift_s(0), G1.lift_s(1))
+    G1.step(0, x1)
+    G1.peel(x1)
+    x2 = G2.mul(G2.lift_s(0), G2.lift_s(1))
+    assert x2.index == x1.index and x2.w.length() == 2
+    size = _memo_size(G1)
+    with pytest.raises(GroupMismatchError):
+        G1.step(0, x2)
+    with pytest.raises(GroupMismatchError):
+        G1.peel(x2)
+    assert _memo_size(G1) == size
+
+
+def test_step_rejects_what_a_miss_rejects():
+    """Letters and sides that a cold call rejects get no answer from a
+    warm table, and leave both tables as they were: a float letter fails
+    the list index as it always has, an unknown side or tie raises a
+    ValueError naming it.  A bool indexes as its int, as it always has."""
+    G = _fresh("SL2")
+    y = G.lift_s(1)
+    for side in ("left", "right"):
+        G.step(1, y, side)
+    G.peel(y)
+    before = _memos(G)
+    with pytest.raises(TypeError):
+        G.step(1.0, y)
+    with pytest.raises(ValueError, match="letter -1 .* 2 letters"):
+        G.step(-1, y)
+    with pytest.raises(ValueError, match="side .*'bogus'"):
+        G.step(1, y, "bogus")
+    with pytest.raises(ValueError, match="side .*'bogus'"):
+        G.step(0, y, "bogus")
+    with pytest.raises(ValueError, match="tie .*'bogus'"):
+        G.peel(y, "bogus")
+    assert _memos(G) == before
+    assert G.step(True, y) is G.step(1, y)
+
+
+def test_peel_rejects_length_zero():
+    G = _fresh("SL2")
+    for x in (G.identity(), G.torus_elt((1,))):
+        with pytest.raises(ValueError, match="positive length"):
+            G.peel(x)
+    assert _memo_size(G) == (0, 0)
 
 
 # -- the interning contract ----------------------------------------------------------
