@@ -66,7 +66,10 @@ SUBSET = [
     "tests/test_topmod.py::test_bimodule_on_pgl2xpgl2",
     "tests/test_topmod.py::test_triv_line_matches_omega_listing",
     "tests/test_suite_faults.py",
-    "tests/test_cosets.py::test_support_memo_holds_only_recursion_pairs",
+    "tests/test_cosets.py::test_support_keeps_no_memo",
+    "tests/test_cosets.py::test_support_of_a_length_20_word",
+    "tests/test_hecke.py::test_chi_lambda_reads_the_point_as_a_torus_vector",
+    "tests/test_hecke.py::test_conj_char_rejects_a_foreign_weyl_element",
     "tests/test_table_digests.py::test_explicit_datum_digest",
     "tests/test_table_digests.py::test_export_digest",
 ]
@@ -124,14 +127,14 @@ MUTANTS = [
      "return (g.mul(y, u) if side == \"left\" else g.mul(u, y)).unit",
      "return g.mul(y, u).unit"),
     ("support_mul base case returns w", "cosets.py",
-     "        u = group.mul(v, w)\n",
-     "        u = w\n"),
-    ("support_mul entry call stores its own pair", "cosets.py",
-     "return _support_mul(v, w, tie, False)",
-     "return _support_mul(v, w, tie, True)"),
-    ("shared singleton built from the wrong element", "cosets.py",
-     "u.classes = frozenset((u,))",
-     "u.classes = frozenset((w,))"),
+     "out.add(group.mul(v, w))",
+     "out.add(w)"),
+    ("support walk skips the translates", "cosets.py",
+     "    for u in translates:\n        _collect(vp, u, tie, out)\n",
+     ""),
+    ("support walk drops moved", "cosets.py",
+     "    _collect(vp, moved, tie, out)\n",
+     ""),
     ("_Tally.check ignores ok", "verify.py",
      "        self.cases += 1\n        if not ok:\n",
      "        self.cases += 1\n        if False:\n"),
@@ -263,6 +266,15 @@ MUTANTS = [
     ("peel takes a length-zero element", "propweyl.py",
      "        if not word:\n",
      "        if False:\n"),
+    ("step takes a bool letter", "propweyl.py",
+     "if type(s) is not int or not 0 <= s < self._letters:",
+     "if not 0 <= s < self._letters:"),
+    ("conj_char takes a foreign element", "hecke.py",
+     "        if w.group is not g.weyl:\n",
+     "        if False:\n"),
+    ("chi_lambda reads t unchecked", "hecke.py",
+     "dot(g.torus(lam), g.torus(t))",
+     "dot(g.torus(lam), t)"),
     ("is_irreducible reads the untrimmed degree", "gf.py",
      "poly = _poly_trim(c % p for c in poly)",
      "poly = [c % p for c in poly]"),

@@ -326,11 +326,11 @@ class HeckeAlgebra(SparseSpace):
 
     def chi_lambda(self, lam, t) -> FieldElt:
         """Value of the torus character with exponent vector lam at t:
-        zeta_q^e, read off the field's log table."""
+        zeta_q^e, read off the field's log table.  lam and t are read
+        through ProPWeyl.torus, which rejects a wrong length or a
+        non-integer entry."""
         g, field = self.group, self.field
-        if len(t) != g.rank:
-            raise ValueError(f"torus vector must have length {g.rank}")
-        e = dot(g.torus(lam), t) % g.qm1
+        e = dot(g.torus(lam), g.torus(t)) % g.qm1
         return field._elts[field._exp[e * ((field.order - 1) // g.qm1)]]
 
     def e_lambda(self, lam) -> HeckeElt:
@@ -352,8 +352,11 @@ class HeckeAlgebra(SparseSpace):
         return sorted({self.conj_char(wg.elt(w0), lam) for w0 in range(wg.order)})
 
     def conj_char(self, w: ExtAffWeylElt, lam):
-        """Exponent vector of the conjugated character lambda o w^{-1}."""
+        """Exponent vector of the conjugated character lambda o w^{-1}; a
+        Weyl element of another group raises GroupMismatchError."""
         g = self.group
+        if w.group is not g.weyl:
+            raise GroupMismatchError("Weyl element from a different group")
         lam = g.torus(lam)
         Minv = g.weyl.elements[g.weyl.inv0[w.w0]]
         return tuple(

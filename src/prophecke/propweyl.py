@@ -40,18 +40,19 @@ coroot_image gives |mu| = gcd(q - 1, coroot) and the image as the first
 (q - 1) / |mu| multiples of alpha-check(1), and aff_image(s) holds both
 for each letter, built with the group.  A letter is an index into
 WeylGroup.s_aff: lift_s and aff_image reject anything else, naming it,
-and step checks the range, naming an integer out of it, before its
-table is read.  ProPWeyl.peel splits the last letter off an element's
-canonical reduced word for the recursions of the Hecke product, iota,
-both actions on the top module and the coset calculus.
+and step checks the type and the range, naming a bool, a non-integer or
+an integer out of range, before its table is read.  ProPWeyl.peel splits
+the last letter off an element's canonical reduced word for the
+recursions of the Hecke product, iota, both actions on the top module
+and the coset calculus.
 
-Both are memoised per group, beside the coset supports: _steps holds,
-per side and letter, y.index -> (moved, translates), and _peels, per
-tie, x.index -> (s, x n_s^{-1}), each stored on first computation.  A
-hit answers only for an element of this group, so an element of
-another group with the same index still raises GroupMismatchError; an
-unknown side or tie, or a length-zero x for peel, finds no table entry
-and raises a ValueError on the miss path.  A pass over the coset
+Both are memoised per group: _steps holds, per side and letter,
+y.index -> (moved, translates), and _peels, per tie,
+x.index -> (s, x n_s^{-1}), each stored on first computation.  A hit
+answers only for an element of this group, so an element of another
+group with the same index still raises GroupMismatchError; an unknown
+side or tie, or a length-zero x for peel, finds no table entry and
+raises a ValueError on the miss path.  A pass over the coset
 calculus asks step and peel tens of thousands of times for a few
 hundred distinct answers.
 
@@ -67,11 +68,8 @@ memoised on it for the lifetime of the group.  Each element also carries
 unit = {index: 1}, its own basis vector as index terms, built once at
 interning and read-only: where a peel recursion of H or E reaches a
 length-zero factor, the answer is one group product, and its unit is
-returned instead of a fresh dict per pair.  Beside it sits classes, the
-singleton frozenset({element}) that the coset calculus returns for a
-length-zero factor in the same way; it starts as None and is built on
-the first such use, so a group whose supports are never asked for builds
-none.  Two ProPWeyl built over one WeylGroup share no element.
+returned instead of a fresh dict per pair.  Two ProPWeyl built over one
+WeylGroup share no element.
 
 The action of the finite Weyl group on T_q, which every product and
 inverse computed afresh needs, is memoised per group too: one dict per
@@ -121,7 +119,6 @@ class ProPWeyl:
         # per finite Weyl index: torus vector -> its image, filled on demand
         self._torus_actions = [{} for _ in range(weyl.order)]
         self._cocycle = self._build_cocycle()
-        self._support_cache = {}  # (v.index, w.index, tie) -> frozenset of classes
         self._letters = len(weyl.s_aff)
         # step: side -> per letter, y.index -> (moved, translates)
         self._steps = {side: [{} for _ in range(self._letters)]
@@ -320,11 +317,12 @@ class ProPWeyl:
         the classes the quadratic relation adds on descent.
 
         Memoised per letter and side, keyed by y's index, and answered
-        from the table only for an element of this group.  A letter out of
-        range raises _letter's ValueError before the table is read, and a
-        side other than 'left' or 'right' raises a ValueError; it never
-        hits the table, so that check is made on a miss only."""
-        if not 0 <= s < self._letters:
+        from the table only for an element of this group.  A bool, a
+        non-integer or a letter out of range raises _letter's ValueError
+        before the table is read, and a side other than 'left' or 'right'
+        raises a ValueError; it never hits the table, so that check is
+        made on a miss only."""
+        if type(s) is not int or not 0 <= s < self._letters:
             self._letter(s)  # raises, naming s
         try:
             hit = self._steps[side][s][y.index]
@@ -426,13 +424,11 @@ class ProPElt:
     products keyed by the right operand's index.  index is its position
     in group.by_index, and unit = {index: 1} is tau or phi of the element
     as index terms, built once at interning: the recursions of H and E
-    answer a length-zero factor with the unit of a group product.
-    classes = frozenset({element}) is the coset calculus's answer for
-    such a factor, None until cosets.support_mul first builds it.  Both
-    are shared and read-only, like every memo value; no element may
-    adopt them."""
+    answer a length-zero factor with the unit of a group product.  It is
+    shared and read-only, like every memo value; no element may adopt
+    it."""
 
-    __slots__ = ("group", "t", "w", "index", "unit", "classes", "_prods", "_inv")
+    __slots__ = ("group", "t", "w", "index", "unit", "_prods", "_inv")
 
     def __new__(cls, group: ProPWeyl, t: tuple, w: ExtAffWeylElt):
         key = (t, w)
@@ -444,7 +440,6 @@ class ProPElt:
             self.w = w
             self.index = len(group.by_index)
             self.unit = {self.index: 1}
-            self.classes = None
             self._prods = {}  # right operand's index -> product
             self._inv = None
             group._interned[key] = self

@@ -1,5 +1,8 @@
 """Double-coset support calculus and root-filtration profiles."""
 
+import hashlib
+import json
+
 import pytest
 
 from prophecke import cosets
@@ -47,15 +50,11 @@ def test_support_rejects_mixed_groups(sl2_q3, sl3_q3):
 
 def test_support_rejects_an_unknown_tie(sl2_q3):
     """The tie is checked on entry, so a length-zero v, which never
-    reaches peel, refuses it as a v of positive length does, and nothing
-    is built or stored."""
+    reaches peel, refuses it as a v of positive length does."""
     G = sl2_q3.group
-    cache = G._support_cache
-    before = dict(cache)
     for v in (G.identity(), G.lift_s(0)):
         with pytest.raises(ValueError, match="tie must be 'min' or 'max', got 'bogus'"):
             cosets.support_mul(v, G.lift_s(0), tie="bogus")
-    assert cache == before
 
 
 def fresh_context(name):
@@ -98,31 +97,51 @@ def test_support_matches_unmemoised_recursion(name):
 
 
 @pytest.mark.parametrize("name", ["SL3", "PGL2xPGL2"])
-def test_support_memo_holds_only_recursion_pairs(name):
-    """A length-zero left factor gives the product's one shared singleton,
-    an entry call stores nothing under its own pair, and every stored pair
-    has a left factor of positive length."""
+def test_support_keeps_no_memo(name):
+    """A length-zero left factor gives the one class of the group product
+    under either tie, and the group holds no support memo."""
     G = fresh_context(name).group
-    cache = G._support_cache
     elts = sample_up_to_length_2(G)
-    # t other than the identity first, so that no singleton is built as
-    # {u} by the identity row before t u asks for it
-    zero = [x for x in elts if x.length() == 0]
-    for t in zero[1:] + zero[:1]:
+    for t in (x for x in elts if x.length() == 0):
         for u in elts:
-            sup = cosets.support_mul(t, u)
-            assert sup is cosets.support_mul(t, u, tie="max")
-            assert sup == {G.mul(t, u)}
-    assert not cache
-    for tie in ("min", "max"):
-        for v in elts:
-            for w in elts:
-                key = (v.index, w.index, tie)
-                stored = key in cache
-                cosets.support_mul(v, w, tie)
-                assert (key in cache) == stored, key
-    assert cache
-    assert all(G.by_index[v].length() > 0 for v, _, _ in cache)
+            assert cosets.support_mul(t, u) == cosets.support_mul(t, u, tie="max") == {G.mul(t, u)}
+    assert not hasattr(G, "_support_cache")
+    assert "classes" not in ProPElt.__slots__
+
+
+def long_word(G, length, t):
+    """The torus element t times the element of the given length whose
+    word cycles through the letters, skipping each that would not
+    lengthen it."""
+    x = G.identity()
+    i = 0
+    while x.length() < length:
+        y = G.mul(x, G.lift_s(i % len(G.weyl.s_aff)))
+        if y.length() == x.length() + 1:
+            x = y
+        i += 1
+    return G.mul(G.torus_elt(t), x)
+
+
+def classes_digest(sup):
+    rows = sorted(json.dumps(x.to_json(), sort_keys=True) for x in sup)
+    return hashlib.sha256("\n".join(rows).encode()).hexdigest()[:12]
+
+
+@pytest.mark.parametrize("name, p, f, t, inv_want, sq_want", [
+    ("SL3", 2, 2, (1, 2), (61, "8f2e26483d7e"), (31, "7163818e39fb")),
+    ("G2sc", 3, 1, (1, 0), (217, "85e4b54b0b61"), (7, "32923d92b5b1")),
+], ids=["SL3", "G2sc"])
+def test_support_of_a_length_20_word(name, p, f, t, inv_want, sq_want):
+    """v of length 20 against v^-1 and against v: pinned class counts and
+    digests, the same under both ties."""
+    G = make_context(name, p, f).group
+    v = long_word(G, 20, t)
+    assert v.length() == 20
+    for w, want in ((G.inv(v), inv_want), (v, sq_want)):
+        sup = cosets.support_mul(v, w)
+        assert sup == cosets.support_mul(v, w, tie="max")
+        assert (len(sup), classes_digest(sup)) == want
 
 
 def test_index(sl2_q3):

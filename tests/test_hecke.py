@@ -336,6 +336,26 @@ def test_chi_lambda_rejects_wrong_length_point(sl2_q3, t):
         H.chi_lambda((1,), t)
 
 
+def test_chi_lambda_reads_the_point_as_a_torus_vector(sl3_q3):
+    """A non-integer entry of t is refused by name; t is reduced mod q - 1
+    like lam, which leaves every value as it was."""
+    H, G = sl3_q3.hecke, sl3_q3.group
+    for t in ((0.5, 0), (True, 0)):
+        with pytest.raises(ValueError, match="entries must be integers"):
+            H.chi_lambda((1, 0), t)
+    for lam in G.torus_elements():
+        for t in G.torus_elements():
+            shifted = tuple(e - 3 * G.qm1 for e in t)
+            assert H.chi_lambda(lam, shifted) == H.chi_lambda(lam, t)
+
+
+def test_conj_char_rejects_a_foreign_weyl_element(sl2_q3, sl3_q3):
+    H = sl3_q3.hecke
+    with pytest.raises(GroupMismatchError):
+        H.conj_char(sl2_q3.weyl.aff_gen(0), (1, 0))
+    assert H.conj_char(sl3_q3.weyl.identity(), (1, 0)) == (1, 0)
+
+
 def test_support_containment_and_length_bounds(sl2_q3):
     from prophecke import cosets
 

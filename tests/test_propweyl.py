@@ -473,17 +473,20 @@ def test_memo_hit_checks_the_group():
 
 def test_step_rejects_what_a_miss_rejects():
     """Letters and sides that a cold call rejects get no answer from a
-    warm table, and leave both tables as they were: a float letter fails
-    the list index as it always has, an unknown side or tie raises a
-    ValueError naming it.  A bool indexes as its int, as it always has."""
+    warm table, and leave both tables as they were: a float or bool
+    letter, an unknown side or tie raises a ValueError naming it, as
+    lift_s and aff_image do for the letter."""
     G = _fresh("SL2")
     y = G.lift_s(1)
     for side in ("left", "right"):
         G.step(1, y, side)
     G.peel(y)
     before = _memos(G)
-    with pytest.raises(TypeError):
-        G.step(1.0, y)
+    for s in (1.0, True):
+        with pytest.raises(ValueError, match=f"letter {s!r} is not"):
+            G.step(s, y)
+        with pytest.raises(ValueError, match=f"letter {s!r} is not"):
+            G.lift_s(s)
     with pytest.raises(ValueError, match="letter -1 .* 2 letters"):
         G.step(-1, y)
     with pytest.raises(ValueError, match="side .*'bogus'"):
@@ -493,7 +496,6 @@ def test_step_rejects_what_a_miss_rejects():
     with pytest.raises(ValueError, match="tie .*'bogus'"):
         G.peel(y, "bogus")
     assert _memos(G) == before
-    assert G.step(True, y) is G.step(1, y)
 
 
 def test_peel_rejects_length_zero():
