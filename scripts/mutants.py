@@ -72,6 +72,9 @@ SUBSET = [
     "tests/test_hecke.py::test_conj_char_rejects_a_foreign_weyl_element",
     "tests/test_table_digests.py::test_explicit_datum_digest",
     "tests/test_table_digests.py::test_export_digest",
+    "tests/test_hecke.py::test_iota",
+    "tests/test_hecke.py::test_conjugation_rule",
+    "tests/test_hecke_routes.py",
 ]
 
 # (name, module under src/prophecke, exact text, replacement)
@@ -278,6 +281,27 @@ MUTANTS = [
     ("is_irreducible reads the untrimmed degree", "gf.py",
      "poly = _poly_trim(c % p for c in poly)",
      "poly = [c % p for c in poly]"),
+    ("e route acts by v instead of v^-1", "hecke.py",
+     "            pv = perm[v.w0]\n",
+     "            pv = perm[self.group.weyl.inv0[v.w0]]\n"),
+    ("e route drops (-1)^rank", "hecke.py",
+     "idem = [[sign[exp[-e % qm1 * step]] for e in row] for row in expo]",
+     "idem = [[exp[-e % qm1 * step] for e in row] for row in expo]"),
+    ("e route reads the constant of (w, v)", "hecke.py",
+     "                u, c = self._e_const(v, w)\n",
+     "                u, c = self._e_const(w, v)\n"),
+    ("e transform uses lam(t)^-1", "hecke.py",
+     "zip(out.get(e.w, zero), vals[pos[e.t]])",
+     "zip(out.get(e.w, zero), vals[pos[self.group._t_neg(e.t)]])"),
+    ("e route ignores the torus bound", "hecke.py",
+     "if nx > n and ny > n and n <= _MAX_TORUS and",
+     "if nx > n and ny > n and"),
+    ("accumulate's empty path copies terms at every c", "hecke.py",
+     "    if c == 1 and not out:\n",
+     "    if not out:\n"),
+    ("_scaled_combine's one-term read ignores side", "verify.py",
+     "            return prods\n",
+     "            return H.basis_mul(elts[u], other)\n"),
 ]
 
 

@@ -45,6 +45,35 @@ memo hits, and a length test ahead of the probe measured slower there
 (run_s 0.63 -> 0.70 s and 0.64 -> 0.69 s over 6 and 8 alternating pairs,
 on a 2-core host with CPython 3.11).
 
+HeckeAlgebra.mul has two routes to the same terms.  The tau pair loop
+sums basis_mul over every pair of terms; it is the reference, and
+single-term operands and basis_mul itself always take it.  iota's
+recursion multiplies through mul, so it takes the e route where the rule
+admits its operands, as on SL2, whose factor -tau_{n_s} - theta_s has q
+> |T_q| terms.  The e route writes an operand in the basis e_lam
+tau_{n_w} of the torus idempotents, x = sum_w sum_lam x_w[lam] e_lam
+tau_{n_w} over its set W(x) of Weyl parts, n_w = (0, w) the canonical
+lift.  Since tau_{n_v} e_mu = e_{mu o v^{-1}} tau_{n_v} and the e_lam
+are orthogonal, a product then costs |W(x)| |W(y)| |T_q| scalar steps,
+where the pair loop makes |x| |y| basis products, each a term dict to
+add up.  Each pair (v, w) of Weyl parts needs the constant tau_{n_v}
+tau_{n_w}, one Weyl part since q = 0 in k, read off basis_mul and
+memoised in _e_consts, so that memo is bounded by the Weyl pairs met.
+The character table (the values lam(t), the coefficients of each e_lam
+and the W0 permutation of the characters) is built on the first e-route
+product.  The rule, a property of the operands: mul takes the e route
+when both have more than |T_q| terms, |T_q| <= propweyl._MAX_TORUS (the
+table lists the torus; SL2 over GF(2^8) has |T_q| = 255), and |x| |y| >
+|W(x)| |W(y)| |T_q|.  Measured per product with warm memos, pair loop
+against e route, on a 2-core host with CPython 3.11: seeded products of
+iota images of length-4 elements of SL3 over GF(3), 183 against 121 us
+where |x| |y| is at most twice |W(x)| |W(y)| |T_q| and 509 against 224
+us above that; length-3 images on SL3 over GF(5), 2078 against 447 us;
+dense sums on GL3 over GF(5), |T_q| = 64, 33 against 4.5 ms.  Operands
+with more than |T_q| terms but few per Weyl part, |x| |y| <= |W(x)|
+|W(y)| |T_q|, took 100 against 160 us on SL3 over GF(3), which is why
+the third condition keeps them on the pair loop.
+
 This module also carries the torus idempotents e_lambda and their
 central orbit sums, the involution iota, the inversion anti-involution,
 the trivial and sign characters, the length filtration, and the
@@ -65,15 +94,19 @@ from __future__ import annotations
 
 from .errors import GroupMismatchError, TheoremViolationError
 from .gf import FieldElt, FieldSpec
-from .propweyl import ProPElt, ProPWeyl
+from .propweyl import _MAX_TORUS, ProPElt, ProPWeyl
 from .rootdata import dot
 from .weyl import ExtAffWeylElt
 
 
 def accumulate(out: dict, terms: dict, c: int, field: FieldSpec) -> None:
     """out += c * terms, in place, on field indices, dropping coefficients
-    that cancel.  terms holds no zero coefficient."""
+    that cancel.  terms holds no zero coefficient.  An empty out with
+    c = 1 is filled by one dict.update, in C."""
     if not c:
+        return
+    if c == 1 and not out:
+        out.update(terms)
         return
     row, add = field._mul[c], field._add
     for g, d in terms.items():
@@ -268,6 +301,9 @@ class HeckeAlgebra(SparseSpace):
                          for s in range(len(group.weyl.s_aff))]
         self._mul_cache: dict = {}
         self._iota_cache: dict = {}
+        self._torus_size = group.qm1 ** group.rank
+        self._chars = None  # the e route's character table, built on first use
+        self._e_consts: dict = {}  # (v, w) -> (Weyl part u, c_{v,w} by character)
 
     # -- element constructors ----------------------------------------------------
 
@@ -315,12 +351,108 @@ class HeckeAlgebra(SparseSpace):
         if x.space is not self or y.space is not self:
             raise GroupMismatchError(HeckeElt.mismatch)
         field, elts = self.field, self.group.by_index
+        # the route rule of the module docstring: dense operands on a listed torus
+        n, nx, ny = self._torus_size, len(x.terms), len(y.terms)
+        if nx > n and ny > n and n <= _MAX_TORUS and nx * ny > n * len(
+                {elts[g].w for g in x.terms}) * len({elts[g].w for g in y.terms}):
+            return HeckeElt(self, self._e_mul(x.terms, y.terms))
         out: dict = {}
         for gx, cx in x.terms.items():
             ex, row = elts[gx], field._mul[cx]
             for gy, cy in y.terms.items():
                 accumulate(out, self.basis_mul(ex, elts[gy]), row[cy], field)
         return HeckeElt(self, out)
+
+    # -- the e route: dense products through the torus idempotents ----------------
+
+    def _char_table(self):
+        """(pos, vals, idem, perm) for the characters of T_q, each indexed
+        by its exponent vector's place in torus_elements(): pos maps a
+        torus vector to that place, vals[l][j] = lam_l(t_j) as a field index
+        (symmetric in l and j), idem[l][j] = (-1)^rank lam_l(t_j)^{-1}, the
+        coefficient of tau_{t_j} in e_{lam_l}, and perm[w0][l] is the place
+        of lam_l o v for v of finite Weyl index w0, the character
+        conj_char(v^{-1}, lam_l).  Built on the first e-route product and
+        kept; torus_elements() bounds it."""
+        if self._chars is None:
+            g, field, wg = self.group, self.field, self.group.weyl
+            torus, qm1 = g.torus_elements(), g.qm1
+            step = (field.order - 1) // qm1
+            exp, sign = field._exp, field._mul[field.from_int((-1) ** g.rank).i]
+            pos = {t: j for j, t in enumerate(torus)}
+            expo = [[dot(lam, t) % qm1 for t in torus] for lam in torus]
+            vals = [[exp[e * step] for e in row] for row in expo]
+            idem = [[sign[exp[-e % qm1 * step]] for e in row] for row in expo]
+            perm = [[pos[self.conj_char(wg.elt(wg.inv0[w0]), lam)] for lam in torus]
+                    for w0 in range(wg.order)]
+            self._chars = pos, vals, idem, perm
+        return self._chars
+
+    def _e_const(self, v: ExtAffWeylElt, w: ExtAffWeylElt):
+        """(u, c) with tau_{n_v} tau_{n_w} = sum_lam c[lam] e_lam tau_{n_u}
+        for the canonical lifts n_v = (0, v), read off basis_mul and
+        memoised by (v, w).  Since q = 0 in k the product is
+        sum_t c_t tau_{t n_u} for one Weyl part u, so c is its one
+        _e_transform vector.  Another number of Weyl parts raises
+        TheoremViolationError."""
+        hit = self._e_consts.get((v, w))
+        if hit is None:
+            g = self.group
+            parts = self._e_transform(
+                self.basis_mul(ProPElt(g, g.zero_t, v), ProPElt(g, g.zero_t, w)))
+            if len(parts) != 1:
+                raise TheoremViolationError(
+                    f"tau_n_v tau_n_w has {len(parts)} Weyl parts, not 1, at v={v!r}, w={w!r}")
+            (hit,) = parts.items()
+            self._e_consts[(v, w)] = hit
+        return hit
+
+    def _e_transform(self, terms: dict) -> dict:
+        """{w: x_w} for the terms a_t tau_{t n_w} grouped by Weyl part w,
+        where x_w[lam] = sum_t a_t lam(t): the element is then
+        sum_w sum_lam x_w[lam] e_lam tau_{n_w}."""
+        pos, vals, _, _ = self._char_table()
+        elts, mul, add = self.group.by_index, self.field._mul, self.field._add
+        zero = [0] * self._torus_size
+        out: dict = {}
+        for h, a in terms.items():
+            e, row = elts[h], mul[a]
+            out[e.w] = [add[p][row[b]] for p, b in zip(out.get(e.w, zero), vals[pos[e.t]])]
+        return out
+
+    def _e_mul(self, x: dict, y: dict) -> dict:
+        """The terms of x y through the idempotents.  tau_{n_v} e_mu =
+        e_{mu o v^{-1}} tau_{n_v} and e_lam e_mu = 0 for lam != mu, so
+        x_v[lam] e_lam tau_{n_v} times y_w[mu] e_mu tau_{n_w} leaves only
+        mu = lam o v, and R_u[lam] = sum over v * w = u of
+        x_v[lam] y_w[lam o v] c_{v,w}[lam] gives x y = sum_u sum_lam
+        R_u[lam] e_lam tau_{n_u}, read back into the tau basis through idem."""
+        g, mul, add = self.group, self.field._mul, self.field._add
+        _, _, idem, perm = self._char_table()
+        torus, n = g.torus_elements(), self._torus_size
+        ys = self._e_transform(y)
+        acc: dict = {}  # u -> R_u
+        for v, xv in self._e_transform(x).items():
+            pv = perm[v.w0]
+            nonzero = [(lam, mul[a], pv[lam]) for lam, a in enumerate(xv) if a]
+            for w, yw in ys.items():
+                u, c = self._e_const(v, w)
+                r = acc.get(u)
+                if r is None:
+                    r = acc[u] = [0] * n
+                for lam, row, p in nonzero:
+                    r[lam] = add[r[lam]][mul[row[yw[p]]][c[lam]]]
+        out: dict = {}
+        for u, r in acc.items():
+            coeffs = [0] * n
+            for lam, a in enumerate(r):
+                if a:
+                    row = mul[a]
+                    coeffs = [add[p][row[b]] for p, b in zip(coeffs, idem[lam])]
+            for t, a in zip(torus, coeffs):
+                if a:
+                    out[ProPElt(g, t, u).index] = a
+        return out
 
     # -- torus characters and idempotents ----------------------------------------
 

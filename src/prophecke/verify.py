@@ -88,10 +88,13 @@ class _Tally:
 
 
 def _scaled_combine(H, d, other, side):
-    """Multiply index terms by a basis element on one side."""
+    """Multiply index terms by a basis element on one side.  One term with
+    coefficient 1 gives basis_mul's memo value itself, read-only."""
     out, elts = {}, H.group.by_index
     for u, c in d.items():
         prods = H.basis_mul(elts[u], other) if side == "right" else H.basis_mul(other, elts[u])
+        if c == 1 and len(d) == 1:
+            return prods
         accumulate(out, prods, c, H.field)
     return out
 
@@ -294,7 +297,7 @@ def suite_bimodule(ctx: Context, t: _Tally, max_len: int):
 
 def suite_duality(ctx: Context, t: _Tally, max_len_tau: int = 2, max_len_phi: int = 3,
                   samples: int | None = None):
-    """pairing(tau . phi . tau', tau'') = pairing(phi, J(tau) tau'' J(tau''));
+    """pairing(tau . phi . tau', tau'') = pairing(phi, J(tau) tau'' J(tau'));
     exhaustive when samples is None, else seeded random."""
     G, H, E = ctx.group, ctx.hecke, ctx.top
     taus = basis_elements(G, max_len_tau)
