@@ -75,6 +75,7 @@ SUBSET = [
     "tests/test_hecke.py::test_iota",
     "tests/test_hecke.py::test_conjugation_rule",
     "tests/test_hecke_routes.py",
+    "tests/test_topmod.py::test_length_zero_base_cases_are_not_memoised[SL2]",
 ]
 
 # (name, module under src/prophecke, exact text, replacement)
@@ -219,8 +220,8 @@ MUTANTS = [
      "if size > _MAX_TORUS:",
      "if size >= _MAX_TORUS:"),
     ("an omitted size read from the class, not the context", "verify.py",
-     "getattr(ctx, p.name)",
-     "getattr(Context, p.name)"),
+     "getattr(ctx, p)",
+     "getattr(Context, p)"),
     ("involutions' omitted samples run exhaustively", "verify.py",
      "*, samples: int)",
      "*, samples: int | None = None)"),
@@ -302,6 +303,15 @@ MUTANTS = [
     ("_scaled_combine's one-term read ignores side", "verify.py",
      "            return prods\n",
      "            return H.basis_mul(elts[u], other)\n"),
+    ("right action reads the left memo rows", "topmod.py",
+     "rows = self._act_cache[side]",
+     "rows = self._act_cache[\"left\"]"),
+    ("run_suite ignores a signature default", "verify.py",
+     "defaults = dict(zip(names[npos - len(pos):npos], pos))",
+     "defaults = {}"),
+    ("annihilated action stored as a fresh dict", "topmod.py",
+     "            result = _EMPTY\n",
+     "            result = {}\n"),
 ]
 
 

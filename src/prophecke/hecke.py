@@ -37,13 +37,15 @@ share; iota recurses along the same peel.  Independence of the word
 choice is property-tested, not assumed.  A length-zero left factor is
 one group product, tau_x tau_y = tau_{xy}, and its answer is that
 product's ProPElt.unit: shared, read-only, never adopted by an element.
-Unlike TopModule._act_basis and cosets.support_mul, which test the
-length first and store no base case, basis_mul probes its memo first
-and stores the unit under the pair: on hecke-algebra about 470k of its
-525k calls per pass have a left factor of positive length, nearly all
-memo hits, and a length test ahead of the probe measured slower there
-(run_s 0.63 -> 0.70 s and 0.64 -> 0.69 s over 6 and 8 alternating pairs,
-on a 2-core host with CPython 3.11).
+The memo, _mul_cache, holds one row per left factor, x.index ->
+{y.index: terms}, so a probe indexes two int-keyed dicts and builds no
+key tuple.  Unlike TopModule._act_basis and cosets.support_mul, which
+test the length first and store no base case, basis_mul probes its memo
+first and stores the unit under the pair: on hecke-algebra about 470k of
+its 525k calls per pass have a left factor of positive length, nearly
+all memo hits, and a length test ahead of the probe measured slower
+there (run_s 0.63 -> 0.70 s and 0.64 -> 0.69 s over 6 and 8 alternating
+pairs, on a 2-core host with CPython 3.11).
 
 HeckeAlgebra.mul has two routes to the same terms.  The tau pair loop
 sums basis_mul over every pair of terms; it is the reference, and
@@ -128,11 +130,12 @@ class SparseComb:
 
     The element adopts the terms dict it is built from, without copying
     or filtering it: the producer must hold no zero coefficient in it,
-    and no one may mutate it afterwards, nor hand in a dict a memo still
-    holds or an element's ProPElt.unit.  Every producer here builds a
-    fresh dict; SparseSpace.elt and scale drop the zeros they can make,
-    accumulate drops cancelled terms, and theta's -|mu| is nonzero
-    because |mu| = 2 needs odd q.
+    and no one may mutate it afterwards, nor hand in a dict a memo row
+    still holds, an element's ProPElt.unit or the top module's shared
+    empty action.  Every producer here builds a fresh dict;
+    SparseSpace.elt and scale drop the zeros they can make, accumulate
+    drops cancelled terms, and theta's -|mu| is nonzero because |mu| = 2
+    needs odd q.
 
     Subclasses name the basis symbol, say whether to_json carries it as a
     "basis" tag, and give the error text for operands of different spaces.
@@ -299,11 +302,17 @@ class HeckeAlgebra(SparseSpace):
         # the coefficient the quadratic relation puts on the translates
         self.mu_coeff = [field.from_int(group.aff_image(s)[1]).i
                          for s in range(len(group.weyl.s_aff))]
-        self._mul_cache: dict = {}
+        self._mul_cache: dict = {}  # x.index -> {y.index: terms of tau_x tau_y}
         self._iota_cache: dict = {}
         self._torus_size = group.qm1 ** group.rank
         self._chars = None  # the e route's character table, built on first use
         self._e_consts: dict = {}  # (v, w) -> (Weyl part u, c_{v,w} by character)
+
+    def stats(self) -> dict:
+        """The entry count of each memo: basis_mul's, summed over its rows,
+        iota's and the e route's constants."""
+        return {"basis_mul": sum(map(len, self._mul_cache.values())),
+                "iota": len(self._iota_cache), "e_const": len(self._e_consts)}
 
     # -- element constructors ----------------------------------------------------
 
@@ -326,9 +335,13 @@ class HeckeAlgebra(SparseSpace):
     def basis_mul(self, x: ProPElt, y: ProPElt) -> dict:
         """tau_x tau_y as index terms, peeling the last letter s off x: on
         ascent tau_{n_s} tau_y = tau_{n_s y}, on descent |mu| sum_t tau_{t y}.
-        A length-zero x gives the read-only unit of x y."""
-        key = (x.index, y.index)
-        cached = self._mul_cache.get(key)
+        A length-zero x gives the read-only unit of x y.  Memoised in x's
+        row of _mul_cache under y.index; the value is read-only."""
+        try:
+            row = self._mul_cache[x.index]
+        except KeyError:
+            row = self._mul_cache[x.index] = {}
+        cached = row.get(y.index)
         if cached is not None:
             return cached
         g = self.group
@@ -344,7 +357,7 @@ class HeckeAlgebra(SparseSpace):
                 c = self.mu_coeff[s]
                 for u in translates:
                     accumulate(result, self.basis_mul(xp, u), c, self.field)
-        self._mul_cache[key] = result
+        row[y.index] = result
         return result
 
     def mul(self, x: HeckeElt, y: HeckeElt) -> HeckeElt:

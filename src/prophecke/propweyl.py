@@ -134,6 +134,15 @@ class ProPWeyl:
             self._aff_images.append((tuple(map(self.torus_elt, image)), mu_size))
         self.section_self_check()
 
+    def stats(self) -> dict:
+        """The entry count of each memo: step's over both sides and every
+        letter, peel's over both ties, the torus action's over every
+        finite Weyl element, and the interned elements."""
+        return {"step": sum(len(t) for tables in self._steps.values() for t in tables),
+                "peel": sum(map(len, self._peels.values())),
+                "torus_action": sum(map(len, self._torus_actions)),
+                "elements": len(self.by_index)}
+
     # -- torus helpers -----------------------------------------------------------
 
     def torus(self, exps) -> tuple:

@@ -15,7 +15,7 @@ Dynkin components off their supports: a component is a maximal support.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
 
 from .errors import DataIntegrityError
@@ -33,12 +33,11 @@ def dot(x, y) -> int:
     return sum(map(mul, x, y))
 
 
-@dataclass(frozen=True)
-class AffineRoot:
-    """The affine function alpha(.) + h on the standard apartment."""
+class AffineRoot(namedtuple("AffineRoot", "root h")):
+    """The affine function alpha(.) + h on the standard apartment: root
+    indexes RootDatum.roots.  Immutable and hashable, equal by (root, h)."""
 
-    root: int  # index into RootDatum.roots
-    h: int
+    __slots__ = ()
 
     def __repr__(self):
         return f"A({self.root},{self.h})"

@@ -17,9 +17,7 @@ t.fail.  A suite returns None, or a dict of extra report fields
 
 from __future__ import annotations
 
-import inspect
 import random
-from dataclasses import dataclass, field as dc_field
 from itertools import product
 
 from . import cosets as cosets_mod
@@ -31,20 +29,21 @@ from .rootdata import RootDatum
 from .topmod import TopModule
 from .weyl import WeylGroup, lemma_even, length_bruteforce
 
-@dataclass
 class Context:
-    """Bundle of the full construction chain for one group and field."""
+    """Bundle of the full construction chain for one group and field, with
+    the seed and default sizes of its suites and the config echo (a fresh
+    dict when none is given)."""
 
-    rd: RootDatum
-    weyl: WeylGroup
-    field: FieldSpec
-    group: ProPWeyl
-    hecke: HeckeAlgebra
-    top: TopModule
-    seed: int = 0
-    max_len: int = 3
-    samples: int = 1000
-    config: dict = dc_field(default_factory=dict)
+    __slots__ = ("rd", "weyl", "field", "group", "hecke", "top", "seed", "max_len",
+                 "samples", "config")
+
+    def __init__(self, rd: RootDatum, weyl: WeylGroup, field: FieldSpec, group: ProPWeyl,
+                 hecke: HeckeAlgebra, top: TopModule, seed: int = 0, max_len: int = 3,
+                 samples: int = 1000, config: dict | None = None):
+        self.rd, self.weyl, self.field, self.group = rd, weyl, field, group
+        self.hecke, self.top = hecke, top
+        self.seed, self.max_len, self.samples = seed, max_len, samples
+        self.config = {} if config is None else config
 
 
 def build_context(config: dict) -> Context:
@@ -499,39 +498,55 @@ _SUITE_FNS = {
 }
 SUITES = tuple(_SUITE_FNS)
 
+# Marks a suite size with no default: it takes the context's value.
+_FROM_CONTEXT = object()
+
+
+def _sizes(fn) -> dict:
+    """{name: default} for the parameters a suite takes after (ctx, t), in
+    signature order, read off its code object; _FROM_CONTEXT where the
+    signature gives no default."""
+    code, pos = fn.__code__, fn.__defaults__ or ()
+    npos = code.co_argcount
+    names = code.co_varnames[:npos + code.co_kwonlyargcount]
+    defaults = dict(zip(names[npos - len(pos):npos], pos))
+    defaults.update(fn.__kwdefaults__ or {})
+    return {p: defaults.get(p, _FROM_CONTEXT) for p in names[2:]}
+
+
+_SUITE_SIZES = {name: _sizes(fn) for name, fn in _SUITE_FNS.items()}
+
 
 def run_suite(ctx: Context, name: str, **params) -> dict:
     """Run one suite and build its report.
 
     An unknown suite or a parameter the suite does not take raises a
     ValueError naming it.  Every suite parameter is a size (a length
-    bound or a draw count), so its value must be an integer >= 0, or
-    None for samples; any other raises a ValueError naming the
-    parameter.  A size the caller omits or passes as None takes the
-    suite's default, and a size with no default (max_len, and samples in
-    involutions) takes the context's value of that name, which the
-    config sets.  samples=None therefore runs every combination, except
-    in involutions.  The report's params are the sizes the suite ran
-    with."""
+    bound or a draw count), so its value must be an integer >= 0; only
+    samples may also be None.  Any other value raises a ValueError
+    naming the parameter.  A size the caller omits, and samples passed
+    as None, take the suite's default, and a size with no default
+    (max_len, and samples in involutions) takes the context's value of
+    that name, which the config sets.  samples=None therefore runs every
+    combination, except in involutions.  The report's params are the
+    sizes the suite ran with."""
     if name not in _SUITE_FNS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
-    fn = _SUITE_FNS[name]
-    takes = tuple(inspect.signature(fn).parameters.values())[2:]
-    names = [p.name for p in takes]
+    takes = _SUITE_SIZES[name]
     for p in params:
-        if p not in names:
+        if p not in takes:
             raise ValueError(
-                f"suite {name} takes no parameter {p}; it takes {', '.join(names) or 'none'}")
+                f"suite {name} takes no parameter {p}; it takes {', '.join(takes) or 'none'}")
         if params[p] is not None or p != "samples":
             _check_int(f"suite {name} parameter {p}", params[p], 0)
     sizes = {}
-    for p in takes:
-        value = params.get(p.name)
+    for p, default in takes.items():
+        value = params.get(p)
         if value is None:
-            value = getattr(ctx, p.name) if p.default is p.empty else p.default
-        sizes[p.name] = value
+            value = getattr(ctx, p) if default is _FROM_CONTEXT else default
+        sizes[p] = value
     t = _Tally()
-    extra = fn(ctx, t, **sizes)
+    extra = _SUITE_FNS[name](ctx, t, **sizes)
     return {"suite": name, "group": ctx.rd.to_json(), "field": ctx.field.to_json(),
             "seed": ctx.seed, "params": sizes, "cases": t.cases, "failures": t.failures,
             **(extra or {})}

@@ -34,7 +34,6 @@ element and _word_cache keyed by (element, tie rule).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .errors import GroupMismatchError, TheoremViolationError
@@ -133,6 +132,10 @@ class WeylGroup:
         self.words0 = [self.elt(i).reduced_word()[1] for i in range(self.order)]
         self.length0 = [len(w) for w in self.words0]
         self._sanity_check_length()
+
+    def stats(self) -> dict:
+        """The entry count of each memo: lengths and reduced words."""
+        return {"length": len(self._len_cache), "reduced_word": len(self._word_cache)}
 
     # -- construction-time check ------------------------------------------------
 
@@ -433,7 +436,6 @@ def length_bruteforce(w: ExtAffWeylElt) -> int:
     return total
 
 
-@dataclass
 class OmegaGroup:
     """The abelian subgroup of length-zero elements, W = Omega x| W_aff.
 
@@ -445,11 +447,15 @@ class OmegaGroup:
     free alike, sorted by (sum |mu|, w0, mu).
     """
 
-    group: WeylGroup
-    finite: bool
-    invariants: tuple  # Smith normal form diagonal of Lambda/coroot-lattice
-    elements: list  # full list when finite
-    generators: list  # length-zero generators of Lambda/Q-check
+    __slots__ = ("group", "finite", "invariants", "elements", "generators")
+
+    def __init__(self, group: WeylGroup, finite: bool, invariants: tuple,
+                 elements: list, generators: list):
+        self.group = group
+        self.finite = finite
+        self.invariants = invariants  # Smith normal form diagonal of Lambda/coroot-lattice
+        self.elements = elements  # full list when finite
+        self.generators = generators  # length-zero generators of Lambda/Q-check
 
     @property
     def order(self):

@@ -80,3 +80,17 @@ def test_import_loads_no_exact_rationals():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
     assert out.strip() == "[]"
+
+
+def test_import_loads_no_inspect_or_dataclasses():
+    """Importing the package and its serializer in a bare interpreter
+    (python -S, no site packages) loads neither inspect nor dataclasses,
+    and AffineRoot stays immutable without them."""
+    src = str(Path(prophecke.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import prophecke, prophecke.serial; "
+            "print(sorted({'inspect', 'dataclasses'} & set(sys.modules))); "
+            "A = prophecke.AffineRoot(0, 1)\n"
+            "try:\n    A.h = 2\nexcept AttributeError:\n    print('immutable')")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.split() == ["[]", "immutable"]

@@ -7,6 +7,7 @@ import pytest
 from prophecke.errors import DecompositionUnavailableError, GroupMismatchError
 from prophecke.propweyl import basis_elements
 from prophecke.rootdata import PRESET_NAMES
+from prophecke.topmod import _EMPTY
 from prophecke.verify import build_context, run_suite
 
 from conftest import EXPLICIT_GROUPS, get_context, get_explicit_context
@@ -313,28 +314,39 @@ def test_bimodule_on_pgl2xpgl2():
 @pytest.mark.parametrize("name", ["SL2", "PGL2xPGL2"])
 def test_length_zero_base_cases_are_not_memoised(name):
     """A length-zero left factor is answered from the group product and
-    stored nowhere: after bimodule and cosets, no key of the action memo
-    has a length-zero y, and the base cases give the relabelled basis
-    vector."""
+    stored nowhere: after bimodule and cosets, no row of the action memo
+    (side -> y.index -> u.index -> terms) has a length-zero y, and the
+    base cases give the relabelled basis vector without growing it.
+    Every empty entry is the one shared empty dict, which act never
+    hands to an element."""
     from prophecke import cosets, make_context
 
     if name in EXPLICIT_GROUPS:  # fresh: the suites below fill its memos
         ctx = build_context({"group": EXPLICIT_GROUPS[name], "field": {"p": 3, "f": 1}})
     else:
         ctx = make_context(name, 3)
-    G, E = ctx.group, ctx.top
+    G, H, E = ctx.group, ctx.hecke, ctx.top
     for suite, max_len in (("bimodule", 1), ("cosets", 2)):
         report = run_suite(ctx, suite, max_len=max_len)
         assert report["failures"] == [], suite
     elts = G.by_index
-    assert E._act_cache
-    assert all(elts[y].length() > 0 for y, _, _ in E._act_cache)
+    assert set(E._act_cache) == {"left", "right"}
+    entries = [(y, u, terms) for rows in E._act_cache.values()
+               for y, row in rows.items() for u, terms in row.items()]
+    assert entries and len(entries) == E.stats()["act"]
+    assert all(elts[y].length() > 0 for y, _, _ in entries)
+    empties = [terms for _, _, terms in entries if not terms]
+    assert len(empties) > 1 and all(terms is _EMPTY for terms in empties)
 
-    size = len(E._act_cache)
+    size = E.stats()["act"]
     basis = basis_elements(G, 1)
     for t in (x for x in basis if x.length() == 0):
         for u in basis:
             assert E._act_basis(t, u, "left") == {G.mul(t, u).index: 1}
             assert E._act_basis(t, u, "right") == {G.mul(u, t).index: 1}
             assert cosets.support_mul(t, u) == {G.mul(t, u)}
-    assert len(E._act_cache) == size
+    assert E.stats()["act"] == size
+
+    ns = G.lift_s(0)  # an ascent on the identity: the action annihilates
+    zero = E.act(H.tau(ns), E.phi(G.identity()), "right")
+    assert zero.is_zero() and zero.terms is not _EMPTY
