@@ -44,6 +44,10 @@ SUBSET = [
     "tests/test_gf.py::test_is_irreducible_at_degrees_one_and_two",
     "tests/test_cosets.py::test_support_rejects_an_unknown_tie",
     "tests/test_verify.py::test_omitted_sizes_come_from_the_context",
+    "tests/test_verify.py::test_context_echoes_the_resolved_config",
+    "tests/test_hecke.py::test_basis_mul_memo_hit_checks_the_group",
+    "tests/test_weyl.py::test_malformed_element_rejected",
+    "tests/test_propweyl.py::test_weyl_element_of_another_group_rejected",
     "tests/test_propweyl.py::test_torus_listing_bounded",
     "tests/test_hecke.py::test_elements_own_their_terms",
     "tests/test_hecke.py::test_classify_character",
@@ -219,12 +223,18 @@ MUTANTS = [
     ("torus bound off by one", "propweyl.py",
      "if size > _MAX_TORUS:",
      "if size >= _MAX_TORUS:"),
-    ("an omitted size read from the class, not the context", "verify.py",
+    ("an omitted size takes the built-in default, not the context's", "verify.py",
      "getattr(ctx, p)",
-     "getattr(Context, p)"),
+     "{\"max_len\": 3, \"samples\": 1000}[p]"),
     ("involutions' omitted samples run exhaustively", "verify.py",
-     "*, samples: int)",
-     "*, samples: int | None = None)"),
+     "samples: int = _FROM_CONTEXT)",
+     "samples: int | None = None)"),
+    ("a _FROM_CONTEXT default reaches the suite unresolved", "verify.py",
+     "value = getattr(ctx, p) if default is _FROM_CONTEXT else default",
+     "value = default"),
+    ("the Context echo drops samples", "verify.py",
+     "\"max_len\": self.max_len, \"samples\": self.samples}",
+     "\"max_len\": self.max_len}"),
     ("params echo the caller's sizes", "verify.py",
      "\"params\": sizes,",
      "\"params\": params,"),
@@ -307,11 +317,22 @@ MUTANTS = [
      "rows = self._act_cache[side]",
      "rows = self._act_cache[\"left\"]"),
     ("run_suite ignores a signature default", "verify.py",
-     "defaults = dict(zip(names[npos - len(pos):npos], pos))",
-     "defaults = {}"),
+     "else default\n",
+     "else None\n"),
     ("annihilated action stored as a fresh dict", "topmod.py",
      "            result = _EMPTY\n",
      "            result = {}\n"),
+    ("a basis_mul hit skips the group check", "hecke.py",
+     "if cached is not None and x.group is g and y.group is g:",
+     "if cached is not None:"),
+    ("WeylGroup.elt accepts a short mu", "weyl.py",
+     "_int_vector(mu, self.rank)",
+     "_int_vector(mu, len(mu))"),
+    ("lift_omega skips the group check", "propweyl.py",
+     "        if w.group is not self.weyl:\n"
+     "            raise GroupMismatchError(\"Weyl element from a different group\")\n"
+     "        if w.length() != 0:\n",
+     "        if w.length() != 0:\n"),
 ]
 
 

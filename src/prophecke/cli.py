@@ -40,24 +40,28 @@ def _emit(ctx, payload: dict, out: str | None):
         sys.stdout.write(text)
 
 
-def _resolve_seed(args, config) -> tuple[int, str]:
+def _resolve_seed(args, config) -> str:
+    """Set config's seed from the --seed flag, else from the environment,
+    and return where the seed came from; with neither, the config's own
+    seed (or the context's default) stands."""
     if args.seed is not None:
-        return args.seed, "flag"
+        config["seed"] = args.seed
+        return "flag"
     if SEED_ENV in os.environ:
         value = os.environ[SEED_ENV]
         try:
-            return int(value), f"env:{SEED_ENV}"
+            config["seed"] = int(value)
         except ValueError:
             raise ValueError(f"{SEED_ENV} must be an integer, got {value!r}") from None
-    return config.get("seed", 0), "config"
+        return f"env:{SEED_ENV}"
+    return "config"
 
 
 def _context_from_args(args):
     config = _load_json(args.config)
     if not isinstance(config, dict):
         raise ValueError(f"config must be a JSON object, got {config!r}")
-    seed, seed_source = _resolve_seed(args, config)
-    config["seed"] = seed
+    seed_source = _resolve_seed(args, config)
     if args.max_len is not None:
         config["max_len"] = args.max_len
     if args.samples is not None:

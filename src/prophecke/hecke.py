@@ -41,11 +41,12 @@ The memo, _mul_cache, holds one row per left factor, x.index ->
 {y.index: terms}, so a probe indexes two int-keyed dicts and builds no
 key tuple.  Unlike TopModule._act_basis and cosets.support_mul, which
 test the length first and store no base case, basis_mul probes its memo
-first and stores the unit under the pair: on hecke-algebra about 470k of
-its 525k calls per pass have a left factor of positive length, nearly
-all memo hits, and a length test ahead of the probe measured slower
-there (run_s 0.63 -> 0.70 s and 0.64 -> 0.69 s over 6 and 8 alternating
-pairs, on a 2-core host with CPython 3.11).
+first and stores the unit under the pair: a hecke-algebra pass makes
+about 361k calls, 330k of them with a left factor of positive length
+(319k of those memo hits), and a length test ahead of the probe measured
+slower there (run_s medians 0.191 s probe first, 0.232 s length first,
+over 8 alternating one-pass runs at seed 11, on a 2-core host with
+CPython 3.11.7).  A hit is returned only for operands of this group.
 
 HeckeAlgebra.mul has two routes to the same terms.  The tau pair loop
 sums basis_mul over every pair of terms; it is the reference, and
@@ -336,15 +337,18 @@ class HeckeAlgebra(SparseSpace):
         """tau_x tau_y as index terms, peeling the last letter s off x: on
         ascent tau_{n_s} tau_y = tau_{n_s y}, on descent |mu| sum_t tau_{t y}.
         A length-zero x gives the read-only unit of x y.  Memoised in x's
-        row of _mul_cache under y.index; the value is read-only."""
+        row of _mul_cache under y.index; the value is read-only.  The memo
+        answers only when both operands belong to this group, so another
+        group's elements at the same indices take the miss path, which
+        raises GroupMismatchError."""
         try:
             row = self._mul_cache[x.index]
         except KeyError:
             row = self._mul_cache[x.index] = {}
         cached = row.get(y.index)
-        if cached is not None:
-            return cached
         g = self.group
+        if cached is not None and x.group is g and y.group is g:
+            return cached
         if x.w.length() == 0:
             result = g.mul(x, y).unit
         else:

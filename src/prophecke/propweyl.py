@@ -302,6 +302,10 @@ class ProPWeyl:
         return self._aff_images[self._letter(i)]
 
     def lift_omega(self, w: ExtAffWeylElt) -> "ProPElt":
+        """(0, w) for a length-zero w of this group's Weyl group; another
+        group's element raises GroupMismatchError, as in elt."""
+        if w.group is not self.weyl:
+            raise GroupMismatchError("Weyl element from a different group")
         if w.length() != 0:
             raise ValueError("lift_omega expects a length-zero element")
         return ProPElt(self, self.zero_t, w)

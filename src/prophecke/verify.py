@@ -6,8 +6,12 @@ an empty failure list is the pass condition.  Suites are deterministic:
 exhaustive parts iterate in canonical order and randomized parts draw
 from a seeded generator whose seed is echoed in the report.
 
-A suite is suite_<name>(ctx, t, **sizes).  run_suite resolves the sizes
-(see there) and hands the suite a fresh _Tally t: t.check(ok, msg,
+A suite is suite_<name>(ctx, t, *, size=default, ...): every size is a
+keyword-only parameter with a default, so the suite's __kwdefaults__ is
+its whole size table.  A size the config sets (max_len, and samples in
+involutions) has the default _FROM_CONTEXT, which run_suite replaces by
+the context's value of that name.  run_suite resolves the sizes (see
+there) and hands the suite a fresh _Tally t: t.check(ok, msg,
 *args) counts one case and records msg.format(*args) only when ok is
 false.  Where one case covers several checks (matsumoto's reduced words,
 cosets' products) the suite adds to t.cases itself and records through
@@ -30,40 +34,38 @@ from .topmod import TopModule
 from .weyl import WeylGroup, lemma_even, length_bruteforce
 
 class Context:
-    """Bundle of the full construction chain for one group and field, with
-    the seed and default sizes of its suites and the config echo (a fresh
-    dict when none is given)."""
+    """The full construction chain for one group and field, built from a
+    config dict, with the seed and default suite sizes the config sets
+    and its echo: the resolved config, every default filled in."""
 
     __slots__ = ("rd", "weyl", "field", "group", "hecke", "top", "seed", "max_len",
                  "samples", "config")
 
-    def __init__(self, rd: RootDatum, weyl: WeylGroup, field: FieldSpec, group: ProPWeyl,
-                 hecke: HeckeAlgebra, top: TopModule, seed: int = 0, max_len: int = 3,
-                 samples: int = 1000, config: dict | None = None):
-        self.rd, self.weyl, self.field, self.group = rd, weyl, field, group
-        self.hecke, self.top = hecke, top
-        self.seed, self.max_len, self.samples = seed, max_len, samples
-        self.config = {} if config is None else config
+    def __init__(self, config: dict):
+        self.seed = _check_int("config seed", config.get("seed", 0))
+        self.max_len = _check_int("config max_len", config.get("max_len", 3), 0)
+        self.samples = _check_int("config samples", config.get("samples", 1000), 0)
+        self.rd = RootDatum.from_json(config.get("group", "SL2"))
+        self.field = FieldSpec.from_json(config.get("field", {"p": 3, "f": 1}))
+        self.weyl = WeylGroup(self.rd)
+        self.group = ProPWeyl(self.weyl, self.field.q)
+        self.hecke = HeckeAlgebra(self.group, self.field)
+        self.top = TopModule(self.hecke)
+        self.config = {"group": self.rd.to_json(), "field": self.field.to_json(),
+                       "seed": self.seed, "max_len": self.max_len, "samples": self.samples}
 
 
-def build_context(config: dict) -> Context:
-    seed = _check_int("config seed", config.get("seed", 0))
-    max_len = _check_int("config max_len", config.get("max_len", 3), 0)
-    samples = _check_int("config samples", config.get("samples", 1000), 0)
-    rd = RootDatum.from_json(config.get("group", "SL2"))
-    fs = FieldSpec.from_json(config.get("field", {"p": 3, "f": 1}))
-    wg = WeylGroup(rd)
-    grp = ProPWeyl(wg, fs.q)
-    alg = HeckeAlgebra(grp, fs)
-    echo = {"group": rd.to_json(), "field": fs.to_json(), "seed": seed,
-            "max_len": max_len, "samples": samples}
-    return Context(rd, wg, fs, grp, alg, TopModule(alg), seed, max_len, samples, echo)
+build_context = Context
+
+# The default of a suite size that the config sets: run_suite passes the
+# context's value of that name in its place.
+_FROM_CONTEXT = object()
 
 
 def make_context(group_name: str, p: int, f: int = 1, m: int | None = None, **kw) -> Context:
     cfg = {"group": {"preset": group_name}, "field": {"p": p, "f": f, "m": m or f}}
     cfg.update(kw)
-    return build_context(cfg)
+    return Context(cfg)
 
 
 class _Tally:
@@ -119,7 +121,8 @@ def _generators(ctx: Context) -> list:
 # -- algebra suites ------------------------------------------------------------------
 
 
-def suite_assoc(ctx: Context, t: _Tally, max_len: int, samples: int | None = None):
+def suite_assoc(ctx: Context, t: _Tally, *, max_len: int = _FROM_CONTEXT,
+                samples: int | None = None):
     """Associativity on basis triples, plus the quadratic relations and
     theta idempotence on every affine simple reflection.
 
@@ -142,7 +145,7 @@ def suite_assoc(ctx: Context, t: _Tally, max_len: int, samples: int | None = Non
         check(lhs == rhs, "assoc fails at ({!r},{!r},{!r})", x, y, z)
 
 
-def suite_matsumoto(ctx: Context, t: _Tally, max_len: int):
+def suite_matsumoto(ctx: Context, t: _Tally, *, max_len: int = _FROM_CONTEXT):
     """Lift, Hecke product, and top-module action along every reduced word
     of every element up to max_len agree with the canonical-word values;
     products are also recomputed with the opposite descent tie-break."""
@@ -184,7 +187,8 @@ def suite_matsumoto(ctx: Context, t: _Tally, max_len: int):
                 "tie-break changes tau_w^2 for {!r}", w)
 
 
-def suite_involutions(ctx: Context, t: _Tally, max_len: int, rand_len: int = 6, *, samples: int):
+def suite_involutions(ctx: Context, t: _Tally, *, max_len: int = _FROM_CONTEXT, rand_len: int = 6,
+                      samples: int = _FROM_CONTEXT):
     """iota and J are involutive (anti)automorphisms exchanged through the
     trivial/sign characters."""
     G, H = ctx.group, ctx.hecke
@@ -258,7 +262,7 @@ def suite_idempotents(ctx: Context, t: _Tally):
             t.check(eg * x == x * eg, "e_gamma not central at orbit of {}", la)
 
 
-def suite_bimodule(ctx: Context, t: _Tally, max_len: int):
+def suite_bimodule(ctx: Context, t: _Tally, *, max_len: int = _FROM_CONTEXT):
     """Top-module bimodule axioms for generator pairs against the phi
     basis, plus the relations-respected checks (quadratic and braid acting
     on the module).  Each generator's left and right action on each phi
@@ -294,7 +298,7 @@ def suite_bimodule(ctx: Context, t: _Tally, max_len: int):
                   "right quadratic relation on module fails at s={}", s)
 
 
-def suite_duality(ctx: Context, t: _Tally, max_len_tau: int = 2, max_len_phi: int = 3,
+def suite_duality(ctx: Context, t: _Tally, *, max_len_tau: int = 2, max_len_phi: int = 3,
                   samples: int | None = None):
     """pairing(tau . phi . tau', tau'') = pairing(phi, J(tau) tau'' J(tau'));
     exhaustive when samples is None, else seeded random."""
@@ -309,7 +313,7 @@ def suite_duality(ctx: Context, t: _Tally, max_len_tau: int = 2, max_len_phi: in
                 (a, b, c, d))
 
 
-def suite_trace(ctx: Context, t: _Tally, max_len: int):
+def suite_trace(ctx: Context, t: _Tally, *, max_len: int = _FROM_CONTEXT):
     """Both H-actions push through the coordinate-sum trace by the trivial
     character, and the trace is inversion-invariant."""
     G, H, E = ctx.group, ctx.hecke, ctx.top
@@ -325,7 +329,7 @@ def suite_trace(ctx: Context, t: _Tally, max_len: int):
                     "right trace equivariance fails at {!r}", b)
 
 
-def suite_decompose(ctx: Context, t: _Tally, max_len: int):
+def suite_decompose(ctx: Context, t: _Tally, *, max_len: int = _FROM_CONTEXT):
     """The trivial/kernel splitting: projection property, H-stability of
     both summands, and vanishing trace on the kernel.  Raises
     DecompositionUnavailableError when the splitting does not exist."""
@@ -351,7 +355,7 @@ def suite_decompose(ctx: Context, t: _Tally, max_len: int):
                 "kernel not stable at {!r}", b)
 
 
-def suite_supersingular(ctx: Context, t: _Tally, max_len: int):
+def suite_supersingular(ctx: Context, t: _Tally, *, max_len: int = _FROM_CONTEXT):
     """Supersingularity audit of the trace-kernel grades: for every grade
     m up to max_len, every length-m class w and every torus character
     (only the nontrivial ones at grade 0), verify the graded
@@ -389,7 +393,7 @@ def suite_supersingular(ctx: Context, t: _Tally, max_len: int):
 # -- combinatorial suites ----------------------------------------------------------
 
 
-def suite_cosets(ctx: Context, t: _Tally, max_len: int):
+def suite_cosets(ctx: Context, t: _Tally, *, max_len: int = _FROM_CONTEXT):
     """Support containment of Hecke products in the symbolic coset union,
     the length bounds on that union, and independence of the driving
     reduced word."""
@@ -411,7 +415,7 @@ def suite_cosets(ctx: Context, t: _Tally, max_len: int):
                 t.fail("support depends on word choice at ({!r},{!r})", v, w)
 
 
-def suite_gprofile(ctx: Context, t: _Tally, max_len: int):
+def suite_gprofile(ctx: Context, t: _Tally, *, max_len: int = _FROM_CONTEXT):
     """Root-filtration profiles: identity baseline, index sum rule,
     monotonicity along length-additive products, one-step growth."""
     G, wg = ctx.group, ctx.weyl
@@ -441,7 +445,7 @@ def suite_gprofile(ctx: Context, t: _Tally, max_len: int):
                     "one-step growth fails at ({!r},s={})", w, si)
 
 
-def suite_lemma_even(ctx: Context, t: _Tally, max_len: int = 4):
+def suite_lemma_even(ctx: Context, t: _Tally, *, max_len: int = 4):
     """Negation-stable orbit count plus length is even, over the finite
     Weyl group and over all elements up to max_len.
 
@@ -465,7 +469,7 @@ def suite_lemma_even(ctx: Context, t: _Tally, max_len: int = 4):
                 w, N, defect_free)
 
 
-def suite_length_oracle(ctx: Context, t: _Tally, max_len: int = 6):
+def suite_length_oracle(ctx: Context, t: _Tally, *, max_len: int = 6):
     """Closed-form length against the brute-force affine-root scan, length
     of inverses, and constancy on double cosets of the length-zero
     subgroup."""
@@ -498,25 +502,6 @@ _SUITE_FNS = {
 }
 SUITES = tuple(_SUITE_FNS)
 
-# Marks a suite size with no default: it takes the context's value.
-_FROM_CONTEXT = object()
-
-
-def _sizes(fn) -> dict:
-    """{name: default} for the parameters a suite takes after (ctx, t), in
-    signature order, read off its code object; _FROM_CONTEXT where the
-    signature gives no default."""
-    code, pos = fn.__code__, fn.__defaults__ or ()
-    npos = code.co_argcount
-    names = code.co_varnames[:npos + code.co_kwonlyargcount]
-    defaults = dict(zip(names[npos - len(pos):npos], pos))
-    defaults.update(fn.__kwdefaults__ or {})
-    return {p: defaults.get(p, _FROM_CONTEXT) for p in names[2:]}
-
-
-_SUITE_SIZES = {name: _sizes(fn) for name, fn in _SUITE_FNS.items()}
-
-
 def run_suite(ctx: Context, name: str, **params) -> dict:
     """Run one suite and build its report.
 
@@ -525,14 +510,16 @@ def run_suite(ctx: Context, name: str, **params) -> dict:
     bound or a draw count), so its value must be an integer >= 0; only
     samples may also be None.  Any other value raises a ValueError
     naming the parameter.  A size the caller omits, and samples passed
-    as None, take the suite's default, and a size with no default
-    (max_len, and samples in involutions) takes the context's value of
-    that name, which the config sets.  samples=None therefore runs every
-    combination, except in involutions.  The report's params are the
-    sizes the suite ran with."""
+    as None, take the suite's default, read off its keyword defaults;
+    where that default is _FROM_CONTEXT (max_len, and samples in
+    involutions) the size takes the context's value of that name, which
+    the config sets.  samples=None therefore runs every combination,
+    except in involutions.  The report's params are the sizes the suite
+    ran with, in signature order."""
     if name not in _SUITE_FNS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
-    takes = _SUITE_SIZES[name]
+    fn = _SUITE_FNS[name]
+    takes = fn.__kwdefaults__ or {}
     for p in params:
         if p not in takes:
             raise ValueError(
@@ -546,7 +533,7 @@ def run_suite(ctx: Context, name: str, **params) -> dict:
             value = getattr(ctx, p) if default is _FROM_CONTEXT else default
         sizes[p] = value
     t = _Tally()
-    extra = _SUITE_FNS[name](ctx, t, **sizes)
+    extra = fn(ctx, t, **sizes)
     return {"suite": name, "group": ctx.rd.to_json(), "field": ctx.field.to_json(),
             "seed": ctx.seed, "params": sizes, "cases": t.cases, "failures": t.failures,
             **(extra or {})}

@@ -155,7 +155,7 @@ class WeylGroup:
         for w0, perm in enumerate(self.root_perm):
             flags = [(positive[i], positive[j]) for i, j in enumerate(perm)]
             for mu, mu_shifts in shifts:
-                w = self.elt(w0, mu)
+                w = ExtAffWeylElt(self, w0, mu)  # well formed; elt's checks would slow the build
                 scan = 0
                 for (src, img), shift in zip(flags, mu_shifts):
                     key = (src, img, shift)
@@ -171,8 +171,15 @@ class WeylGroup:
     # -- element constructors ---------------------------------------------------
 
     def elt(self, w0: int = 0, mu=None) -> "ExtAffWeylElt":
+        """The element (w0, mu): w0 an index into the finite Weyl group,
+        mu a list or tuple of rank integers (zero when None).  Anything
+        else raises a ValueError naming it, before it is interned."""
+        if not (_is_int(w0) and 0 <= w0 < self.order):
+            raise ValueError(f"w0 must be a finite Weyl index below {self.order}, got {w0!r}")
         if mu is None:
             mu = (0,) * self.rank
+        elif not _int_vector(mu, self.rank):
+            raise ValueError(f"mu must be {self.rank} integers, got {mu!r}")
         return ExtAffWeylElt(self, w0, tuple(mu))
 
     def identity(self) -> "ExtAffWeylElt":
@@ -196,8 +203,14 @@ class WeylGroup:
         return self._aff_gen[i]
 
     def from_word(self, w0_word, mu=None) -> "ExtAffWeylElt":
+        """The element (s_{i_1} ... s_{i_k}, mu) for the finite simple
+        reflection indices i_j of w0_word; an unknown letter raises a
+        ValueError naming it."""
         w0 = 0
         for i in w0_word:
+            if not (_is_int(i) and 0 <= i < len(self.gen_index)):
+                raise ValueError(f"letter {i!r} is not a finite simple reflection index "
+                                 f"below {len(self.gen_index)}")
             w0 = self.mult[w0][self.gen_index[i]]
         return self.elt(w0, mu)
 

@@ -391,6 +391,17 @@ def test_elt_rejects_non_integer_coefficients(bad):
         FieldSpec(3, 1, 2).elt(bad)
 
 
+def test_elt_rejects_too_many_coefficients():
+    with pytest.raises(ValueError, match="too many coefficients"):
+        FieldSpec(3, 1, 2).elt([1, 2, 0])
+
+
+def test_zero_has_no_multiplicative_order():
+    k = FieldSpec(3, 1, 2)
+    with pytest.raises(ZeroDivisionError, match="0 has no multiplicative order"):
+        k.multiplicative_order(k.zero())
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         FieldSpec(4)  # not prime

@@ -398,6 +398,8 @@ FOREIGN_OPERAND = {
         h, a.top.phi(a.group.identity()), "right"),
     "act left, top operand": lambda a, h, x: a.top.act(a.hecke.one(), x, "left"),
     "act right, top operand": lambda a, h, x: a.top.act(a.hecke.one(), x, "right"),
+    "coeff": lambda a, h, x: a.hecke.one().coeff(next(h.items())[0]),
+    "elt": lambda a, h, x: a.top.elt(dict(x.items())),
 }
 
 
@@ -422,6 +424,24 @@ def test_foreign_operand_rejected(sl2_q3, foreign_sl2, method, source):
     x = b.top.phi(ns) - b.top.phi(t)
     with pytest.raises(GroupMismatchError):
         FOREIGN_OPERAND[method](sl2_q3, h, x)
+
+
+@pytest.mark.parametrize("source", ["GL3", "SL3"])
+def test_basis_mul_memo_hit_checks_the_group(source):
+    """With the pair's memo entry warm, another group's elements at the
+    same indices (GL3's, or a second SL3 context's) raise as they do on a
+    cold memo, not read SL3's terms."""
+    from prophecke import make_context
+
+    ctx = make_context("SL3", 3)  # fresh: the foreign probes meet its memo
+    G, H = ctx.group, ctx.hecke
+    x, y = G.lift_s(0), G.lift_s(1)
+    assert H.basis_mul(x, y)
+    other = make_context(source, 3).group
+    fx, fy = other.by_index[x.index], other.by_index[y.index]
+    for a, b in ((fx, fy), (fx, y), (x, fy)):
+        with pytest.raises(GroupMismatchError):
+            H.basis_mul(a, b)
 
 
 BAD_CHOICE = {

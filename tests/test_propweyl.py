@@ -284,6 +284,28 @@ def test_group_mismatch_rejected():
         G1.mul(G1.identity(), G2.identity())
 
 
+def test_weyl_element_of_another_group_rejected():
+    """elt, lift_omega and lift_w refuse another group's Weyl element,
+    even a length-zero one, and intern nothing for it."""
+    G, other = grp("SL3", 3), grp("GL3", 3).weyl
+    interned = len(G.by_index)
+    for make in (lambda w: G.elt(G.zero_t, w), G.lift_omega, G.lift_w):
+        for w in (other.identity(), other.aff_gen(0)):
+            with pytest.raises(GroupMismatchError):
+                make(w)
+    assert len(G.by_index) == interned
+
+
+def test_construction_inputs_rejected():
+    """A residue size below 2, and lift_omega of an element of positive
+    length, raise a ValueError naming what is wrong."""
+    G = grp("SL3", 3)
+    with pytest.raises(ValueError, match="q must be a prime power >= 2"):
+        ProPWeyl(G.weyl, 1)
+    with pytest.raises(ValueError, match="lift_omega expects a length-zero element"):
+        G.lift_omega(G.weyl.aff_gen(0))
+
+
 def test_propelt_json_round_trip():
     from prophecke.propweyl import ProPElt
 

@@ -208,6 +208,18 @@ def test_invalid_data_rejected():
     with pytest.raises(ValueError, match="not listed"):
         # affine A1: the closure would run on without end
         RootDatum(2, [(1, 0), (0, 1)], [(2, -2), (-2, 2)], [0, 1])
+    with pytest.raises(ValueError, match="roots and coroots must come in pairs"):
+        RootDatum(1, [(2,), (-2,)], [(1,)], [0])
+    with pytest.raises(ValueError, match="duplicate roots"):
+        RootDatum(1, [(2,), (2,)], [(1,), (1,)], [0])
+    with pytest.raises(ValueError, match=r"root \(0, 2\) is not reached from the simple roots"):
+        # SL2 x SL2 with the first factor's simple root only
+        RootDatum(2, [(2, 0), (-2, 0), (0, 2), (0, -2)],
+                  [(1, 0), (-1, 0), (0, 1), (0, -1)], [0])
+    sl3 = preset("SL3")
+    with pytest.raises(ValueError, match=r"root \(-1, 2\) has mixed-sign expansion \(-1, 1\)"):
+        # alpha_1 and alpha_1 + alpha_2 as the simple roots
+        RootDatum(2, sl3.roots, sl3.coroots, [0, 5])
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES + tuple(EXPLICIT_GROUPS))

@@ -418,6 +418,30 @@ def test_elements_are_interned():
     assert len(hashes) == len(g._interned)
 
 
+MALFORMED_ELEMENT = {
+    "short mu": (lambda g: g.elt(0, (1,)), "mu must be 2 integers"),
+    "long mu": (lambda g: g.elt(0, (1, 0, 5)), "mu must be 2 integers"),
+    "bool in mu": (lambda g: g.elt(0, (1, True)), "mu must be 2 integers"),
+    "short translation": (lambda g: g.translation((2,)), "mu must be 2 integers"),
+    "w0 past the order": (lambda g: g.elt(99), "w0 must be a finite Weyl index below 6"),
+    "negative w0": (lambda g: g.elt(-1), "w0 must be a finite Weyl index"),
+    "unknown letter": (lambda g: g.from_word([5]), "letter 5 is not"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ELEMENT))
+def test_malformed_element_rejected(case):
+    """A w0 outside the finite group, a mu that is not rank integers and
+    an unknown letter raise a ValueError naming it, and nothing is
+    interned under the malformed key."""
+    g = wg("SL3")
+    make, field = MALFORMED_ELEMENT[case]
+    interned = dict(g._interned)
+    with pytest.raises(ValueError, match=field):
+        make(g)
+    assert g._interned == interned
+
+
 def test_length_and_reduced_word_memoised_on_element():
     """Each element's length and reduced words are memoised once, in the
     group's _len_cache and _word_cache; a repeat returns the stored object."""
