@@ -191,9 +191,18 @@ MUTANTS = [
     ("e_lambda multiplies by lambda(t)", "hecke.py",
      "sign / self.chi_lambda(lam, t)",
      "sign * self.chi_lambda(lam, t)"),
-    ("letter check off by one", "propweyl.py",
-     "_is_int(s) and 0 <= s < self._letters",
-     "_is_int(s) and 0 <= s <= self._letters"),
+    ("letter check off by one", "weyl.py",
+     "_is_int(s) and 0 <= s < letters",
+     "_is_int(s) and 0 <= s <= letters"),
+    ("aff_gen skips the letter check", "weyl.py",
+     "return self._aff_gen[self.letter(i)]",
+     "return self._aff_gen[i]"),
+    ("simple_reflection indexes gen_index unchecked", "weyl.py",
+     "return self.from_word((i,))",
+     "return self.elt(self.gen_index[i])"),
+    ("from_word takes a word that is not a list", "weyl.py",
+     "if not isinstance(w0_word, (list, tuple)):",
+     "if False:"),
     ("eigencheck drops the reflection probes", "hecke.py",
      "        probes += [(g.lift_s(i), self.field.from_int(e),"
      " f\"reflection eigenvalue fails at s={i}\")\n"
@@ -296,8 +305,8 @@ MUTANTS = [
      "            pv = perm[v.w0]\n",
      "            pv = perm[self.group.weyl.inv0[v.w0]]\n"),
     ("e route drops (-1)^rank", "hecke.py",
-     "idem = [[sign[exp[-e % qm1 * step]] for e in row] for row in expo]",
-     "idem = [[exp[-e % qm1 * step] for e in row] for row in expo]"),
+     "idem = [[sign[zeta[-e % qm1]] for e in row] for row in expo]",
+     "idem = [[zeta[-e % qm1] for e in row] for row in expo]"),
     ("e route reads the constant of (w, v)", "hecke.py",
      "                u, c = self._e_const(v, w)\n",
      "                u, c = self._e_const(w, v)\n"),

@@ -112,6 +112,11 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _int_vector(v, n: int) -> bool:
+    """Whether v is a list or tuple of n integers."""
+    return isinstance(v, (list, tuple)) and len(v) == n and all(map(_is_int, v))
+
+
 def _check_int(what: str, v, low: int | None = None) -> int:
     """v, when it is an integer at least low (when given); a bool, a
     non-int or a smaller value raises a ValueError naming what."""
@@ -242,6 +247,10 @@ class FieldSpec:
         self.poly = poly
         self._key = (p, f, m, poly)
         self._build_tables()
+        # zeta_q^e as a field index for 0 <= e < q - 1, zeta_q being
+        # g^((n - 1)/(q - 1)); character values read this list.
+        step = (self.order - 1) // (self.q - 1)
+        self._zeta_powers = [self._exp[e * step] for e in range(self.q - 1)]
 
     def _build_tables(self):
         p, m, n = self.p, self.m, self.order
@@ -351,9 +360,8 @@ class FieldSpec:
     def zeta_q(self) -> FieldElt:
         """Fixed embedding of a generator of F_q^x into k^x: an element of
         exact multiplicative order q - 1: g^((n - 1)/(q - 1)) for g the
-        generator and n the order of k, read off the log table."""
-        units = self.order - 1
-        return self._elts[self._exp[(units // (self.q - 1)) % units]]
+        generator and n the order of k, read off _zeta_powers."""
+        return self._elts[self._zeta_powers[1 % (self.q - 1)]]
 
     # -- misc ----------------------------------------------------------------
 

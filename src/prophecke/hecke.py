@@ -394,12 +394,11 @@ class HeckeAlgebra(SparseSpace):
         if self._chars is None:
             g, field, wg = self.group, self.field, self.group.weyl
             torus, qm1 = g.torus_elements(), g.qm1
-            step = (field.order - 1) // qm1
-            exp, sign = field._exp, field._mul[field.from_int((-1) ** g.rank).i]
+            zeta, sign = field._zeta_powers, field._mul[field.from_int((-1) ** g.rank).i]
             pos = {t: j for j, t in enumerate(torus)}
             expo = [[dot(lam, t) % qm1 for t in torus] for lam in torus]
-            vals = [[exp[e * step] for e in row] for row in expo]
-            idem = [[sign[exp[-e % qm1 * step]] for e in row] for row in expo]
+            vals = [[zeta[e] for e in row] for row in expo]
+            idem = [[sign[zeta[-e % qm1]] for e in row] for row in expo]
             perm = [[pos[self.conj_char(wg.elt(wg.inv0[w0]), lam)] for lam in torus]
                     for w0 in range(wg.order)]
             self._chars = pos, vals, idem, perm
@@ -475,12 +474,12 @@ class HeckeAlgebra(SparseSpace):
 
     def chi_lambda(self, lam, t) -> FieldElt:
         """Value of the torus character with exponent vector lam at t:
-        zeta_q^e, read off the field's log table.  lam and t are read
+        zeta_q^e, read off the field's powers of zeta_q.  lam and t are read
         through ProPWeyl.torus, which rejects a wrong length or a
         non-integer entry."""
         g, field = self.group, self.field
         e = dot(g.torus(lam), g.torus(t)) % g.qm1
-        return field._elts[field._exp[e * ((field.order - 1) // g.qm1)]]
+        return field._elts[field._zeta_powers[e]]
 
     def e_lambda(self, lam) -> HeckeElt:
         """Torus idempotent attached to a character of T_q: the sum of

@@ -39,12 +39,12 @@ closed forms: alpha-check(zeta^e) is e times the coroot mod q - 1, so
 coroot_image gives |mu| = gcd(q - 1, coroot) and the image as the first
 (q - 1) / |mu| multiples of alpha-check(1), and aff_image(s) holds both
 for each letter, built with the group.  A letter is an index into
-WeylGroup.s_aff: lift_s and aff_image reject anything else, naming it,
-and step checks the type and the range, naming a bool, a non-integer or
-an integer out of range, before its table is read.  ProPWeyl.peel splits
-the last letter off an element's canonical reduced word for the
-recursions of the Hecke product, iota, both actions on the top module
-and the coset calculus.
+WeylGroup.s_aff, and WeylGroup.letter is the one check: lift_s and
+aff_image call it, and step tests the type and the range inline, calling
+it to name a bool, a non-integer or an integer out of range, before its
+table is read.  ProPWeyl.peel splits the last letter off an element's
+canonical reduced word for the recursions of the Hecke product, iota,
+both actions on the top module and the coset calculus.
 
 Both are memoised per group: _steps holds, per side and letter,
 y.index -> (moved, translates), and _peels, per tie,
@@ -91,9 +91,9 @@ from itertools import product
 from math import gcd
 
 from .errors import DataIntegrityError, GroupMismatchError, TheoremViolationError
-from .gf import _is_int
+from .gf import _int_vector, _is_int
 from .rootdata import AffineRoot, dot
-from .weyl import ExtAffWeylElt, WeylGroup, _int_vector, _mat_vec
+from .weyl import ExtAffWeylElt, WeylGroup, _mat_vec
 
 # The largest torus T_q that torus_elements() lists.
 _MAX_TORUS = 64
@@ -281,25 +281,15 @@ class ProPWeyl:
         )
         return self.mul(trans, self.reflection_lift(A.root))
 
-    def _letter(self, s) -> int:
-        """s, when it is a letter: an integer from 0 to the number of
-        affine simple reflections, exclusive.  A bool, a non-integer or an
-        integer out of range raises a ValueError naming s."""
-        if not (_is_int(s) and 0 <= s < self._letters):
-            raise ValueError(
-                f"letter {s!r} is not an affine simple reflection: "
-                f"there are {self._letters} letters, 0 to {self._letters - 1}"
-            )
-        return s
-
     def lift_s(self, i: int) -> "ProPElt":
-        """Lift of the i-th affine simple reflection (indexed along pi_aff)."""
-        return self._aff_lifts[self._letter(i)]
+        """Lift of the i-th affine simple reflection (indexed along pi_aff);
+        WeylGroup.letter rejects an unknown i."""
+        return self._aff_lifts[self.weyl.letter(i)]
 
     def aff_image(self, i: int):
         """(alpha-check(F_q^x) as torus elements, |mu|) for the root of the
         i-th affine simple reflection: coroot_image, computed once."""
-        return self._aff_images[self._letter(i)]
+        return self._aff_images[self.weyl.letter(i)]
 
     def lift_omega(self, w: ExtAffWeylElt) -> "ProPElt":
         """(0, w) for a length-zero w of this group's Weyl group; another
@@ -331,12 +321,12 @@ class ProPWeyl:
 
         Memoised per letter and side, keyed by y's index, and answered
         from the table only for an element of this group.  A bool, a
-        non-integer or a letter out of range raises _letter's ValueError
-        before the table is read, and a side other than 'left' or 'right'
-        raises a ValueError; it never hits the table, so that check is
-        made on a miss only."""
+        non-integer or a letter out of range raises WeylGroup.letter's
+        ValueError before the table is read, and a side other than 'left'
+        or 'right' raises a ValueError; it never hits the table, so that
+        check is made on a miss only."""
         if type(s) is not int or not 0 <= s < self._letters:
-            self._letter(s)  # raises, naming s
+            self.weyl.letter(s)  # raises, naming s
         try:
             hit = self._steps[side][s][y.index]
             if y.group is self:

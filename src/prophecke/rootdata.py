@@ -19,7 +19,7 @@ from collections import namedtuple
 from operator import mul
 
 from .errors import DataIntegrityError
-from .gf import _is_int
+from .gf import _int_vector, _is_int
 
 PRESET_NAMES = ("SL2", "PGL2", "GL2", "SL3", "GL3", "Sp4", "G2sc", "SL2xSL2")
 
@@ -50,10 +50,7 @@ def _check_contents(rank, roots, coroots, simple):
     if rank > _MAX_RANK:
         raise ValueError(f"group rank {rank} exceeds desk scale (at most {_MAX_RANK})")
     for name, vecs in (("roots", roots), ("coroots", coroots)):
-        if not isinstance(vecs, (list, tuple)) or not all(
-            isinstance(v, (list, tuple)) and len(v) == rank and all(map(_is_int, v))
-            for v in vecs
-        ):
+        if not isinstance(vecs, (list, tuple)) or not all(_int_vector(v, rank) for v in vecs):
             raise ValueError(f"group {name} must be a list of length-{rank} integer vectors")
     indices = range(len(roots))
     if not isinstance(simple, (list, tuple)) or not all(

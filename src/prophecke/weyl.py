@@ -9,6 +9,14 @@ invariant coupling negation-stable root orbits to length all live here.
 One rule strips every reduced word: a finite element has no affine
 descent, so its canonical word words0 is its affine reduced word.
 
+This module says once what a letter and an element's fields are.  A
+letter of an affine word is an index into s_aff, checked by
+WeylGroup.letter, which aff_gen and the pro-p lifts and rank-one step
+read.  from_word checks a word over the finite generators and elt the
+w0 and mu, each error naming the bad value and, for w0_word and mu, the
+element's JSON field; ExtAffWeylElt.from_json checks only that it was
+given an object.
+
 Omega is computed exactly, with no search: it is isomorphic to
 Lambda/Q-check, whose invariants and generator lifts come from the
 Smith normal form of the simple coroots, and the one length-zero
@@ -37,7 +45,7 @@ from __future__ import annotations
 from itertools import product as iproduct
 
 from .errors import GroupMismatchError, TheoremViolationError
-from .gf import _is_int
+from .gf import _int_vector, _is_int
 from .rootdata import AffineRoot, RootDatum, dot
 
 # For infinite Omega, element enumeration uses the length-zero prefixes
@@ -173,21 +181,23 @@ class WeylGroup:
     def elt(self, w0: int = 0, mu=None) -> "ExtAffWeylElt":
         """The element (w0, mu): w0 an index into the finite Weyl group,
         mu a list or tuple of rank integers (zero when None).  Anything
-        else raises a ValueError naming it, before it is interned."""
+        else raises a ValueError naming it, before it is interned; the
+        message for mu names the element's JSON field."""
         if not (_is_int(w0) and 0 <= w0 < self.order):
             raise ValueError(f"w0 must be a finite Weyl index below {self.order}, got {w0!r}")
         if mu is None:
             mu = (0,) * self.rank
         elif not _int_vector(mu, self.rank):
-            raise ValueError(f"mu must be {self.rank} integers, got {mu!r}")
+            raise ValueError(f"element mu must be {self.rank} integers, got {mu!r}")
         return ExtAffWeylElt(self, w0, tuple(mu))
 
     def identity(self) -> "ExtAffWeylElt":
         return self.elt()
 
     def simple_reflection(self, i: int) -> "ExtAffWeylElt":
-        """Finite simple reflection s_i as an extended affine element."""
-        return self.elt(self.gen_index[i])
+        """Finite simple reflection s_i as an extended affine element;
+        from_word rejects an unknown i."""
+        return self.from_word((i,))
 
     def translation(self, mu) -> "ExtAffWeylElt":
         return self.elt(0, tuple(mu))
@@ -198,19 +208,35 @@ class WeylGroup:
         M = _reflection_matrix(self.rd.roots[A.root], ac)
         return self.elt(self.index[M], tuple(A.h * c for c in ac))
 
+    def letter(self, s) -> int:
+        """s, when it is a letter: an index into s_aff, from 0 to the
+        number of affine simple reflections, exclusive.  A bool, a
+        non-integer or an integer out of range raises a ValueError naming s."""
+        letters = len(self.s_aff)
+        if not (_is_int(s) and 0 <= s < letters):
+            raise ValueError(
+                f"letter {s!r} is not an affine simple reflection: "
+                f"there are {letters} letters, 0 to {letters - 1}"
+            )
+        return s
+
     def aff_gen(self, i: int) -> "ExtAffWeylElt":
         """The i-th affine simple reflection, indexed along pi_aff."""
-        return self._aff_gen[i]
+        return self._aff_gen[self.letter(i)]
 
     def from_word(self, w0_word, mu=None) -> "ExtAffWeylElt":
-        """The element (s_{i_1} ... s_{i_k}, mu) for the finite simple
-        reflection indices i_j of w0_word; an unknown letter raises a
-        ValueError naming it."""
+        """The element (s_{i_1} ... s_{i_k}, mu) for the list or tuple
+        w0_word of finite simple reflection indices i_j.  Another w0_word
+        or an unknown letter raises a ValueError naming it and the
+        element's JSON field, as elt does a bad mu."""
+        gens = len(self.gen_index)
+        if not isinstance(w0_word, (list, tuple)):
+            raise ValueError(f"element w0_word must be a list of letters, got {w0_word!r}")
         w0 = 0
         for i in w0_word:
-            if not (_is_int(i) and 0 <= i < len(self.gen_index)):
-                raise ValueError(f"letter {i!r} is not a finite simple reflection index "
-                                 f"below {len(self.gen_index)}")
+            if not (_is_int(i) and 0 <= i < gens):
+                raise ValueError(f"element w0_word letter {i!r} is not a finite simple "
+                                 f"reflection index below {gens}")
             w0 = self.mult[w0][self.gen_index[i]]
         return self.elt(w0, mu)
 
@@ -391,29 +417,14 @@ class ExtAffWeylElt:
 
     @classmethod
     def from_json(cls, group: WeylGroup, data) -> "ExtAffWeylElt":
+        """The element of {"w0_word": [...], "mu": [...]}, both fields
+        optional and checked by from_word and elt."""
         if not isinstance(data, dict):
             raise ValueError(f"element w must be a JSON object, got {data!r}")
-        word = data.get("w0_word", [])
-        gens = range(len(group.gen_index))
-        if not isinstance(word, (list, tuple)) or not all(
-            _is_int(i) and i in gens for i in word
-        ):
-            raise ValueError(
-                f"element w0_word must list simple reflection indices below "
-                f"{len(gens)}, got {word!r}"
-            )
-        mu = data.get("mu")
-        if mu is not None and not _int_vector(mu, group.rank):
-            raise ValueError(f"element mu must be {group.rank} integers, got {mu!r}")
-        return group.from_word(word, mu)
+        return group.from_word(data.get("w0_word", []), data.get("mu"))
 
     def __repr__(self):
         return f"w[{'.'.join(map(str, self.group.words0[self.w0])) or 'e'}; {list(self.mu)}]"
-
-
-def _int_vector(v, n: int) -> bool:
-    """Whether v is a list or tuple of n integers."""
-    return isinstance(v, (list, tuple)) and len(v) == n and all(map(_is_int, v))
 
 
 def _scan_root(src_positive: bool, img_positive: bool, shift: int) -> int:

@@ -426,14 +426,25 @@ MALFORMED_ELEMENT = {
     "w0 past the order": (lambda g: g.elt(99), "w0 must be a finite Weyl index below 6"),
     "negative w0": (lambda g: g.elt(-1), "w0 must be a finite Weyl index"),
     "unknown letter": (lambda g: g.from_word([5]), "letter 5 is not"),
+    "word not a list": (lambda g: g.from_word(5), "element w0_word must be a list .*, got 5"),
+    "negative simple reflection": (lambda g: g.simple_reflection(-1),
+                                   "w0_word letter -1 is not a finite simple reflection"),
+    "simple reflection past the rank": (lambda g: g.simple_reflection(5),
+                                        "w0_word letter 5 is not a finite simple reflection"),
+    "negative affine letter": (lambda g: g.aff_gen(-1),
+                               "letter -1 is not an affine simple reflection: there are 3"),
+    "bool affine letter": (lambda g: g.aff_gen(True), "letter True is not an affine"),
+    "affine letter past the end": (lambda g: g.aff_gen(3),
+                                   "letter 3 is not an affine simple reflection: there are 3"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_ELEMENT))
 def test_malformed_element_rejected(case):
-    """A w0 outside the finite group, a mu that is not rank integers and
-    an unknown letter raise a ValueError naming it, and nothing is
-    interned under the malformed key."""
+    """A w0 outside the finite group, a mu that is not rank integers, a
+    word that is not a list, and an unknown finite or affine letter, also
+    through simple_reflection and aff_gen, raise a ValueError naming it,
+    and nothing is interned under the malformed key."""
     g = wg("SL3")
     make, field = MALFORMED_ELEMENT[case]
     interned = dict(g._interned)
