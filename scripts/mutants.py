@@ -80,6 +80,11 @@ SUBSET = [
     "tests/test_hecke.py::test_conjugation_rule",
     "tests/test_hecke_routes.py",
     "tests/test_topmod.py::test_length_zero_base_cases_are_not_memoised[SL2]",
+    "tests/test_gf.py::test_a_fresh_field_builds_few_rows",
+    "tests/test_gf.py::test_a_row_is_built_once",
+    "tests/test_gf.py::test_a_held_placeholder_answers_after_its_slot_is_replaced",
+    "tests/test_propweyl.py::test_torus_rejects_a_vector_that_is_not_a_list",
+    "tests/test_acceptance.py::test_criterion_07_duality_adjunction",
 ]
 
 # (name, module under src/prophecke, exact text, replacement)
@@ -254,14 +259,23 @@ MUTANTS = [
      "return self._elts[self.zero()._index(coeffs)]",
      "return self._elts[coeffs.i]"),
     ("addition gathers through the next digit's step row", "gf.py",
-     "else y + s for y in range(n)))",
-     "else y + s for y in range(n) for s in [p ** ((j + 1) % m)]))"),
-    ("multiplication walk stores each row one power late", "gf.py",
-     "row = mul[e] = list(times_g(row))",
-     "mul[e], row = row, list(times_g(row))"),
+     "row = add[x] = list(self._steps[s](row))",
+     "row = add[x] = list(self._steps[s * p if s * p < self.order else 1](row))"),
+    ("multiplication row slices exp, not exp + exp", "gf.py",
+     "map(self._exp2[lc:lc + self.order - 1].__getitem__",
+     "map(self._exp[lc:lc + self.order - 1].__getitem__"),
     ("negation reads the row of 1", "gf.py",
-     "self._neg = mul[p - 1]",
-     "self._neg = mul[1]"),
+     "self._neg = mul_row(p - 1)",
+     "self._neg = mul_row(1)"),
+    ("multiplication row offset by one log step", "gf.py",
+     "lc = self._log[c]\n",
+     "lc = self._log[c] + 1\n"),
+    ("a built multiplication row is not stored in its slot", "gf.py",
+     "row = self._mul[c] = [",
+     "row = ["),
+    ("generator search reads the addition row of each partial product", "gf.py",
+     "add[g][times_g[-1]]",
+     "add[times_g[-1]][g]"),
     ("zero-constant rule fires at degree 1", "gf.py",
      "if deg >= 2 and poly[0] == 0:",
      "if deg >= 1 and poly[0] == 0:"),
@@ -335,8 +349,32 @@ MUTANTS = [
      "if cached is not None and x.group is g and y.group is g:",
      "if cached is not None:"),
     ("WeylGroup.elt accepts a short mu", "weyl.py",
-     "_int_vector(mu, self.rank)",
-     "_int_vector(mu, len(mu))"),
+     "elif not _int_vector(mu, self.rank):",
+     "elif not _int_vector(mu, len(mu)):"),
+    ("translation reads mu unchecked", "weyl.py",
+     "        if not _int_vector(mu, self.rank):\n"
+     "            raise ValueError(f\"translation mu",
+     "        if not isinstance(mu, (list, tuple)):\n"
+     "            mu = tuple(mu)\n"
+     "        if len(mu) != self.rank:\n"
+     "            raise ValueError(f\"translation mu"),
+    ("torus reads any iterable", "propweyl.py",
+     "        if not isinstance(exps, (list, tuple)):\n"
+     "            raise ValueError(",
+     "        if not isinstance(exps, (list, tuple)):\n"
+     "            exps = tuple(exps)\n"
+     "        if False:\n"
+     "            raise ValueError("),
+    ("duality keeps its rows across pairs", "verify.py",
+     "    pa = pb = None\n"
+     "    for a, b, c, d in _draws(ctx, (taus, taus, taus, phis), samples):\n"
+     "        if a is not pa or b is not pb:\n"
+     "            pa, pb, lefts, rights = a, b, {}, {}\n",
+     "    pa = pb = None\n"
+     "    lefts, rights = {}, {}\n"
+     "    for a, b, c, d in _draws(ctx, (taus, taus, taus, phis), samples):\n"
+     "        if a is not pa or b is not pb:\n"
+     "            pa, pb = a, b\n"),
     ("lift_omega skips the group check", "propweyl.py",
      "        if w.group is not self.weyl:\n"
      "            raise GroupMismatchError(\"Weyl element from a different group\")\n"

@@ -2,17 +2,21 @@
 
 An element is stored as an integer index 0 <= i < p^m whose base-p
 digits (least significant first) are the coordinates in the power basis
-of the reduction polynomial.  All field operations are table lookups;
-the tables are built once per FieldSpec, which keeps the desk-scale
-algebra kernels cheap.  For n = p^m the build makes 2n row gathers,
-each one C-level operator.itemgetter call over an earlier row, and O(n)
-Python-level steps per digit and per generator candidate.  Row x of the
-addition table is row x - p^j read through the fixed row that steps
-digit j up by one, for j the lowest nonzero base-p digit of x, and row
-g^k of the multiplication table is row g^(k-1) read through the row of
-the generator g of k^x.  Every entry is an int object of the identity
-row.  Memory stays quadratic, since the addition and multiplication
-tables hold every pair.
+of the reduction polynomial.  All field operations are table lookups,
+which keeps the desk-scale algebra kernels cheap.  _add and _mul are
+lists of n = p^m rows, and each row is built on its first read: a
+FieldSpec builds O(n) data, namely the identity and zero rows, the
+exp/log tables, _inv, the row of -1 (_neg), one step row per digit
+and the few addition rows its generator search reads, in O(n)
+Python-level steps per digit and per generator candidate.  Every other
+slot holds a placeholder whose first index read builds the row in
+C-level passes and stores the plain list in its slot, so a later read
+is an exact-list subscript.  Row x of the addition table is row x - p^j
+gathered through the step row that moves digit j up by one, for j the
+lowest nonzero base-p digit of x, building the rows of that chain not
+yet built; row c of the multiplication table is a slice of exp + exp
+read at the logs.  Memory grows with the rows read: after its build,
+GF(2^8) holds 10 of its 512 rows.
 
 The algebra kernels of hecke and topmod keep coefficients as bare
 indices and read the tables (_add, _mul, _neg) directly; FieldElt is the
@@ -35,9 +39,8 @@ from operator import itemgetter as _getter
 
 from .errors import GroupMismatchError, TheoremViolationError, UnsupportedFieldError
 
-# The addition and multiplication tables hold n^2 entries each for a field
-# of order n and take O(n^2) integer operations to build; this library
-# targets desk scale.
+# Read in full, the addition and multiplication tables hold n^2 entries
+# each for a field of order n; this library targets desk scale.
 _MAX_ORDER = 4096
 
 
@@ -124,6 +127,21 @@ def _check_int(what: str, v, low: int | None = None) -> int:
         need = "an integer" if low is None else f"an integer >= {low}"
         raise ValueError(f"{what} must be {need}, got {v!r}")
     return v
+
+
+class _Row(list):
+    """Placeholder for an unbuilt table row.  Its len() is 0, so it counts
+    no entry.  An index read calls build(x), which makes row x on the
+    first call, stores the plain list in the row's slot and returns it,
+    so a caller still holding the placeholder reads correct values."""
+
+    __slots__ = ("build", "x")
+
+    def __init__(self, build, x: int):
+        self.build, self.x = build, x
+
+    def __getitem__(self, i):
+        return self.build(self.x)[i]
 
 
 class FieldElt:
@@ -256,38 +274,39 @@ class FieldSpec:
         p, m, n = self.p, self.m, self.order
         digits = range(p)
         self._elts = [FieldElt(self, i) for i in range(n)]
+        ident = list(range(n))
 
         # x + y = (x - p^j) + (y + p^j) for j the lowest nonzero base-p digit
-        # of x, where y + p^j steps digit j of y up by one, mod p: row x is
-        # row x - p^j gathered through the step row of digit j in one C-level
-        # call.  Taking j from the top down builds row x - p^j first.  Every
-        # entry is an int object of row 0.
-        add = self._add = [list(range(n))] + [None] * (n - 1)
-        for j in reversed(range(m)):
-            s = p**j
-            step = _getter(*(y - (p - 1) * s if y // s % p == p - 1 else y + s for y in range(n)))
-            for x in range(s, n, s):
-                if x // s % p:
-                    add[x] = list(step(add[x - s]))
+        # of x, where y + p^j steps digit j of y up by one, mod p: _add_row
+        # gathers row x - p^j through the step row of p^j.
+        self._steps = {
+            s: _getter(*(y - (p - 1) * s if y // s % p == p - 1 else y + s for y in range(n)))
+            for s in (p**j for j in range(m))
+        }
+        add_row = self._add_row
+        add = self._add = [ident] + [_Row(add_row, x) for x in range(1, n)]
 
         # x * i shifts the digits of i up one place; the carried top digit t
         # re-enters as t * x^m = -t * (poly[0] + ... + poly[m-1] x^(m-1)).
+        # The sum reads row carry[t], not row p * (i % top): p rows at most.
         top = n // p
         carry = [sum((-t * c) % p * p**k for k, c in enumerate(self.poly[:m])) for t in digits]
-        times_x = [add[p * (i % top)][carry[i // top]] for i in range(n)]
+        times_x = [add[carry[i // top]][p * (i % top)] for i in range(n)]
 
         # The generator: the first candidate, by coefficient tuple, whose
         # powers reach all n - 1 units.  a * g is (a - 1) * g + g when the
-        # lowest digit of a is nonzero, and x * ((a / x) * g) otherwise.
+        # lowest digit of a is nonzero, and x * ((a / x) * g) otherwise;
+        # the sum reads row g alone.  The walk stops after n - 1 powers, so
+        # a wrong table exhausts the candidates instead of cycling.
         for tail in _iproduct(digits, repeat=m):
             g = sum(c * p**k for k, c in enumerate(tail))
             if g == 0:
                 continue
             times_g = [0]
             for a in range(1, n):
-                times_g.append(add[times_g[-1]][g] if a % p else times_x[times_g[a // p]])
+                times_g.append(add[g][times_g[-1]] if a % p else times_x[times_g[a // p]])
             exp, cur = [1], g
-            while cur != 1:
+            while cur != 1 and len(exp) < n:
                 exp.append(cur)
                 cur = times_g[cur]
             if len(exp) == n - 1:
@@ -297,17 +316,40 @@ class FieldSpec:
         log = [0] * n
         for k, e in enumerate(exp):
             log[e] = k
-        self._exp, self._log = exp, log
+        self._exp, self._log, self._exp2 = exp, log, exp + exp
 
-        # g^k * y = g^(k-1) * (g * y): row g^k is row g^(k-1) gathered
-        # through times_g, walking exp from the identity row.
-        mul = self._mul = [[0] * n] + [None] * (n - 1)
-        row = mul[1] = add[0][:]
-        times_g = _getter(*times_g)
-        for e in exp[1:]:
-            row = mul[e] = list(times_g(row))
-        self._neg = mul[p - 1]  # the row of -1
+        mul_row = self._mul_row
+        self._mul = [[0] * n, ident] + [_Row(mul_row, c) for c in range(2, n)]
+        self._neg = mul_row(p - 1)  # the row of -1
         self._inv = [0] + [exp[-la % (n - 1)] for la in log[1:]]
+
+    def _add_row(self, x: int) -> list:
+        """Row x of the addition table, built on its first read: row
+        x - p^j gathered through the step row of p^j, for j the lowest
+        nonzero base-p digit of x, building the unbuilt rows of that chain
+        from the nearest built one up."""
+        add, p, chain = self._add, self.p, []
+        while type(add[x]) is _Row:
+            s = 1
+            while not x // s % p:
+                s *= p
+            chain.append((x, s))
+            x -= s
+        row = add[x]
+        for x, s in reversed(chain):
+            row = add[x] = list(self._steps[s](row))
+        return row
+
+    def _mul_row(self, c: int) -> list:
+        """Row c of the multiplication table, built on its first read:
+        c * d = g^(log c + log d), a slice of exp2 = exp + exp read at
+        log d for d = 1..n-1, in one C-level pass."""
+        row = self._mul[c]
+        if type(row) is _Row:
+            lc = self._log[c]
+            row = self._mul[c] = [
+                0, *map(self._exp2[lc:lc + self.order - 1].__getitem__, self._log[1:])]
+        return row
 
     # -- element constructors ------------------------------------------------
 

@@ -146,9 +146,11 @@ class ProPWeyl:
     # -- torus helpers -----------------------------------------------------------
 
     def torus(self, exps) -> tuple:
-        """exps reduced mod q - 1; a length other than the rank or an entry
-        that is not an integer raises a ValueError."""
-        exps = tuple(exps)
+        """exps reduced mod q - 1; anything but a list or tuple, a length
+        other than the rank or an entry that is not an integer raises a
+        ValueError naming it."""
+        if not isinstance(exps, (list, tuple)):
+            raise ValueError(f"torus vector must be a list of {self.rank} integers, got {exps!r}")
         if len(exps) != self.rank:
             raise ValueError(f"torus vector must have length {self.rank}")
         if not all(map(_is_int, exps)):

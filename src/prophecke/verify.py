@@ -301,15 +301,32 @@ def suite_bimodule(ctx: Context, t: _Tally, *, max_len: int = _FROM_CONTEXT):
 def suite_duality(ctx: Context, t: _Tally, *, max_len_tau: int = 2, max_len_phi: int = 3,
                   samples: int | None = None):
     """pairing(tau . phi . tau', tau'') = pairing(phi, J(tau) tau'' J(tau'));
-    exhaustive when samples is None, else seeded random."""
+    exhaustive when samples is None, else seeded random.  While the pair
+    (tau, tau') = (tau_a, tau_b) stays fixed, as it does across the inner
+    loops of the exhaustive order, tau_a phi_d tau_b is kept by d and
+    J(tau_a) tau_c J(tau_b) by c; both are dropped when the pair changes,
+    so memory stays flat."""
     G, H, E = ctx.group, ctx.hecke, ctx.top
     taus = basis_elements(G, max_len_tau)
     phis = basis_elements(G, max_len_phi)
 
+    pa = pb = None
     for a, b, c, d in _draws(ctx, (taus, taus, taus, phis), samples):
-        t1, t2, t3, ph = H.tau(a), H.tau(b), H.tau(c), E.phi(d)
-        lhs = E.pairing(E.act(t2, E.act(t1, ph, "left"), "right"), t3)
-        t.check(lhs == E.pairing(ph, H.J(t1) * t3 * H.J(t2)), "adjunction fails at {!r}",
+        if a is not pa or b is not pb:
+            pa, pb, lefts, rights = a, b, {}, {}
+            t1, t2 = H.tau(a), H.tau(b)
+            j1, j2 = H.J(t1), H.J(t2)
+        hit = lefts.get(d)
+        if hit is None:
+            ph = E.phi(d)
+            hit = lefts[d] = ph, E.act(t2, E.act(t1, ph, "left"), "right")
+        ph, left = hit
+        hit = rights.get(c)
+        if hit is None:
+            t3 = H.tau(c)
+            hit = rights[c] = t3, j1 * t3 * j2
+        t3, right = hit
+        t.check(E.pairing(left, t3) == E.pairing(ph, right), "adjunction fails at {!r}",
                 (a, b, c, d))
 
 

@@ -200,7 +200,11 @@ class WeylGroup:
         return self.from_word((i,))
 
     def translation(self, mu) -> "ExtAffWeylElt":
-        return self.elt(0, tuple(mu))
+        """The translation (1, mu): mu a list or tuple of rank integers;
+        anything else, None included, raises a ValueError naming it."""
+        if not _int_vector(mu, self.rank):
+            raise ValueError(f"translation mu must be {self.rank} integers, got {mu!r}")
+        return ExtAffWeylElt(self, 0, tuple(mu))
 
     def affine_reflection(self, A: AffineRoot) -> "ExtAffWeylElt":
         """s_(alpha,h) = s_alpha composed with translation by h alpha-check."""

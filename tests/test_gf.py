@@ -89,13 +89,19 @@ ORACLE_FIELDS = (
 )
 
 
+def read_table(table, n):
+    """Every entry of a field table, read as the kernels read it,
+    table[x][y], so that each row is built on its first read."""
+    return [[table[x][y] for y in range(n)] for x in range(n)]
+
+
 @pytest.mark.parametrize("p,m,poly", ORACLE_FIELDS)
 def test_tables_match_polynomial_oracle(p, m, poly):
     k = FieldSpec(p, 1, m, poly)
     add, neg, mul, inv = reference_tables(p, m, k.poly)
-    assert k._add == add
+    assert read_table(k._add, k.order) == add
     assert k._neg == neg
-    assert k._mul == mul
+    assert read_table(k._mul, k.order) == mul
     assert k._inv == inv
     n = p**m
     orders = [None] + [reference_order(mul, i) for i in range(1, n)]
@@ -157,10 +163,49 @@ def test_tables_match_blockwise_oracle(p, m):
     more step rows and walks longer powers of the generator."""
     k = FieldSpec(p, 1, m)
     add, neg, mul, inv = blockwise_tables(p, m, k.poly)
-    assert k._add == add
+    assert read_table(k._add, k.order) == add
     assert k._neg == neg
-    assert k._mul == mul
+    assert read_table(k._mul, k.order) == mul
     assert k._inv == inv
+
+
+def built_rows(k):
+    return sum(type(row) is list for row in k._add) + sum(type(row) is list for row in k._mul)
+
+
+def test_a_fresh_field_builds_few_rows():
+    """A FieldSpec builds the rows its generator search reads and no other;
+    every unbuilt slot counts no entry."""
+    k = FieldSpec(2, 2, 8)
+    assert built_rows(k) <= 24
+    assert sum(map(len, k._add)) + sum(map(len, k._mul)) == built_rows(k) * k.order
+
+
+@pytest.mark.parametrize("table", ["_add", "_mul"])
+def test_a_row_is_built_once(table):
+    k = FieldSpec(3, 1, 4)
+    rows = getattr(k, table)
+    assert type(rows[77]) is not list
+    first = rows[77][5]
+    row = rows[77]
+    assert type(row) is list and len(row) == k.order and row[5] == first
+    rows[77][6]
+    assert rows[77] is row
+
+
+@pytest.mark.parametrize("table", ["_add", "_mul"])
+def test_a_held_placeholder_answers_after_its_slot_is_replaced(table):
+    """A caller that took a row before its first read, as accumulate takes
+    field._mul[c], reads the same values through it afterwards."""
+    k = FieldSpec(2, 2, 8)
+    rows = getattr(k, table)
+    held = rows[201]
+    assert type(held) is not list and len(held) == 0
+    first = held[7]
+    assert type(rows[201]) is list and rows[201] is not held
+    assert [held[y] for y in range(k.order)] == rows[201]
+    assert rows[201][7] == first
+    assert (k._elts[201] + k._elts[7] if table == "_add" else k._elts[201] * k._elts[7]).i == first
 
 
 def test_is_irreducible_at_degrees_one_and_two():

@@ -174,6 +174,20 @@ def test_torus_rejects_non_integer_entries(bad):
     assert len(G.by_index) == count
 
 
+@pytest.mark.parametrize("bad", [5, None, "1", {0: 1}], ids=["int", "None", "str", "dict"])
+def test_torus_rejects_a_vector_that_is_not_a_list(bad):
+    """torus, torus_elt and elt take a list or tuple of rank integers;
+    anything else raises a ValueError naming it, not a TypeError from
+    reading it as an iterable, and nothing is interned."""
+    G = grp("SL3", 3)
+    count = len(G.by_index)
+    message = rf"torus vector must be a list of 2 integers, got {re.escape(repr(bad))}"
+    for read in (G.torus, G.torus_elt, lambda t: G.elt(t, G.weyl.identity())):
+        with pytest.raises(ValueError, match=message):
+            read(bad)
+    assert len(G.by_index) == count
+
+
 def test_lift_examples():
     G = grp("SL2", 3)
     # simple generator: torus-free

@@ -423,6 +423,8 @@ MALFORMED_ELEMENT = {
     "long mu": (lambda g: g.elt(0, (1, 0, 5)), "mu must be 2 integers"),
     "bool in mu": (lambda g: g.elt(0, (1, True)), "mu must be 2 integers"),
     "short translation": (lambda g: g.translation((2,)), "mu must be 2 integers"),
+    "translation not a list": (lambda g: g.translation(5), "mu must be 2 integers, got 5"),
+    "translation of None": (lambda g: g.translation(None), "mu must be 2 integers, got None"),
     "w0 past the order": (lambda g: g.elt(99), "w0 must be a finite Weyl index below 6"),
     "negative w0": (lambda g: g.elt(-1), "w0 must be a finite Weyl index"),
     "unknown letter": (lambda g: g.from_word([5]), "letter 5 is not"),
