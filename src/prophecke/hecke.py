@@ -25,18 +25,23 @@ SparseComb states what that asks of producers and callers.  H and E are
 both SparseSpaces: the base builds their elements (zero, elt, and basis,
 which H calls tau and E phi), relabels them by inversion (inverted, J on
 H and J_top on E), and rejects, through own, an operand from another
-space, with GroupMismatchError.  Scalars are read by FieldSpec.elt.
+space, with GroupMismatchError.  A pro-p element of another group is
+rejected by ProPWeyl.own and a Weyl element by WeylGroup.own, a side by
+weyl._check_side and a word tie by propweyl._check_tie: each rule has
+one owner, and mul, on the hot path, tests its operands inline and
+calls own only to raise.  Scalars are read by FieldSpec.elt.
 ProPElt and FieldElt appear only at the boundary: the constructors
 (elt, tau, theta, e_lambda), coeff, items, to_json, repr, and the
 scalar-valued functions (chi_eval here, pairing and S_d on E).
 
-The product recursion peels rank-one factors off
-the left factor's canonical reduced word with ProPWeyl.peel and applies
-each through ProPWeyl.step, the rank-one rule E and the coset calculus
-share; iota recurses along the same peel.  Independence of the word
-choice is property-tested, not assumed.  A length-zero left factor is
-one group product, tau_x tau_y = tau_{xy}, and its answer is that
-product's ProPElt.unit: shared, read-only, never adopted by an element.
+The product recursion peels rank-one factors off the left factor with
+ProPWeyl.peel, each a right descent (the smallest for word_tie 'min',
+the largest for 'max'), and applies each through ProPWeyl.step, the
+rank-one rule E and the coset calculus share; iota recurses along the
+same peel.  Independence of the tie is property-tested, not assumed.
+A length-zero left factor is one group product, tau_x tau_y = tau_{xy},
+and its answer is that product's ProPElt.unit: shared, read-only, never
+adopted by an element.
 The memo, _mul_cache, holds one row per left factor, x.index ->
 {y.index: terms}, so a probe indexes two int-keyed dicts and builds no
 key tuple.  Unlike TopModule._act_basis and cosets.support_mul, which
@@ -97,9 +102,9 @@ from __future__ import annotations
 
 from .errors import GroupMismatchError, TheoremViolationError
 from .gf import FieldElt, FieldSpec
-from .propweyl import _MAX_TORUS, ProPElt, ProPWeyl
+from .propweyl import _MAX_TORUS, ProPElt, ProPWeyl, _check_tie
 from .rootdata import dot
-from .weyl import ExtAffWeylElt
+from .weyl import ExtAffWeylElt, _check_side
 
 
 def accumulate(out: dict, terms: dict, c: int, field: FieldSpec) -> None:
@@ -155,8 +160,7 @@ class SparseComb:
         return not self.terms
 
     def coeff(self, g: ProPElt) -> FieldElt:
-        if g.group is not self.space.group:
-            raise GroupMismatchError("group element from different group data")
+        self.space.group.own(g)
         return self.space.field._elts[self.terms.get(g.index, 0)]
 
     def items(self):
@@ -256,8 +260,7 @@ class SparseSpace:
         an integer or a coefficient list: whatever FieldSpec.elt reads."""
         out = {}
         for g, c in terms.items():
-            if g.group is not self.group:
-                raise GroupMismatchError("group element from different group data")
+            self.group.own(g)
             i = self.field.elt(c).i
             if i:
                 out[g.index] = i
@@ -265,8 +268,7 @@ class SparseSpace:
 
     def basis(self, x: ProPElt):
         """The basis symbol of x."""
-        if x.group is not self.group:
-            raise GroupMismatchError("group element from different group data")
+        self.group.own(x)
         return self.element(self, {x.index: 1})
 
     def inverted(self, x):
@@ -294,8 +296,7 @@ class HeckeAlgebra(SparseSpace):
             raise GroupMismatchError(
                 f"field has q = {field.q} but the group was built with q = {group.q}"
             )
-        if word_tie not in ("min", "max"):
-            raise ValueError(f"word_tie must be 'min' or 'max', got {word_tie!r}")
+        _check_tie("word_tie", word_tie)
         self.group = group
         self.field = field
         self.word_tie = word_tie
@@ -366,7 +367,8 @@ class HeckeAlgebra(SparseSpace):
 
     def mul(self, x: HeckeElt, y: HeckeElt) -> HeckeElt:
         if x.space is not self or y.space is not self:
-            raise GroupMismatchError(HeckeElt.mismatch)
+            self.own(x)
+            self.own(y)
         field, elts = self.field, self.group.by_index
         # the route rule of the module docstring: dense operands on a listed torus
         n, nx, ny = self._torus_size, len(x.terms), len(y.terms)
@@ -503,8 +505,7 @@ class HeckeAlgebra(SparseSpace):
         """Exponent vector of the conjugated character lambda o w^{-1}; a
         Weyl element of another group raises GroupMismatchError."""
         g = self.group
-        if w.group is not g.weyl:
-            raise GroupMismatchError("Weyl element from a different group")
+        g.weyl.own(w)
         lam = g.torus(lam)
         Minv = g.weyl.elements[g.weyl.inv0[w.w0]]
         return tuple(
@@ -595,8 +596,7 @@ class HeckeAlgebra(SparseSpace):
         coroot image of s, else to 0.  The claim is verified numerically
         against the actual graded action of every generator before eps
         is returned."""
-        if side not in ("left", "right"):
-            raise ValueError("side must be 'left' or 'right'")
+        _check_side(side)
         g = self.group
         lam = g.torus(lam)
         m = w.w.length()

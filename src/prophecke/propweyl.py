@@ -42,9 +42,13 @@ for each letter, built with the group.  A letter is an index into
 WeylGroup.s_aff, and WeylGroup.letter is the one check: lift_s and
 aff_image call it, and step tests the type and the range inline, calling
 it to name a bool, a non-integer or an integer out of range, before its
-table is read.  ProPWeyl.peel splits the last letter off an element's
-canonical reduced word for the recursions of the Hecke product, iota,
-both actions on the top module and the coset calculus.
+table is read.  ProPWeyl.peel splits a last letter s off an element x,
+x = x' n_s, for the recursions of the Hecke product, iota, both actions
+on the top module and the coset calculus.  s is a right descent of x's
+Weyl part, read off WeylGroup's descents: the smallest for the tie rule
+'min', the largest for 'max'.  Peeling 'min' again and again spells the
+canonical reduced word from the right, and the answer of a product does
+not depend on the rule, which the suites test.
 
 Both are memoised per group: _steps holds, per side and letter,
 y.index -> (moved, translates), and _peels, per tie,
@@ -52,9 +56,16 @@ x.index -> (s, x n_s^{-1}), each stored on first computation.  A hit
 answers only for an element of this group, so an element of another
 group with the same index still raises GroupMismatchError; an unknown
 side or tie, or a length-zero x for peel, finds no table entry and
-raises a ValueError on the miss path.  A pass over the coset
-calculus asks step and peel tens of thousands of times for a few
-hundred distinct answers.
+raises a ValueError on the miss path: weyl._check_side names the side,
+and _check_tie, the one tie check (read by peel, support_mul and H),
+the tie.  A pass over the coset calculus asks step and peel tens of
+thousands of times for a few hundred distinct answers.
+
+ProPWeyl.own is the one check that an operand is a pro-p element of the
+group, and WeylGroup.own that a Weyl part belongs to its Weyl group:
+elt, lift_omega, inv and mul read them here, and so do H, E and the
+coset calculus.  mul, on the hot path, tests its operands inline and
+calls own only to raise.
 
 Elements are hash-consed per group: ProPWeyl._interned maps each normal
 form (t, w), keyed by the torus vector and the interned Weyl element
@@ -93,10 +104,16 @@ from math import gcd
 from .errors import DataIntegrityError, GroupMismatchError, TheoremViolationError
 from .gf import _int_vector, _is_int
 from .rootdata import AffineRoot, dot
-from .weyl import ExtAffWeylElt, WeylGroup, _mat_vec
+from .weyl import ExtAffWeylElt, WeylGroup, _check_side, _mat_vec
 
 # The largest torus T_q that torus_elements() lists.
 _MAX_TORUS = 64
+
+
+def _check_tie(what: str, tie) -> None:
+    """Raise a ValueError naming what and tie unless tie is 'min' or 'max'."""
+    if tie not in ("min", "max"):
+        raise ValueError(f"{what} must be 'min' or 'max', got {tie!r}")
 
 
 class ProPWeyl:
@@ -238,9 +255,13 @@ class ProPWeyl:
 
     # -- elements -----------------------------------------------------------------
 
+    def own(self, x) -> None:
+        """Raise GroupMismatchError unless x is an element of this group."""
+        if getattr(x, "group", None) is not self:
+            raise GroupMismatchError("pro-p element from a different group")
+
     def elt(self, t, w: ExtAffWeylElt) -> "ProPElt":
-        if w.group is not self.weyl:
-            raise GroupMismatchError("Weyl element from a different group")
+        self.weyl.own(w)
         return ProPElt(self, self.torus(t), w)
 
     def identity(self) -> "ProPElt":
@@ -296,8 +317,7 @@ class ProPWeyl:
     def lift_omega(self, w: ExtAffWeylElt) -> "ProPElt":
         """(0, w) for a length-zero w of this group's Weyl group; another
         group's element raises GroupMismatchError, as in elt."""
-        if w.group is not self.weyl:
-            raise GroupMismatchError("Weyl element from a different group")
+        self.weyl.own(w)
         if w.length() != 0:
             raise ValueError("lift_omega expects a length-zero element")
         return ProPElt(self, self.zero_t, w)
@@ -325,7 +345,7 @@ class ProPWeyl:
         from the table only for an element of this group.  A bool, a
         non-integer or a letter out of range raises WeylGroup.letter's
         ValueError before the table is read, and a side other than 'left'
-        or 'right' raises a ValueError; it never hits the table, so that
+        or 'right' raises _check_side's; it never hits the table, so that
         check is made on a miss only."""
         if type(s) is not int or not 0 <= s < self._letters:
             self.weyl.letter(s)  # raises, naming s
@@ -334,8 +354,7 @@ class ProPWeyl:
             if y.group is self:
                 return hit
         except KeyError:
-            if side not in ("left", "right"):
-                raise ValueError(f"side must be 'left' or 'right', got {side!r}") from None
+            _check_side(side)
         ns = self._aff_lifts[s]
         left = side == "left"
         moved = self.mul(ns, y) if left else self.mul(y, ns)
@@ -349,8 +368,9 @@ class ProPWeyl:
         return result
 
     def peel(self, x: "ProPElt", tie: str = "min"):
-        """(s, x n_s^{-1}) for the last letter s of the canonical reduced
-        word of x's Weyl part.  Memoised per tie, keyed by x's index, and
+        """(s, x n_s^{-1}) for s the smallest right descent of x's Weyl
+        part (the largest for tie 'max'), the last letter of its canonical
+        reduced word for 'min'.  Memoised per tie, keyed by x's index, and
         answered from the table only for an element of this group; a tie
         other than 'min' or 'max' and an x of length zero are never
         stored, and raise a ValueError on the miss path."""
@@ -359,11 +379,11 @@ class ProPWeyl:
             if x.group is self:
                 return hit
         except KeyError:
-            pass
-        word = x.w.reduced_word(tie)[1]  # raises on an unknown tie
-        if not word:
+            _check_tie("tie", tie)
+        ds = x.w.descents("right")
+        if not ds:
             raise ValueError("peel needs x of positive length, got length 0")
-        s = word[-1]
+        s = ds[0] if tie == "min" else ds[-1]
         result = self._peels[tie][x.index] = s, self.mul(x, self.inv(self._aff_lifts[s]))
         return result
 
@@ -371,7 +391,8 @@ class ProPWeyl:
 
     def mul(self, x: "ProPElt", y: "ProPElt") -> "ProPElt":
         if x.group is not self or y.group is not self:
-            raise GroupMismatchError("pro-p elements from different groups")
+            self.own(x)
+            self.own(y)
         prod = x._prods.get(y.index)
         if prod is None:
             t = self._t_add(
@@ -382,8 +403,7 @@ class ProPWeyl:
         return prod
 
     def inv(self, x: "ProPElt") -> "ProPElt":
-        if x.group is not self:
-            raise GroupMismatchError("pro-p element from a different group")
+        self.own(x)
         if x._inv is None:
             w0 = x.w.w0
             w0inv = self.weyl.inv0[w0]
@@ -473,11 +493,6 @@ class ProPElt:
 
     def is_identity(self) -> bool:
         return not any(self.t) and self.w.is_identity()
-
-    def is_affine(self) -> bool:
-        """Whether tau of this element lies in the affine subalgebra; the
-        torus sits inside it, so only the Weyl part matters."""
-        return self.w.is_affine()
 
     def sort_key(self):
         return (self.w.length(), self.w.w0, self.w.mu, self.t)

@@ -29,17 +29,20 @@ of the trace kernel is the verify suite "supersingular".
 
 E is a SparseSpace like H: phi, zero, elt and the inversion twist J_top
 come from the base, and every method taking an element of E or H
-rejects one from another space.  Elements and action results are index
+rejects one from another space through that space's own; act, on the
+hot path, tests its side and operands inline and calls weyl._check_side
+and own only to raise.  Elements and action results are index
 terms, as in H: a dict from ProPElt.index to the FieldElt.i of a nonzero
 coefficient.  pairing and S_d return FieldElt.
 """
 
 from __future__ import annotations
 
-from .errors import DecompositionUnavailableError, GroupMismatchError
+from .errors import DecompositionUnavailableError
 from .gf import FieldElt
 from .hecke import HeckeAlgebra, HeckeElt, SparseComb, SparseSpace, accumulate
 from .propweyl import ProPElt, basis_elements
+from .weyl import _check_side
 
 
 # The one empty action result every memo row stores: shared and read-only,
@@ -123,13 +126,13 @@ class TopModule(SparseSpace):
 
     def act(self, tau: HeckeElt, x: TopElt, side: str) -> TopElt:
         """Bilinear extension of the generator formulas, each Hecke basis
-        element acting through the peel recursion of _act_basis."""
-        if side not in ("left", "right"):
-            raise ValueError("side must be 'left' or 'right'")
-        if tau.space is not self.hecke:
-            raise GroupMismatchError("Hecke element from a different algebra")
-        if x.space is not self:
-            raise GroupMismatchError("top element from a different module")
+        element acting through the peel recursion of _act_basis.  The side
+        and both operands are tested inline; _check_side and the two
+        spaces' own are called only to raise."""
+        if side not in ("left", "right") or tau.space is not self.hecke or x.space is not self:
+            _check_side(side)
+            self.hecke.own(tau)
+            self.own(x)
         field, elts = self.field, self.group.by_index
         out: dict = {}
         for y, cy in tau.terms.items():

@@ -9,13 +9,18 @@ invariant coupling negation-stable root orbits to length all live here.
 One rule strips every reduced word: a finite element has no affine
 descent, so its canonical word words0 is its affine reduced word.
 
-This module says once what a letter and an element's fields are.  A
-letter of an affine word is an index into s_aff, checked by
-WeylGroup.letter, which aff_gen and the pro-p lifts and rank-one step
-read.  from_word checks a word over the finite generators and elt the
-w0 and mu, each error naming the bad value and, for w0_word and mu, the
-element's JSON field; ExtAffWeylElt.from_json checks only that it was
-given an object.
+This module says once what a letter, an element's fields, an element of
+the group and a side are.  A letter of an affine word is an index into
+s_aff, checked by WeylGroup.letter, which aff_gen and the pro-p lifts
+and rank-one step read.  from_word checks a word over the finite
+generators and elt the w0 and mu, each error naming the bad value and,
+for w0_word and mu, the element's JSON field; ExtAffWeylElt.from_json
+checks only that it was given an object.  WeylGroup.own is the one
+check that an operand is an element of the group, read by the product
+here and by the pro-p group, H and the coset index; _check_side is the
+one check of a side, 'left' or 'right', read by descents, the rank-one
+step, the top module's action and the graded eigencharacters.  A hot
+path tests its operand inline and calls the check only to raise.
 
 Omega is computed exactly, with no search: it is isomorphic to
 Lambda/Q-check, whose invariants and generator lifts come from the
@@ -35,9 +40,12 @@ Elements are hash-consed per group: WeylGroup._interned maps each normal
 form (w0, mu) to its one ExtAffWeylElt, so equal elements of one group
 are the same object, and both equality and the hash are identity.  An
 element's products (keyed by the right operand) and inverse are memoised
-on it for the lifetime of the group; its length and reduced words are
-memoised in the group's tables, one memo each: _len_cache keyed by the
-element and _word_cache keyed by (element, tie rule).
+on it for the lifetime of the group; its length and its reduced word
+are memoised in the group's tables, one memo each, keyed by the element:
+_len_cache and _word_cache.  A product's rank-one factors are peeled by
+ProPWeyl.peel off the descents, not off a reduced word, so the word memo
+holds only the words asked for whole: words0, the prefixes that list
+Omega, the section ProPWeyl.lift_w and the suites.
 """
 
 from __future__ import annotations
@@ -72,6 +80,12 @@ def _mat_mul(A, B):
 
 def _identity_matrix(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def _check_side(side) -> None:
+    """Raise a ValueError naming side unless it is 'left' or 'right'."""
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def _reflection_matrix(a, ac):
@@ -133,7 +147,7 @@ class WeylGroup:
         self.s_aff = rd.pi_aff()
         self._aff_gen = [self.affine_reflection(A) for A in self.s_aff]
         self._len_cache = {}  # element -> length
-        self._word_cache = {}  # (element, tie) -> reduced_word result
+        self._word_cache = {}  # element -> reduced_word result
         self._omega = None
         # (w0, 0) sends each (m_c, 1) to (w0 m_c, 1), so it has no affine
         # descent and its canonical word is a word in the finite generators.
@@ -177,6 +191,11 @@ class WeylGroup:
                     )
 
     # -- element constructors ---------------------------------------------------
+
+    def own(self, w) -> None:
+        """Raise GroupMismatchError unless w is an element of this group."""
+        if getattr(w, "group", None) is not self:
+            raise GroupMismatchError("Weyl element from a different group")
 
     def elt(self, w0: int = 0, mu=None) -> "ExtAffWeylElt":
         """The element (w0, mu): w0 an index into the finite Weyl group,
@@ -283,7 +302,7 @@ class ExtAffWeylElt:
 
     Interned: constructing (group, w0, mu) twice returns the same object,
     so products and the inverse are memoised on the element, and the
-    length and reduced words in the group's _len_cache and _word_cache."""
+    length and reduced word in the group's _len_cache and _word_cache."""
 
     __slots__ = ("group", "w0", "mu", "_prods", "_inv")
 
@@ -303,7 +322,7 @@ class ExtAffWeylElt:
     def __mul__(self, other: "ExtAffWeylElt") -> "ExtAffWeylElt":
         g = self.group
         if other.group is not g:
-            raise GroupMismatchError("elements of different Weyl groups")
+            g.own(other)
         prod = self._prods.get(other)
         if prod is None:
             binv = g.inv0[other.w0]
@@ -360,11 +379,11 @@ class ExtAffWeylElt:
 
     def descents(self, side: str = "right"):
         """Indices into pi_aff of the affine simple reflections shortening
-        this element on the given side."""
+        this element on the given side, in increasing order; _check_side
+        rejects any other side."""
+        _check_side(side)
         if side == "left":
             return self.inv().descents("right")
-        if side != "right":
-            raise ValueError("side must be 'left' or 'right'")
         g = self.group
         out = []
         for i, A in enumerate(g.s_aff):
@@ -372,29 +391,24 @@ class ExtAffWeylElt:
                 out.append(i)
         return out
 
-    def reduced_word(self, tie: str = "min"):
+    def reduced_word(self):
         """Canonical decomposition (omega, [i_1..i_l]) with
         w = omega . s_{i_1} ... s_{i_l}, l = length(w), length(omega) = 0.
 
         The word is built right to left by stripping, at every step, the
-        smallest-index right descent (largest for tie='max'; any tie rule
-        yields a reduced word, by the exchange condition).  Any other tie
-        raises a ValueError; it never hits the memo, so the check is made
-        on a miss only."""
+        smallest-index right descent.  Memoised in the group's
+        _word_cache, keyed by the element."""
         g = self.group
-        key = (self, tie)
-        cached = g._word_cache.get(key)
+        cached = g._word_cache.get(self)
         if cached is not None:
             return cached
-        if tie not in ("min", "max"):
-            raise ValueError(f"tie must be 'min' or 'max', got {tie!r}")
         word = []
         cur = self
         while True:
             ds = cur.descents("right")
             if not ds:
                 break
-            i = ds[0] if tie == "min" else ds[-1]
+            i = ds[0]
             word.insert(0, i)
             cur = cur * g._aff_gen[i]
         if len(word) != self.length():
@@ -402,7 +416,7 @@ class ExtAffWeylElt:
             raise TheoremViolationError(
                 f"descent stripping of {(self.w0, self.mu)} is not reduced"
             )
-        result = g._word_cache[key] = (cur, tuple(word))
+        result = g._word_cache[self] = (cur, tuple(word))
         return result
 
     def all_reduced_words(self):

@@ -151,6 +151,17 @@ def test_index(sl2_q3):
     assert cosets.index(G, G.weyl.translation((1,))) == 9
 
 
+def test_index_rejects_what_is_not_an_element_of_the_group(sl3_q3):
+    """Only a pro-p or Weyl element of the group has an index: a number,
+    a bool, or an element of another group (whose q may differ) raises
+    GroupMismatchError instead of a power of this group's q."""
+    G = sl3_q3.group
+    other = make_context("SL2", 5).group
+    for bad in (-1, 2.7, True, 3, other.lift_s(0), other.weyl.aff_gen(0)):
+        with pytest.raises(GroupMismatchError, match="from a different group"):
+            cosets.index(G, bad)
+
+
 def test_g_profile_identity_and_reflection(sl2_q3):
     G = sl2_q3.group
     rd = G.rd

@@ -506,3 +506,14 @@ def test_json_round_trip_records_default_poly():
     k2 = FieldSpec.from_json(data)
     assert k2 == k
 
+
+def test_equal_fields_hash_alike():
+    """Two FieldSpecs built alike are equal, so they and their equal
+    elements must hash alike: each finds the other as a dict key."""
+    k1, k2 = FieldSpec(3, 1, 2), FieldSpec(3, 1, 2)
+    assert k1 is not k2 and k1 == k2 and hash(k1) == hash(k2)
+    assert {k1: "k"}[k2] == "k"
+    for c in ([0], [1], [2, 1], [0, 2]):
+        a, b = k1.elt(c), k2.elt(c)
+        assert a == b and hash(a) == hash(b)
+    assert len({k1.elt([2, 1]), k2.elt([2, 1]), k2.elt([1, 2])}) == 2

@@ -541,3 +541,15 @@ def test_elements_own_their_terms(sl2_q3):
         assert units_intact(), name
         assert call().terms == want, name
         assert units_intact(), name
+
+
+def test_equal_elements_hash_alike_and_scale_from_the_left(sl3_q3):
+    """Two equal elements of H built apart hash alike, and an integer on
+    the left scales as scale does."""
+    H, G = sl3_q3.hecke, sl3_q3.group
+    x = H.elt({G.lift_s(0): 1, G.lift_s(1): 2})
+    y = H.elt({G.lift_s(1): 2, G.lift_s(0): 1})
+    assert x is not y and x == y and hash(x) == hash(y)
+    assert {x: "x"}[y] == "x"
+    assert 2 * x == x.scale(2) == x * 2
+    assert 2 * x != x and (3 * x).is_zero()

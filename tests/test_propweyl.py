@@ -464,9 +464,14 @@ def test_step_and_peel_match_definition(name):
         for x in els:
             if x.w.length() == 0:
                 continue
-            for tie in ("min", "max"):
+            # the right descents by definition: the letters that shorten x
+            ds = [i for i in range(len(G.weyl.s_aff))
+                  if (x.w * G.weyl.aff_gen(i)).length() < x.w.length()]
+            for tie, pick in (("min", min), ("max", max)):
                 s, xp = G.peel(x, tie)
-                assert s == x.w.reduced_word(tie)[1][-1]
+                assert s == pick(ds)
+                if tie == "min":  # the last letter of the canonical word
+                    assert s == x.w.reduced_word()[1][-1]
                 assert G.mul(xp, G.lift_s(s)) == x
                 assert xp.w.length() == x.w.length() - 1
         if sweep:
@@ -555,6 +560,14 @@ def test_elements_are_interned():
     x, y = G.lift_s(0), G.lift_s(2)
     assert G.mul(x, y) is G.mul(x, y)
     assert G.inv(x) is G.inv(x)
+
+
+def test_the_product_operator_and_the_group_repr():
+    """x * y is the group's memoised product, the very object mul gives."""
+    G = grp("SL3", 3)
+    x, y = G.lift_s(0), G.elt((1, 0), G.weyl.aff_gen(2))
+    assert x * y is G.mul(x, y) and y * x is G.mul(y, x)
+    assert repr(G) == "ProPWeyl(SL3, q=3)"
 
 
 def test_separate_groups_share_no_element():

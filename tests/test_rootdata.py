@@ -237,3 +237,9 @@ def test_positivity_follows_expansion_signs(name):
         assert rd.is_positive_root(i) != rd.is_positive_root(rd.neg_index(i))
         for h in (-1, 0, 1):
             assert rd.is_positive_affine(AffineRoot(i, h)) == (h > 0 or (h == 0 and signs[i]))
+
+
+def test_reprs_name_the_datum_and_the_affine_root():
+    assert repr(AffineRoot(1, -2)) == "A(1,-2)"
+    assert repr(preset("SL3")) == "RootDatum(SL3, 6 roots)"
+    assert repr(RootDatum.from_json(EXPLICIT_GROUPS["PGL3"])) == "RootDatum(rank2, 6 roots)"

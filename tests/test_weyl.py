@@ -456,46 +456,52 @@ def test_malformed_element_rejected(case):
 
 
 def test_length_and_reduced_word_memoised_on_element():
-    """Each element's length and reduced words are memoised once, in the
-    group's _len_cache and _word_cache; a repeat returns the stored object."""
+    """Each element's length and reduced word are memoised once, in the
+    group's _len_cache and _word_cache, both keyed by the element; a
+    repeat returns the stored object."""
     g = WeylGroup(preset("SL3"))
     w = g.aff_gen(0) * g.aff_gen(1) * g.aff_gen(2) * g.aff_gen(0) * g.aff_gen(1)
     t = g.translation((3, -2))  # outside the construction check's box
-    assert t not in g._len_cache and (w, "min") not in g._word_cache
+    assert t not in g._len_cache and w not in g._word_cache
     sizes = (len(g._len_cache), len(g._word_cache))
-    first = (w.length(), w.reduced_word(), w.reduced_word("max"), t.length())
-    # each miss writes one entry, keyed by the element or (element, tie)
-    assert (len(g._len_cache), len(g._word_cache)) == (sizes[0] + 1, sizes[1] + 2)
+    first = (w.length(), w.reduced_word(), t.length())
+    # each miss writes one entry, keyed by the element
+    assert (len(g._len_cache), len(g._word_cache)) == (sizes[0] + 1, sizes[1] + 1)
     sizes = (len(g._len_cache), len(g._word_cache))
-    assert g._len_cache[t] == first[3] == length_bruteforce(t)
+    assert g._len_cache[t] == first[2] == length_bruteforce(t)
     assert g._len_cache[w] == first[0] == 5
-    assert g._word_cache[(w, "min")] is first[1]
-    assert g._word_cache[(w, "max")] is first[2]
+    assert g._word_cache[w] is first[1]
+    assert all(type(key) is type(w) for key in g._word_cache)
     # ... and they are the only memos: the element carries no value
     assert not {"_len", "_words", "_hash"} & set(type(w).__slots__)
     assert "__hash__" not in vars(type(w)) and hash(w) == object.__hash__(w)
-    again = (w.length(), w.reduced_word(), w.reduced_word("max"), t.length())
-    assert again[0] is first[0] and again[3] is first[3]
-    assert again[1] is first[1] and again[2] is first[2]
+    again = (w.length(), w.reduced_word(), t.length())
+    assert all(a is b for a, b in zip(again, first))
     assert (len(g._len_cache), len(g._word_cache)) == sizes
 
 
 def test_reduced_word_rejects_an_unknown_tie():
-    """A tie other than "min" or "max" raises a ValueError naming it, also
-    through peel and support_mul, and writes no memo entry."""
+    """reduced_word takes no tie at all: its one rule strips the smallest
+    descent.  The tie rule lives in peel, and peel, support_mul and
+    HeckeAlgebra reject an unknown one with a ValueError naming it,
+    writing no memo entry."""
     from prophecke import cosets, make_context
+    from prophecke.hecke import HeckeAlgebra
 
     ctx = make_context("SL3", 3)
     g, G = ctx.weyl, ctx.group
     w = g.aff_gen(0) * g.aff_gen(1)
+    with pytest.raises(TypeError):
+        w.reduced_word("max")
     v = G.lift_w(w)
-    size = len(g._word_cache)
-    for call in (lambda: w.reduced_word("bogus"), lambda: G.peel(v, "bogus"),
-                 lambda: cosets.support_mul(v, v, tie="bogus")):
-        with pytest.raises(ValueError, match="tie must be 'min' or 'max', got 'bogus'"):
+    sizes = (len(g._word_cache), sum(map(len, G._peels.values())))
+    for what, call in (("tie", lambda: G.peel(v, "bogus")),
+                       ("tie", lambda: cosets.support_mul(v, v, tie="bogus")),
+                       ("word_tie", lambda: HeckeAlgebra(G, ctx.field, word_tie="bogus"))):
+        with pytest.raises(ValueError, match=f"^{what} must be 'min' or 'max', got 'bogus'$"):
             call()
-    assert len(g._word_cache) == size
-    assert (w, "bogus") not in g._word_cache
+    assert (len(g._word_cache), sum(map(len, G._peels.values()))) == sizes
+    assert "bogus" not in G._peels
 
 
 def test_descents_rejects_an_unknown_side():
